@@ -24,6 +24,7 @@ from . import acceptance, families
 from .families import FamilySpec, cofinite_family, nonempty, syndetic_family
 from .registry import build, default_cover, registry_names
 from .sensitivity import (
+    _region_label,
     region_scan,
     sensitivity_probe,
     weak_sensitivity_probe,
@@ -32,7 +33,6 @@ from .spaces import CIRCLE, INTERVAL, SYMBOLIC, cylinder_region, metric_ball
 from .systems import MapSequence, sequence_from_dict
 
 REPORT_SCHEMA = 1
-WORKER_ENV = "NONAUTO_WORKERS"
 
 MODES = ("sensitive", "cofinite", "syndetic", "F-sensitive",
          "weakly-F-sensitive")
@@ -186,29 +186,7 @@ def _mode_family(mode: str, cfg: ExperimentConfig) -> FamilySpec:
     return cfg.family
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get(WORKER_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _prime_scans(cfg: ExperimentConfig) -> None:
-    # warm the shared scan cache; with workers > 1 regions warm concurrently,
-    # results are identical either way
-    workers = min(_worker_cap(), len(cfg.cover))
-    if workers <= 1:
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda r: region_scan(cfg.sequence, r, cfg.horizon,
-                                            cfg.resolution), cfg.cover))
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    _prime_scans(cfg)
     reports = []
     for mode in cfg.modes:
         for delta in cfg.deltas:
@@ -236,10 +214,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]", "_", label)
-
-
-def _region_label(region, index: int) -> str:
-    return region.label or f"region-{index:02d}"
 
 
 def write_outputs(cfg: ExperimentConfig, report: dict) -> list:

@@ -23,16 +23,17 @@ import numpy as np
 from . import families, spaces
 from .families import FamilySpec, WindowedIndexSet, member, windowed
 from .spaces import (
-    CIRCLE,
     INTERVAL,
     SYMBOLIC,
     FiniteSubset,
     Region,
     distance,
     dist_symbolic,
+    hausdorff_array,
     hausdorff_ball,
     region_contains,
     sample_region,
+    symbolic_truncation_bound,
 )
 from .systems import MapSequence, net_shift_series, orbit
 
@@ -47,34 +48,27 @@ def _pair_indices(count: int):
     return i.astype(np.intp), j.astype(np.intp)
 
 
-def _pointwise_distances(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if space == INTERVAL:
-        return np.abs(a - b)
-    if space == CIRCLE:
-        d = np.abs(a - b) % 1.0
-        return np.minimum(d, 1.0 - d)
-    raise ValueError(f"no vectorized metric for {space!r}")
-
-
 class RegionScan:
     """Per-region orbit data: max pairwise separation at each time, the
     achieving pair, and per-pair separation series on demand.
 
+    ``dists`` holds one row per sampled pair, row r for the pair
+    ``(pi[r], pj[r])``, and one column per time 0 .. horizon.
     ``max_series[n]`` is the largest sampled pair distance at time n; index
     0 holds the initial spread. Delta enters only when slicing.
     """
 
-    def __init__(self, sample, horizon, max_series, argmax_i, argmax_j,
-                 pair_series_fn, truncation_bound=None):
+    def __init__(self, sample, horizon, dists, pi, pj, pair_series_fn,
+                 truncation_bound=None):
         self.sample = sample
         self.horizon = horizon
-        self.max_series = max_series
-        self.argmax_i = argmax_i
-        self.argmax_j = argmax_j
+        best = np.argmax(dists, axis=0)
+        self.max_series = dists[best, np.arange(horizon + 1)]
+        self.argmax_i = pi[best]
+        self.argmax_j = pj[best]
         self._pair_series_fn = pair_series_fn
         self.truncation_bound = truncation_bound
-        n = len(sample)
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.pairs = list(zip(pi.tolist(), pj.tolist()))
 
     def times(self, delta: float) -> WindowedIndexSet:
         hits = np.nonzero(self.max_series[1:] > delta)[0] + 1
@@ -94,33 +88,33 @@ class RegionScan:
         return windowed(hits.tolist(), self.horizon)
 
 
-def _scan_numeric(seq: MapSequence, sample, horizon: int,
-                  space) -> RegionScan:
-    count = len(sample)
-    orbits = np.empty((horizon + 1, count), dtype=np.float64)
-    for c, x in enumerate(sample):
-        orbits[:, c] = orbit(seq, x, horizon)
-    pi, pj = _pair_indices(count)
-    dists = _pointwise_distances(space, orbits[:, pi], orbits[:, pj])
-    best = np.argmax(dists, axis=1)
-    rows = np.arange(horizon + 1)
-    max_series = dists[rows, best]
-    argmax_i = pi[best]
-    argmax_j = pj[best]
+def _scan_orbits(seq: MapSequence, sample, horizon: int,
+                 space) -> RegionScan:
+    # A point is a one-element subset. Pad every subset to one width by
+    # repeating its first element: duplicates never change the Hausdorff
+    # distance, and at width 1 it reduces to the point metric bitwise.
+    elements = [s.elements if isinstance(s, FiniteSubset) else (s,)
+                for s in sample]
+    width = max(len(e) for e in elements)
+    orbits = np.empty((horizon + 1, len(sample), width), dtype=np.float64)
+    for c, elems in enumerate(elements):
+        elems = elems + (elems[0],) * (width - len(elems))
+        for e, x in enumerate(elems):
+            orbits[:, c, e] = orbit(seq, x, horizon)
+    pi, pj = _pair_indices(len(sample))
+    dists = hausdorff_array(space, orbits[:, pi, :], orbits[:, pj, :]).T
 
     def pair_series(i, j):
-        return _pointwise_distances(space, orbits[:, i], orbits[:, j])
+        return hausdorff_array(space, orbits[:, i, :], orbits[:, j, :])
 
-    return RegionScan(sample, horizon, max_series, argmax_i, argmax_j,
-                      pair_series)
+    return RegionScan(sample, horizon, dists, pi, pj, pair_series)
 
 
 def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     shifts = net_shift_series(seq, horizon)
     if shifts is None:
         raise ValueError("symbolic sequences must be built from shifts")
-    count = len(sample)
-    pi, pj = _pair_indices(count)
+    pi, pj = _pair_indices(len(sample))
     distinct = sorted(set(shifts))
     col_of = {s: c for c, s in enumerate(distinct)}
     # distance between two shifted points depends only on the shift amount,
@@ -131,62 +125,19 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
             x = sample[pi[row]].shifted(s)
             y = sample[pj[row]].shifted(s)
             table[row, col] = dist_symbolic(x, y)
-    shift_cols = np.array([col_of[s] for s in shifts], dtype=np.intp)
-    per_time = table[:, shift_cols]
-    best = np.argmax(per_time, axis=0)
-    cols = np.arange(horizon + 1)
-    max_series = per_time[best, cols]
-    argmax_i = pi[best]
-    argmax_j = pj[best]
+    dists = table[:, [col_of[s] for s in shifts]]
     # both points of a pair shift together, so the narrowest window seen is
-    # the smallest sample radius less the largest displacement
-    worst_window = min(p.radius for p in sample) - max(abs(s) for s in distinct)
-    bound = 2.0 ** (1 - worst_window)
-
-    pair_col = {(int(a), int(b)): r for r, (a, b) in enumerate(zip(pi, pj))}
-
-    def pair_series(i, j):
-        return per_time[pair_col[(i, j)], :]
-
-    return RegionScan(sample, horizon, max_series, argmax_i, argmax_j,
-                      pair_series, truncation_bound=bound)
-
-
-def _scan_subsets(seq: MapSequence, sample, horizon: int) -> RegionScan:
-    base = sample[0].space
-    if base not in (INTERVAL, CIRCLE):
-        raise ValueError("subset scans need an interval or circle base")
-    width = max(len(s.elements) for s in sample)
-    count = len(sample)
-    # pad by repeating the first element: duplicates never change the
-    # Hausdorff distance, and fixed width keeps everything vectorized
-    orbits = np.empty((horizon + 1, count, width), dtype=np.float64)
-    for c, s in enumerate(sample):
-        elems = list(s.elements) + [s.elements[0]] * (width - len(s.elements))
-        for e, x in enumerate(elems):
-            orbits[:, c, e] = orbit(seq, x, horizon)
-    pi, pj = _pair_indices(count)
-
-    def hausdorff_block(a, b):
-        # a, b: (..., width); all-pairs element distances then max of the
-        # two directed max-min values
-        cross = _pointwise_distances(base, a[..., :, None], b[..., None, :])
-        d_ab = cross.min(axis=-1).max(axis=-1)
-        d_ba = cross.min(axis=-2).max(axis=-1)
-        return np.maximum(d_ab, d_ba)
-
-    dists = hausdorff_block(orbits[:, pi, :], orbits[:, pj, :])
-    best = np.argmax(dists, axis=1)
-    rows = np.arange(horizon + 1)
-    max_series = dists[rows, best]
-    argmax_i = pi[best]
-    argmax_j = pj[best]
+    # the narrowest sample point moved by the largest displacement
+    narrowest = min(sample, key=lambda p: p.radius).shifted(
+        max(distinct, key=abs))
+    bound = symbolic_truncation_bound(narrowest, narrowest)
+    pair_col = {p: r for r, p in enumerate(zip(pi.tolist(), pj.tolist()))}
 
     def pair_series(i, j):
-        return hausdorff_block(orbits[:, i, :], orbits[:, j, :])
+        return dists[pair_col[(i, j)]]
 
-    return RegionScan(sample, horizon, max_series, argmax_i, argmax_j,
-                      pair_series)
+    return RegionScan(sample, horizon, dists, pi, pj, pair_series,
+                      truncation_bound=bound)
 
 
 @lru_cache(maxsize=128)
@@ -198,11 +149,12 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
         raise ValueError(f"region sample is degenerate "
                          f"(single point): {region.label or region.kind}")
     if region.kind == "hausdorff-ball":
-        return _scan_subsets(seq, sample, horizon)
-    space = seq.space or region.space
+        space = region.space.base
+    else:
+        space = seq.space or region.space
     if space == SYMBOLIC:
         return _scan_symbolic(seq, sample, horizon)
-    return _scan_numeric(seq, sample, horizon, space)
+    return _scan_orbits(seq, sample, horizon, space)
 
 
 # ---------------------------------------------------------------------------

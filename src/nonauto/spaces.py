@@ -34,24 +34,10 @@ SYMBOLIC = "symbolic"
 
 
 @dataclass(frozen=True)
-class ProductSpace:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class SubsetSpace:
     """Finite subsets of a base space under the Hausdorff metric."""
 
     base: object
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    left: object
-    right: object
-    left_space: object = INTERVAL
-    right_space: object = INTERVAL
 
 
 @dataclass(frozen=True)
@@ -113,12 +99,19 @@ def _bits_array(bits: tuple) -> np.ndarray:
     return np.asarray(bits, dtype=np.float64)
 
 
-def dist_interval(a: float, b: float) -> float:
+def dist_interval(a, b):
     return abs(a - b)
 
 
-def circle_distance(a: float, b: float) -> float:
+def circle_distance(a, b):
+    """Arc length between points of [0, 1); elementwise on numpy arrays.
+
+    Both forms compute the same IEEE operations, so an array result equals
+    the scalar results bitwise; floats stay off numpy entirely.
+    """
     d = abs(a - b) % 1.0
+    if isinstance(d, np.ndarray):
+        return np.minimum(d, 1.0 - d)
     return min(d, 1.0 - d)
 
 
@@ -172,31 +165,39 @@ def finite_subset(elements, space) -> FiniteSubset:
     return FiniteSubset(tuple(kept), space)
 
 
+def hausdorff_array(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hausdorff distance between element arrays along the trailing axis.
+
+    ``a`` and ``b`` hold interval or circle elements, shaped (..., m) and
+    (..., k); leading axes broadcast. Repeated elements never change the
+    value, so ragged subsets can be padded with a copy of any element.
+    """
+    if a.shape[-1] == b.shape[-1] == 1:
+        # points: skip the cross table, whose reductions would add several
+        # full-size temporaries to every point scan
+        return distance(space, a[..., 0], b[..., 0])
+    cross = distance(space, a[..., :, None], b[..., None, :])
+    return np.maximum(cross.min(axis=-1).max(axis=-1),
+                      cross.min(axis=-2).max(axis=-1))
+
+
 def hausdorff(a: FiniteSubset, b: FiniteSubset) -> float:
     if a.space != b.space:
         raise ValueError("subsets live in different spaces")
-    d_ab = max(min(distance(a.space, p, q) for q in b.elements) for p in a.elements)
-    d_ba = max(min(distance(a.space, p, q) for q in a.elements) for p in b.elements)
-    return max(d_ab, d_ba)
+    if a.space not in (INTERVAL, CIRCLE):
+        raise ValueError("Hausdorff distance needs an interval or circle base")
+    return float(hausdorff_array(a.space, np.array(a.elements),
+                                 np.array(b.elements)))
 
 
-def dist_product(p: ProductPoint, q: ProductPoint) -> float:
-    if (p.left_space, p.right_space) != (q.left_space, q.right_space):
-        raise ValueError("product points live in different spaces")
-    return (distance(p.left_space, p.left, q.left)
-            + distance(p.right_space, p.right, q.right))
-
-
-def distance(space, a, b) -> float:
+def distance(space, a, b):
+    """The metric of ``space``; interval and circle also take numpy arrays."""
     if space == INTERVAL:
         return dist_interval(a, b)
     if space == CIRCLE:
         return circle_distance(a, b)
     if space == SYMBOLIC:
         return dist_symbolic(a, b)
-    if isinstance(space, ProductSpace):
-        return (distance(space.left, a.left, b.left)
-                + distance(space.right, a.right, b.right))
     if isinstance(space, SubsetSpace):
         return hausdorff(a, b)
     raise ValueError(f"unknown space: {space!r}")

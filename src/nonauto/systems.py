@@ -14,19 +14,16 @@ bitwise equal points.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import spaces
 from .spaces import (
     CIRCLE,
     INTERVAL,
     SYMBOLIC,
-    FiniteSubset,
     circle_distance,
     distance,
-    finite_subset,
     grid_points,
 )
 
@@ -250,24 +247,23 @@ class MapSequence:
     k: int = 1
 
 
+# generator name -> (end index of each block so far, the blocks)
 _BLOCK_CACHE: dict = {}
 
 
 def _block_walk(name: str, n: int) -> MapSpec:
-    # Grow cached (end_index, block) rows until the block containing n exists.
+    # Grow the cached blocks until the one containing n exists, then find it
+    # by bisecting on the block end indices.
     fn = BLOCK_GENERATORS[name]
-    rows = _BLOCK_CACHE.setdefault(name, [])
-    while not rows or rows[-1][0] < n:
-        r = len(rows) + 1
-        block = tuple(fn(r))
+    ends, blocks = _BLOCK_CACHE.setdefault(name, ([], []))
+    while not ends or ends[-1] < n:
+        block = tuple(fn(len(blocks) + 1))
         if not block:
             raise ValueError(f"generator {name!r} produced an empty block")
-        prev_end = rows[-1][0] if rows else 0
-        rows.append((prev_end + len(block), block))
-    for end, block in rows:
-        if n <= end:
-            return block[n - (end - len(block)) - 1]
-    raise AssertionError("unreachable")
+        ends.append((ends[-1] if ends else 0) + len(block))
+        blocks.append(block)
+    r = bisect_left(ends, n)
+    return blocks[r][n - (ends[r] - len(blocks[r])) - 1]
 
 
 def map_at(seq: MapSequence, n: int) -> MapSpec:
@@ -372,11 +368,6 @@ def net_shift_series(seq: MapSequence, horizon: int):
         total += s
         totals.append(total)
     return totals
-
-
-def induced_apply(m: MapSpec, a: FiniteSubset) -> FiniteSubset:
-    """Elementwise image; deduplication may drop collapsed elements."""
-    return finite_subset([apply(m, e) for e in a.elements], a.space)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +496,8 @@ def shadow_bound_check(seq: MapSequence, f: MapSpec, x, n: int,
         shadow = apply(f, shadow)
     lhs = distance(space, true_pt, shadow)
     rhs = 0.0
-    for i in range(1, k + 1):
-        rhs += sup_metric(map_at(seq, i + 1), f)
+    for i in range(n + 1, n + k + 1):
+        rhs += sup_metric(map_at(seq, i), f)
     return ShadowBoundRecord(x=x, n=n, k=k, lhs=lhs, rhs=rhs,
                              ok=lhs <= rhs + COMMUTE_TOL)
 

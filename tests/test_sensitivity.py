@@ -5,6 +5,7 @@ The oracles here recompose prefixes step by step for every time index
 dicts, so they share no orbit or windowing code with the scan machinery.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,7 @@ from nonauto.systems import (
     cyclic_sequence,
     identity,
     map_at,
+    orbit,
     piecewise_linear,
     rotation,
 )
@@ -408,6 +410,28 @@ class TestScanMachinery:
         a = region_scan(named.sequence, region, 50, 8)
         b = region_scan(named.sequence, region, 50, 8)
         assert a is b
+
+    @pytest.mark.parametrize("name, region", [
+        ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
+        ("rotations_harmonic", metric_ball(CIRCLE, 0.97, 0.05)),
+        ("example31", cylinder_region({0: 1})),
+    ])
+    def test_scan_equals_scalar_distance_on_orbits_bitwise(self, name,
+                                                           region):
+        seq = registry.build(name).sequence
+        scan = region_scan(seq, region, 60, 7)
+        orbits = [orbit(seq, x, 60) for x in scan.sample]
+        per_pair = []
+        for i, j in scan.pairs:
+            expect = [distance(seq.space, a, b)
+                      for a, b in zip(orbits[i], orbits[j])]
+            assert all(type(d) is float for d in expect)
+            assert scan.pair_series(i, j).view(np.int64).tolist() == \
+                np.array(expect).view(np.int64).tolist()
+            per_pair.append(expect)
+        maxima = [max(col) for col in zip(*per_pair)]
+        assert scan.max_series.view(np.int64).tolist() == \
+            np.array(maxima).view(np.int64).tolist()
 
     def test_degenerate_sample_rejected(self):
         named = registry.build("identity")

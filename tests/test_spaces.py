@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +7,9 @@ from nonauto import spaces
 from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
-    ProductPoint,
     circle_distance,
     cylinder_region,
     dist_interval,
-    dist_product,
     dist_symbolic,
     distance,
     finite_subset,
@@ -36,7 +35,38 @@ def mutual_cover_holds(a, b, eps):
     return one and two
 
 
+# Oracle for the vectorized Hausdorff value: the max-min formula, one
+# scalar distance at a time.
+
+
+def brute_force_hausdorff(a, b):
+    d_ab = max(min(distance(a.space, p, q) for q in b.elements)
+               for p in a.elements)
+    d_ba = max(min(distance(a.space, p, q) for q in a.elements)
+               for p in b.elements)
+    return max(d_ab, d_ba)
+
+
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# points where the circle metric wraps: either side of 0 and of 1
+near_ends = st.sampled_from([0.0, 5e-324, 1e-12, 0.5, 1.0 - 1e-12,
+                             np.nextafter(1.0, 0.0), 1.0])
+edge_unit = st.one_of(near_ends, unit)
+
+
+class TestArrayMetric:
+    @given(st.sampled_from([INTERVAL, CIRCLE]),
+           st.lists(st.tuples(edge_unit, edge_unit), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_array_form_equals_scalar_form_bitwise(self, space, pairs):
+        xs = [float(x) for x, _ in pairs]
+        ys = [float(y) for _, y in pairs]
+        scalar = [distance(space, x, y) for x, y in zip(xs, ys)]
+        assert all(type(d) is float for d in scalar)
+        got = distance(space, np.array(xs), np.array(ys))
+        assert got.dtype == np.float64
+        assert got.view(np.int64).tolist() == \
+            np.array(scalar).view(np.int64).tolist()
 
 
 class TestIntervalMetric:
@@ -121,22 +151,6 @@ class TestSymbolicMetric:
         assert x.shifted(-1).coord(3) == 1
 
 
-class TestProductMetric:
-    def test_pinned_values(self):
-        p = ProductPoint(0.0, 0.3)
-        q = ProductPoint(0.0, 0.1)
-        assert dist_product(p, p) == 0.0
-        assert dist_product(p, q) == pytest.approx(0.2)
-        assert dist_product(ProductPoint(0.2, 0.3),
-                            ProductPoint(0.5, 0.1)) == pytest.approx(0.5)
-
-    def test_space_mismatch(self):
-        p = ProductPoint(0.0, 0.3, INTERVAL, CIRCLE)
-        q = ProductPoint(0.0, 0.1)
-        with pytest.raises(ValueError):
-            dist_product(p, q)
-
-
 class TestFiniteSubsets:
     def test_dedup_and_order(self):
         s = finite_subset([0.5, 0.1, 0.5 + 1e-16, 0.9], INTERVAL)
@@ -159,6 +173,17 @@ class TestFiniteSubsets:
         a = finite_subset([0.1, 0.4], INTERVAL)
         b = finite_subset([0.1, 0.4, 0.4 + 1e-15], INTERVAL)
         assert hausdorff(a, b) == 0.0
+
+    @given(st.sampled_from([INTERVAL, CIRCLE]),
+           st.lists(edge_unit, min_size=1, max_size=6),
+           st.lists(edge_unit, min_size=1, max_size=6))
+    @settings(max_examples=200)
+    def test_equals_brute_force_max_min(self, space, xs, ys):
+        a = finite_subset(xs, space)
+        b = finite_subset(ys, space)
+        got = hausdorff(a, b)
+        assert type(got) is float
+        assert got == brute_force_hausdorff(a, b)
 
     @given(st.lists(unit, min_size=1, max_size=6),
            st.lists(unit, min_size=1, max_size=6),

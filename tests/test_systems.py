@@ -7,7 +7,6 @@ from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
     SYMBOLIC,
-    finite_subset,
     grid_points,
     make_symbolic,
     metric_ball,
@@ -23,7 +22,6 @@ from nonauto.systems import (
     feeble_open_probe,
     generated_system,
     identity,
-    induced_apply,
     kth_iterate,
     map_at,
     map_from_dict,
@@ -166,9 +164,23 @@ class TestBlocks:
         series = net_shift_series(s, 30)
         assert series == list(range(31))
 
+    def test_block_walk_matches_flattened_blocks(self):
+        systems.register_block_generator("unit-test-distinct", distinct_block)
+        s = systems.block_sequence("unit-test-distinct", space=CIRCLE)
+        flat = [m for r in range(1, 12) for m in distinct_block(r)]
+        # walk forward while the cache grows, then back through cached blocks
+        order = list(range(1, len(flat) + 1)) + list(range(len(flat), 0, -1))
+        for n in order:
+            assert map_at(s, n) == flat[n - 1], n
+
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             systems.block_sequence("no-such-generator")
+
+
+def distinct_block(r):
+    # block r has r + (r % 3) maps and no map repeats anywhere in the sequence
+    return tuple(rotation(r / 64 + i / 4096) for i in range(r + r % 3))
 
 
 class TestKthIterate:
@@ -214,26 +226,6 @@ class TestNetShift:
 
     def test_composed_shift(self):
         assert map_net_shift(composition([shift(2), shift(-5)])) == -3
-
-
-class TestInducedApply:
-    def test_identity(self):
-        a = finite_subset([0.1, 0.9], INTERVAL)
-        assert induced_apply(identity(), a) == a
-
-    def test_pinned_image(self):
-        a = finite_subset([0.0, 0.125], INTERVAL)
-        assert induced_apply(F1, a).elements == (0.0, 0.5)
-
-    def test_singleton(self):
-        a = finite_subset([0.3], INTERVAL)
-        assert induced_apply(F1, a).elements == (apply(F1, 0.3),)
-
-    def test_collapse_dedups(self):
-        # both points land on the same value
-        a = finite_subset([0.25, 1.0], INTERVAL)
-        m = piecewise_linear([(0.0, 0.5), (1.0, 0.5)])
-        assert induced_apply(m, a).elements == (0.5,)
 
 
 class TestSupMetric:
@@ -293,9 +285,17 @@ class TestShadowBound:
         assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.ok
 
     def test_pinned_geometric_case(self):
+        # steps 3 and 4 rotate by 2^-3 and 2^-4
         rec = shadow_bound_check(summable_rotations(16), identity(), 0.0, 2, 2)
         assert rec.lhs == 0.1875
-        assert rec.rhs == 0.375
+        assert rec.rhs == 0.1875
+        assert rec.ok
+
+    @pytest.mark.parametrize("k, lhs, rhs", [(1, 0.5, 0.5), (2, 0.25, 0.75),
+                                             (3, 0.125, 0.875)])
+    def test_from_time_zero_sums_the_first_k_maps(self, k, lhs, rhs):
+        rec = shadow_bound_check(summable_rotations(16), identity(), 0.0, 0, k)
+        assert (rec.lhs, rec.rhs) == (lhs, rhs)
         assert rec.ok
 
     def test_common_rotation_core(self):
