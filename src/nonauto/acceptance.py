@@ -12,14 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import families, sensitivity, spaces
+import numpy as np
+
 from .families import (
     cofinite_family,
     dual,
     filterdual_probe,
     infinite_family,
     intersect,
-    member,
+    member_rows,
     syndetic_family,
     windowed,
 )
@@ -349,29 +350,37 @@ def _check_family_classifiers():
              lambda idx: _brute_infinite(idx, h, 4, 0.25)),
             (cofinite_family(3), lambda idx: _brute_cofinite(idx, h, 3)),
             (syndetic_family(3), lambda idx: _brute_syndetic(idx, h, 3))]
+    windows = ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1).astype(bool)
+    verdicts = [(member_rows(fam, windows).tolist(),
+                 member_rows(dual(fam), windows).tolist(), brute)
+                for fam, brute in fams]
     mismatches = 0
     for mask in range(2 ** h):
         idx = tuple(j + 1 for j in range(h) if mask >> j & 1)
-        s = windowed(idx, h)
-        comp = tuple(n for n in range(1, h + 1) if n not in set(idx))
-        for fam, brute in fams:
-            if member(fam, s) != brute(idx):
+        comp = tuple(j + 1 for j in range(h) if not mask >> j & 1)
+        for got, got_dual, brute in verdicts:
+            if got[mask] != brute(idx):
                 mismatches += 1
-            if member(dual(fam), s) != (not brute(comp)):
+            if got_dual[mask] != (not brute(comp)):
                 mismatches += 1
 
     rng = random.Random(20260816)
     hered_fams = [infinite_family(), cofinite_family(), syndetic_family(),
                   dual(infinite_family())]
     hered_violations = 0
-    for _ in range(10 ** 5):
-        bits = [rng.random() < 0.5 for _ in range(200)]
-        grow = [b or rng.random() < 0.05 for b in bits]
-        small = windowed([n + 1 for n, b in enumerate(bits) if b], 200)
-        big = windowed([n + 1 for n, b in enumerate(grow) if b], 200)
+    chunk = 10 ** 4
+    for _ in range(10 ** 5 // chunk):
+        # one byte per draw; nested lists would cost 8 bytes a draw
+        small, big = bytearray(), bytearray()
+        for _ in range(chunk):
+            bits = [rng.random() < 0.5 for _ in range(200)]
+            small += bytes(bits)
+            big += bytes([b or rng.random() < 0.05 for b in bits])
+        small, big = (np.frombuffer(buf, dtype=bool).reshape(chunk, 200)
+                      for buf in (small, big))
         for fam in hered_fams:
-            if member(fam, small) and not member(fam, big):
-                hered_violations += 1
+            hered_violations += int(np.count_nonzero(
+                member_rows(fam, small) & ~member_rows(fam, big)))
 
     suite = _curated_suite()
     fd_inf = filterdual_probe(infinite_family(10, 0.25), suite)

@@ -175,14 +175,9 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
 def _mode_family(mode: str, cfg: ExperimentConfig) -> FamilySpec:
     if mode == "sensitive":
         return nonempty()
-    if mode == "cofinite":
-        if cfg.family is not None and cfg.family.kind == "cofinite":
-            return cfg.family
-        return cofinite_family()
-    if mode == "syndetic":
-        if cfg.family is not None and cfg.family.kind == "syndetic":
-            return cfg.family
-        return syndetic_family()
+    default = {"cofinite": cofinite_family, "syndetic": syndetic_family}
+    if mode in default and (cfg.family is None or cfg.family.kind != mode):
+        return default[mode]()
     return cfg.family
 
 
@@ -190,14 +185,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     reports = []
     for mode in cfg.modes:
         for delta in cfg.deltas:
-            fam = _mode_family(mode, cfg)
-            if mode == "weakly-F-sensitive":
-                rep = weak_sensitivity_probe(cfg.sequence, delta, fam,
-                                             cfg.cover, cfg.horizon,
-                                             cfg.resolution)
-            else:
-                rep = sensitivity_probe(cfg.sequence, delta, fam, cfg.cover,
-                                        cfg.horizon, cfg.resolution)
+            probe = (weak_sensitivity_probe if mode == "weakly-F-sensitive"
+                     else sensitivity_probe)
+            rep = probe(cfg.sequence, delta, _mode_family(mode, cfg),
+                        cfg.cover, cfg.horizon, cfg.resolution)
             entry = rep.to_dict()
             entry["requested_mode"] = mode
             reports.append(entry)

@@ -4,8 +4,10 @@ A WindowedIndexSet is a subset of [1, H] standing in for an unbounded set
 of hit times observed only up to a horizon. A FamilySpec classifies such
 sets: nonempty, "infinite" (enough indices, reaching into the window's
 tail), cofinite (few misses and a clean suffix), syndetic (bounded gaps,
-boundary gaps included), or the dual of another rule. Duals are evaluated
-through the complement within the window and collapse under double
+boundary gaps included), or the dual of another rule. ``member_rows``
+decides a rule for many sets at once, as bool rows over times 1..H;
+``member`` is the same engine on one set. A dual negates the rows and the
+answer (no set complement is built) and collapses under double
 application, so dual is an involution by construction.
 
 Every verdict is window-relative. The rules are chosen to be hereditary
@@ -16,6 +18,8 @@ underlying asymptotic notions behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_MIN_COUNT = 10
 DEFAULT_TAIL_FRACTION = 0.25
@@ -41,19 +45,26 @@ def windowed(indices, horizon: int) -> WindowedIndexSet:
     return WindowedIndexSet(horizon=horizon, indices=idx)
 
 
+def mask_of(s: WindowedIndexSet) -> np.ndarray:
+    """The set as a bool row over times 1..horizon (column n-1 is time n)."""
+    mask = np.zeros(s.horizon, dtype=bool)
+    mask[np.array(s.indices, dtype=np.intp) - 1] = True
+    return mask
+
+
+def from_mask(mask: np.ndarray) -> WindowedIndexSet:
+    return WindowedIndexSet(horizon=len(mask),
+                            indices=tuple((np.flatnonzero(mask) + 1).tolist()))
+
+
 def complement(s: WindowedIndexSet) -> WindowedIndexSet:
-    have = set(s.indices)
-    return WindowedIndexSet(
-        horizon=s.horizon,
-        indices=tuple(i for i in range(1, s.horizon + 1) if i not in have))
+    return from_mask(~mask_of(s))
 
 
 def intersect(a: WindowedIndexSet, b: WindowedIndexSet) -> WindowedIndexSet:
     if a.horizon != b.horizon:
         raise ValueError("index sets have different horizons")
-    other = set(b.indices)
-    return WindowedIndexSet(horizon=a.horizon,
-                            indices=tuple(i for i in a.indices if i in other))
+    return from_mask(mask_of(a) & mask_of(b))
 
 
 @dataclass(frozen=True)
@@ -99,29 +110,40 @@ def dual(fam: FamilySpec) -> FamilySpec:
     return FamilySpec(kind="dual", inner=fam)
 
 
-def member(fam: FamilySpec, s: WindowedIndexSet) -> bool:
-    h = s.horizon
-    idx = s.indices
+def max_gap_rows(hits: np.ndarray) -> np.ndarray:
+    """Largest gap of each row: the distance between consecutive hits, or
+    the run of misses before the first hit or after the last. An empty row
+    scores its horizon."""
+    h = hits.shape[1]
+    times = np.arange(1, h + 1, dtype=np.int32)
+    # time 1 counts as a hit, so the leading gap is the misses before the
+    # first real hit, not one more
+    last = np.maximum.accumulate(np.where(hits, times, 1), axis=1)
+    gaps = (times[1:] - last[:, :-1]).max(axis=1, initial=0)
+    return np.where(hits.any(axis=1), gaps, h)
+
+
+def member_rows(fam: FamilySpec, hits: np.ndarray) -> np.ndarray:
+    """One verdict per row of a bool rows x horizon hit array."""
+    h = hits.shape[1]
     if fam.kind == "nonempty":
-        return len(idx) >= 1
+        return hits.any(axis=1)
     if fam.kind == "infinite":
-        return (len(idx) >= fam.min_count
-                and bool(idx) and idx[-1] > (1.0 - fam.tail_fraction) * h)
+        late = np.arange(1, h + 1) > (1.0 - fam.tail_fraction) * h
+        return ((np.count_nonzero(hits, axis=1) >= fam.min_count)
+                & (hits & late).any(axis=1))
     if fam.kind == "cofinite":
-        if h - len(idx) > fam.max_missing:
-            return False
-        suffix_start = max(1, h - fam.max_missing + 1)
-        have = set(idx)
-        return all(i in have for i in range(suffix_start, h + 1))
+        return ((h - np.count_nonzero(hits, axis=1) <= fam.max_missing)
+                & hits[:, max(0, h - fam.max_missing):].all(axis=1))
     if fam.kind == "syndetic":
-        if not idx:
-            return h <= fam.max_gap
-        if idx[0] - 1 > fam.max_gap or h - idx[-1] > fam.max_gap:
-            return False
-        return all(b - a <= fam.max_gap for a, b in zip(idx, idx[1:]))
+        return max_gap_rows(hits) <= fam.max_gap
     if fam.kind == "dual":
-        return not member(fam.inner, complement(s))
+        return ~member_rows(fam.inner, ~hits)
     raise ValueError(f"unknown family kind: {fam.kind!r}")
+
+
+def member(fam: FamilySpec, s: WindowedIndexSet) -> bool:
+    return bool(member_rows(fam, mask_of(s)[None])[0])
 
 
 def translate(s: WindowedIndexSet, i: int) -> WindowedIndexSet:
@@ -151,16 +173,12 @@ def filterdual_probe(fam: FamilySpec, samples) -> FilterdualReport:
         raise ValueError("need at least two samples")
     d = dual(fam)
     accepted = [i for i, s in enumerate(samples) if member(d, s)]
-    checked = 0
-    bad = []
-    for a in range(len(accepted)):
-        for b in range(a + 1, len(accepted)):
-            i, j = accepted[a], accepted[b]
-            checked += 1
-            if not member(d, intersect(samples[i], samples[j])):
-                bad.append((i, j))
-    return FilterdualReport(pairs_checked=checked,
-                            counterexamples=tuple(bad), passed=not bad)
+    bad = tuple((i, j) for n, i in enumerate(accepted)
+                for j in accepted[n + 1:]
+                if not member(d, intersect(samples[i], samples[j])))
+    return FilterdualReport(
+        pairs_checked=len(accepted) * (len(accepted) - 1) // 2,
+        counterexamples=bad, passed=not bad)
 
 
 def family_to_dict(fam: FamilySpec) -> dict:

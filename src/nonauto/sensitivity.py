@@ -41,6 +41,8 @@ HOLDS = "holds-at-horizon"
 FAILS = "fails-at-horizon"
 
 HYPERSPACE_CARDINALITY_BOUND = 3
+# pair rows the weak probe classifies at once; an early witness ends the walk
+WEAK_BLOCK_ROWS = 256
 
 
 def _pair_indices(count: int):
@@ -50,29 +52,32 @@ def _pair_indices(count: int):
 
 class RegionScan:
     """Per-region orbit data: max pairwise separation at each time, the
-    achieving pair, and per-pair separation series on demand.
+    achieving pair, and pair separation rows on demand.
 
-    ``dists`` holds one row per sampled pair, row r for the pair
-    ``(pi[r], pj[r])``, and one column per time 0 .. horizon.
+    ``rows(a, b)`` returns the distances of pair rows a .. b-1, row r for
+    the pair ``(pi[r], pj[r])``, with one column per time 0 .. horizon.
     ``max_series[n]`` is the largest sampled pair distance at time n; index
     0 holds the initial spread. Delta enters only when slicing.
     """
 
-    def __init__(self, sample, horizon, dists, pi, pj, pair_series_fn,
-                 truncation_bound=None):
+    def __init__(self, sample, horizon, pi, pj, rows, truncation_bound=None):
         self.sample = sample
         self.horizon = horizon
+        self.pi, self.pj = pi, pj
+        self.rows = rows
+        dists = rows(0, len(pi))
         best = np.argmax(dists, axis=0)
         self.max_series = dists[best, np.arange(horizon + 1)]
         self.argmax_i = pi[best]
         self.argmax_j = pj[best]
-        self._pair_series_fn = pair_series_fn
         self.truncation_bound = truncation_bound
-        self.pairs = list(zip(pi.tolist(), pj.tolist()))
 
     def times(self, delta: float) -> WindowedIndexSet:
-        hits = np.nonzero(self.max_series[1:] > delta)[0] + 1
-        return windowed(hits.tolist(), self.horizon)
+        return families.from_mask(self.max_series[1:] > delta)
+
+    def hits(self, delta: float, a: int, b: int) -> np.ndarray:
+        """Pair rows a .. b-1 as bool hit rows over times 1 .. horizon."""
+        return self.rows(a, b)[:, 1:] > delta
 
     def witness(self, n: int):
         i = int(self.argmax_i[n])
@@ -80,12 +85,11 @@ class RegionScan:
         return i, j, float(self.max_series[n])
 
     def pair_series(self, i: int, j: int) -> np.ndarray:
-        return self._pair_series_fn(i, j)
+        r = int(np.flatnonzero((self.pi == i) & (self.pj == j))[0])
+        return self.rows(r, r + 1)[0]
 
     def pair_times(self, i: int, j: int, delta: float) -> WindowedIndexSet:
-        series = self.pair_series(i, j)
-        hits = np.nonzero(series[1:] > delta)[0] + 1
-        return windowed(hits.tolist(), self.horizon)
+        return families.from_mask(self.pair_series(i, j)[1:] > delta)
 
 
 def _scan_orbits(seq: MapSequence, sample, horizon: int,
@@ -102,12 +106,12 @@ def _scan_orbits(seq: MapSequence, sample, horizon: int,
         for e, x in enumerate(elems):
             orbits[:, c, e] = orbit(seq, x, horizon)
     pi, pj = _pair_indices(len(sample))
-    dists = hausdorff_array(space, orbits[:, pi, :], orbits[:, pj, :]).T
 
-    def pair_series(i, j):
-        return hausdorff_array(space, orbits[:, i, :], orbits[:, j, :])
+    def rows(a, b):
+        return hausdorff_array(space, orbits[:, pi[a:b], :],
+                               orbits[:, pj[a:b], :]).T
 
-    return RegionScan(sample, horizon, dists, pi, pj, pair_series)
+    return RegionScan(sample, horizon, pi, pj, rows)
 
 
 def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
@@ -116,7 +120,6 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
         raise ValueError("symbolic sequences must be built from shifts")
     pi, pj = _pair_indices(len(sample))
     distinct = sorted(set(shifts))
-    col_of = {s: c for c, s in enumerate(distinct)}
     # distance between two shifted points depends only on the shift amount,
     # so one evaluation per (pair, shift) covers the whole horizon
     table = np.empty((len(pi), len(distinct)), dtype=np.float64)
@@ -125,19 +128,17 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
             x = sample[pi[row]].shifted(s)
             y = sample[pj[row]].shifted(s)
             table[row, col] = dist_symbolic(x, y)
-    dists = table[:, [col_of[s] for s in shifts]]
+    cols = np.searchsorted(distinct, shifts)
     # both points of a pair shift together, so the narrowest window seen is
     # the narrowest sample point moved by the largest displacement
     narrowest = min(sample, key=lambda p: p.radius).shifted(
         max(distinct, key=abs))
     bound = symbolic_truncation_bound(narrowest, narrowest)
-    pair_col = {p: r for r, p in enumerate(zip(pi.tolist(), pj.tolist()))}
 
-    def pair_series(i, j):
-        return dists[pair_col[(i, j)]]
+    def rows(a, b):
+        return table[a:b, cols]
 
-    return RegionScan(sample, horizon, dists, pi, pj, pair_series,
-                      truncation_bound=bound)
+    return RegionScan(sample, horizon, pi, pj, rows, truncation_bound=bound)
 
 
 @lru_cache(maxsize=128)
@@ -227,24 +228,22 @@ def asym_pair_test(seq: MapSequence, x, y, delta: float, fam: FamilySpec,
                              separation=separation)
 
 
-def _max_gap(times: WindowedIndexSet) -> int:
-    idx = times.indices
-    if not idx:
-        return times.horizon
-    gaps = [idx[0] - 1, times.horizon - idx[-1]]
-    gaps.extend(b - a for a, b in zip(idx, idx[1:]))
-    return max(gaps)
-
-
 @dataclass(frozen=True)
 class RegionRecord:
     label: str
     passed: bool
-    hit_count: int
     times: WindowedIndexSet
-    max_gap: int
     witness: dict
     truncation_bound: float = None
+
+    @property
+    def hit_count(self) -> int:
+        return len(self.times.indices)
+
+    @property
+    def max_gap(self) -> int:
+        row = families.mask_of(self.times)[None]
+        return int(families.max_gap_rows(row)[0])
 
     def to_dict(self) -> dict:
         out = {
@@ -296,37 +295,41 @@ def _region_label(region: Region, index: int) -> str:
     return region.label or f"region-{index:02d}"
 
 
-def sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec, cover,
-                      horizon: int, resolution: int) -> SensitivityReport:
-    """Verdict holds exactly when every region's hit-time set is accepted
-    by the family."""
+def _probe(mode, classify, seq, delta, fam, cover, horizon, resolution):
+    """Classify each region's scan; the verdict fails at the first region
+    ``classify(scan) -> (passed, times, witness)`` rejects."""
     cover = list(cover)
     if not cover:
         raise ValueError("cover must contain at least one region")
     records = []
-    failing = None
     for idx, region in enumerate(cover):
         scan = region_scan(seq, region, horizon, resolution)
+        passed, times, witness = classify(scan)
+        records.append(RegionRecord(
+            label=_region_label(region, idx), passed=passed, times=times,
+            witness=witness, truncation_bound=scan.truncation_bound))
+    failing = next((r.label for r in records if not r.passed), None)
+    return SensitivityReport(mode=mode, family=fam, delta=delta,
+                             horizon=horizon, resolution=resolution,
+                             verdict=HOLDS if failing is None else FAILS,
+                             regions=tuple(records), failing_region=failing)
+
+
+def sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec, cover,
+                      horizon: int, resolution: int) -> SensitivityReport:
+    """Verdict holds exactly when every region's hit-time set is accepted
+    by the family."""
+    def classify(scan):
         times = scan.times(delta)
-        passed = member(fam, times)
         witness = {}
         if times.indices:
             first = times.indices[0]
             i, j, sep = scan.witness(first)
             witness = {"time": first, "pair": [i, j], "separation": sep}
-        rec = RegionRecord(label=_region_label(region, idx), passed=passed,
-                           hit_count=len(times.indices), times=times,
-                           max_gap=_max_gap(times), witness=witness,
-                           truncation_bound=scan.truncation_bound)
-        records.append(rec)
-        if not passed and failing is None:
-            failing = rec.label
-    verdict = HOLDS if failing is None else FAILS
-    mode = _STRONG_MODES.get(fam.kind, "F-sensitive")
-    return SensitivityReport(mode=mode, family=fam, delta=delta,
-                             horizon=horizon, resolution=resolution,
-                             verdict=verdict, regions=tuple(records),
-                             failing_region=failing)
+        return member(fam, times), times, witness
+
+    return _probe(_STRONG_MODES.get(fam.kind, "F-sensitive"), classify, seq,
+                  delta, fam, cover, horizon, resolution)
 
 
 def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
@@ -334,40 +337,21 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
                            resolution: int) -> SensitivityReport:
     """Verdict holds exactly when every region contains one sampled pair
     whose own separation-time set is accepted by the family."""
-    cover = list(cover)
-    if not cover:
-        raise ValueError("cover must contain at least one region")
-    records = []
-    failing = None
-    for idx, region in enumerate(cover):
-        scan = region_scan(seq, region, horizon, resolution)
-        found = None
-        for i, j in scan.pairs:
-            times = scan.pair_times(i, j, delta)
-            if member(fam, times):
-                found = (i, j, times)
-                break
-        if found is not None:
-            i, j, times = found
-            witness = {"pair": [i, j], "separation_count": len(times.indices)}
-            rec = RegionRecord(label=_region_label(region, idx), passed=True,
-                               hit_count=len(times.indices), times=times,
-                               max_gap=_max_gap(times), witness=witness,
-                               truncation_bound=scan.truncation_bound)
-        else:
-            empty = windowed([], horizon)
-            rec = RegionRecord(label=_region_label(region, idx), passed=False,
-                               hit_count=0, times=empty,
-                               max_gap=_max_gap(empty), witness={},
-                               truncation_bound=scan.truncation_bound)
-            if failing is None:
-                failing = rec.label
-        records.append(rec)
-    verdict = HOLDS if failing is None else FAILS
-    return SensitivityReport(mode="weakly-F-sensitive", family=fam,
-                             delta=delta, horizon=horizon,
-                             resolution=resolution, verdict=verdict,
-                             regions=tuple(records), failing_region=failing)
+    def classify(scan):
+        # the first accepted row in pair order is the witness
+        for a in range(0, len(scan.pi), WEAK_BLOCK_ROWS):
+            hits = scan.hits(delta, a, a + WEAK_BLOCK_ROWS)
+            accepted = np.flatnonzero(families.member_rows(fam, hits))
+            if accepted.size:
+                r = int(accepted[0])
+                times = families.from_mask(hits[r])
+                pair = [int(scan.pi[a + r]), int(scan.pj[a + r])]
+                return True, times, {"pair": pair,
+                                     "separation_count": len(times.indices)}
+        return False, windowed([], horizon), {}
+
+    return _probe("weakly-F-sensitive", classify, seq, delta, fam, cover,
+                  horizon, resolution)
 
 
 def weak_implication_ok(strong: SensitivityReport,
@@ -406,13 +390,11 @@ def attaching_estimate(seq: MapSequence, region: Region, fam: FamilySpec,
     Region membership uses the region predicate, not sampling. The result
     may be empty; empty subsets are data here, never metric operands.
     """
-    attached = []
-    for x in probe_points.elements:
-        pts = orbit(seq, x, horizon)
-        visits = [n for n in range(1, horizon + 1)
-                  if region_contains(region, pts[n])]
-        if member(fam, windowed(visits, horizon)):
-            attached.append(x)
+    visits = np.array([[region_contains(region, p)
+                        for p in orbit(seq, x, horizon)[1:]]
+                       for x in probe_points.elements], dtype=bool)
+    accepted = families.member_rows(fam, visits.reshape(-1, horizon))
+    attached = [x for x, ok in zip(probe_points.elements, accepted) if ok]
     if not attached:
         return FiniteSubset(elements=(), space=probe_points.space)
     return spaces.finite_subset(attached, probe_points.space)

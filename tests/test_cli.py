@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from nonauto import sensitivity
 from nonauto.cli import main, parse_config, ConfigError
 from nonauto.systems import cyclic_sequence, piecewise_linear, sequence_to_dict
 
@@ -150,20 +149,6 @@ class TestDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_worker_env_does_not_change_outputs(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.json", {
-            "system": "identity", "modes": ["sensitive"], "delta": 0.1,
-            "horizon": 40,
-        })
-        results = {}
-        for workers, name in (("1", "serial"), ("4", "parallel")):
-            monkeypatch.setenv("NONAUTO_WORKERS", workers)
-            sensitivity.region_scan.cache_clear()
-            out = tmp_path / name
-            assert main(["run", cfg, "--out", str(out)]) == 0
-            results[name] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert results["serial"] == results["parallel"]
 
 
 class TestVerifyAndList:

@@ -1,7 +1,8 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonauto.families import (
@@ -13,7 +14,9 @@ from nonauto.families import (
     filterdual_probe,
     infinite_family,
     intersect,
+    max_gap_rows,
     member,
+    member_rows,
     nonempty,
     syndetic_family,
     translate,
@@ -53,6 +56,23 @@ def oracle_syndetic(idx, h, max_gap):
     internal = runs[1:]
     return (leading <= max_gap and trailing <= max_gap
             and all(r <= max_gap - 1 for r in internal))
+
+
+def oracle_max_gap(idx, h):
+    # misses before the first hit and after the last count as they are;
+    # between two hits the gap is the run of misses plus one
+    present = [i in idx for i in range(1, h + 1)]
+    if not any(present):
+        return h
+    runs = []
+    n = 0
+    for p in present:
+        if p:
+            runs.append(n)
+            n = 0
+        else:
+            n += 1
+    return max([runs[0], n] + [r + 1 for r in runs[1:]])
 
 
 def mask_to_indices(mask, h):
@@ -138,6 +158,79 @@ class TestOracleAgreement:
             for fam, oracle in fams:
                 assert member(fam, s) == oracle(idx_set)
                 assert member(dual(fam), s) == (not oracle(comp))
+
+
+def oracle_member(fam, idx, h):
+    if fam.kind == "nonempty":
+        return len(idx) >= 1
+    if fam.kind == "infinite":
+        return oracle_infinite(idx, h, fam.min_count, fam.tail_fraction)
+    if fam.kind == "cofinite":
+        return oracle_cofinite(idx, h, fam.max_missing)
+    if fam.kind == "syndetic":
+        return oracle_syndetic(idx, h, fam.max_gap)
+    comp = set(range(1, h + 1)) - set(idx)
+    return not oracle_member(fam.inner, comp, h)
+
+
+@st.composite
+def hit_rows(draw):
+    """A rows x horizon bool array that always holds an empty and a full
+    row, and families whose parameters range over the whole window."""
+    h = draw(st.integers(min_value=1, max_value=64))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=h, max_size=h),
+                         max_size=6))
+    rows = np.array([[False] * h, [True] * h] + rows, dtype=bool)
+    fams = [nonempty(),
+            infinite_family(draw(st.integers(1, h + 1)),
+                            draw(st.floats(0.01, 1.0))),
+            cofinite_family(draw(st.integers(1, h + 1))),
+            syndetic_family(draw(st.integers(1, h + 1)))]
+    return rows, fams
+
+
+class TestMemberRows:
+    @given(hit_rows())
+    @settings(max_examples=300)
+    def test_every_kind_and_dual_match_oracle(self, case):
+        rows, fams = case
+        h = rows.shape[1]
+        sets = [set((np.flatnonzero(r) + 1).tolist()) for r in rows]
+        for fam in fams:
+            for f in (fam, dual(fam)):
+                expect = [oracle_member(f, idx, h) for idx in sets]
+                assert member_rows(f, rows).tolist() == expect
+                assert [member(f, windowed(idx, h)) for idx in sets] == expect
+
+    @given(hit_rows())
+    @settings(max_examples=300)
+    def test_max_gap_matches_oracle(self, case):
+        rows, _ = case
+        h = rows.shape[1]
+        expect = [oracle_max_gap(set((np.flatnonzero(r) + 1).tolist()), h)
+                  for r in rows]
+        assert max_gap_rows(rows).tolist() == expect
+
+    @given(st.integers(min_value=1, max_value=64), st.data())
+    @settings(max_examples=300)
+    def test_gap_at_bound_and_one_past(self, h, data):
+        g = data.draw(st.integers(min_value=1, max_value=h))
+        where = data.draw(st.sampled_from(["leading", "internal",
+                                           "trailing"]))
+        row = np.ones(h, dtype=bool)
+        if where == "leading":
+            row[:g] = False  # first hit at g + 1
+        elif where == "trailing":
+            row[h - g:] = False
+        else:
+            assume(g < h)
+            start = data.draw(st.integers(min_value=1, max_value=h - g))
+            row[start:start + g - 1] = False  # hits at start and start + g
+        assert max_gap_rows(row[None]).tolist() == [g]
+        assert member_rows(syndetic_family(g), row[None]).tolist() == [True]
+        if g > 1:
+            assert member_rows(syndetic_family(g - 1),
+                               row[None]).tolist() == [False]
 
 
 class TestHereditaryUpwards:

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonauto import families, registry, sensitivity, spaces
+from nonauto import registry
+from nonauto.acceptance import STANDARD_FAMILIES
 from nonauto.families import (
     cofinite_family,
     infinite_family,
+    member,
     nonempty,
     syndetic_family,
 )
@@ -43,6 +45,7 @@ from nonauto.spaces import (
 from nonauto.systems import (
     apply,
     cyclic_sequence,
+    explicit_sequence,
     identity,
     map_at,
     orbit,
@@ -319,6 +322,72 @@ class TestWeakProbe:
             weak_implication_ok(a, b)
 
 
+def reference_weak_witnesses(seq, delta, fam, cover, horizon, resolution):
+    """Per region, the first pair in ``_pair_indices`` order whose own hit
+    set the family accepts, found one pair at a time: (row, pair, times)."""
+    out = []
+    for region in cover:
+        scan = region_scan(seq, region, horizon, resolution)
+        found = None
+        for row, (i, j) in enumerate(zip(scan.pi.tolist(), scan.pj.tolist())):
+            times = scan.pair_times(i, j, delta)
+            if member(fam, times):
+                found = (row, [i, j], times.indices)
+                break
+        out.append(found)
+    return out
+
+
+def late_witness_case():
+    """Ball A's five leftmost samples all land on 1/2 and the rest
+    alternate between 0 and 1, so no pair with a first index below 5
+    separates past 0.6 and the first one that does is row 310. Ball B sits
+    where the map is constant, so none of its pairs ever separates."""
+    ball_a = metric_ball(INTERVAL, 0.5, 0.25, label="late")
+    ball_b = metric_ball(INTERVAL, 0.1, 0.05, label="never")
+    xs = sample_region(ball_a, 64)
+    knots = ([(0.0, 0.5)]
+             + [(x, 0.5 if k < 5 else float(k % 2 == 0))
+                for k, x in enumerate(xs)]
+             + [(1.0, 0.5)])
+    seq = explicit_sequence([piecewise_linear(knots)], tail="identity")
+    # a horizon past the syndetic bound of 64, so empty rows are rejected
+    return seq, 0.6, [ball_a, ball_b], 100, 64
+
+
+class TestWeakWitness:
+    @pytest.mark.parametrize("case", [
+        "late-and-never", "circle-balls", "cylinders"])
+    @pytest.mark.parametrize("fam", STANDARD_FAMILIES, ids=lambda f: f.kind)
+    def test_matches_pair_by_pair_walk(self, case, fam):
+        if case == "late-and-never":
+            seq, delta, cover, horizon, resolution = late_witness_case()
+        elif case == "circle-balls":
+            seq = registry.build("rotations_harmonic").sequence
+            cover = registry.default_cover("circle-balls")
+            delta, horizon, resolution = 0.01, 100, 16
+        else:
+            seq = registry.build("example31").sequence
+            cover = registry.default_cover("cylinders")
+            delta, horizon, resolution = 0.2, 2000, 16
+        rep = weak_sensitivity_probe(seq, delta, fam, cover, horizon,
+                                     resolution)
+        expect = reference_weak_witnesses(seq, delta, fam, cover, horizon,
+                                          resolution)
+        for rec, found in zip(rep.regions, expect):
+            if found is None:
+                assert not rec.passed and rec.witness == {}
+                assert rec.times.indices == ()
+            else:
+                _, pair, times = found
+                assert rec.passed
+                assert rec.witness == {"pair": pair,
+                                       "separation_count": len(times)}
+                assert rec.times.indices == times
+        if case == "late-and-never":
+            assert [f[0] if f else None for f in expect] == [310, None]
+
+
 class TestHyperspaceProbe:
     def test_singletons_reproduce_base_hit_sets(self):
         named = registry.build("example41_composition")
@@ -422,7 +491,7 @@ class TestScanMachinery:
         scan = region_scan(seq, region, 60, 7)
         orbits = [orbit(seq, x, 60) for x in scan.sample]
         per_pair = []
-        for i, j in scan.pairs:
+        for i, j in zip(scan.pi.tolist(), scan.pj.tolist()):
             expect = [distance(seq.space, a, b)
                       for a, b in zip(orbits[i], orbits[j])]
             assert all(type(d) is float for d in expect)

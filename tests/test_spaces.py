@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonauto import spaces
 from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
