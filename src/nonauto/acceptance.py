@@ -45,6 +45,7 @@ from .spaces import (
     distance,
     dist_symbolic,
     finite_subset,
+    grid_points,
     hausdorff,
     make_symbolic,
 )
@@ -70,15 +71,6 @@ class CriterionResult:
     passed: bool
     details: str
 
-    def to_dict(self) -> dict:
-        return {"key": self.key, "title": self.title, "passed": self.passed,
-                "details": self.details}
-
-
-def _grid(lo: float, hi: float, count: int = GRID_POINTS):
-    den = count - 1
-    return [lo + (hi - lo) * (i / den) for i in range(count)]
-
 
 # ---------------------------------------------------------------------------
 # 1. transcription guard
@@ -95,15 +87,18 @@ def _check_transcription_guard():
 
     comp = build("example41_composition").sequence.maps[0]
     closed = map_from_pieces(TWO_STEP_PIECES)
-    dev = max(abs(apply(comp, x) - apply(closed, x)) for x in _grid(0.0, 1.0))
+    dev = max(abs(apply(comp, x) - apply(closed, x))
+              for x in grid_points(0.0, 1.0, GRID_POINTS))
     if dev > TRANSCRIPTION_TOL:
         problems.append(f"composition deviates from closed form by {dev:.3e}")
 
     f1 = build("example41_f1").sequence.maps[0]
     f2 = build("example41_f2").sequence.maps[0]
-    if not all(0.25 <= apply(f1, x) <= 1.0 for x in _grid(0.25, 1.0)):
+    if not all(0.25 <= apply(f1, x) <= 1.0
+               for x in grid_points(0.25, 1.0, GRID_POINTS)):
         problems.append("f1 leaves [1/4, 1]")
-    if not all(0.0 <= apply(f2, x) <= 0.25 for x in _grid(0.0, 0.25)):
+    if not all(0.0 <= apply(f2, x) <= 0.25
+               for x in grid_points(0.0, 0.25, GRID_POINTS)):
         problems.append("f2 leaves [0, 1/4]")
 
     details = (f"continuity gaps <= {TRANSCRIPTION_TOL}; composition vs "

@@ -72,15 +72,6 @@ class ContinuityReport:
     breakpoint_values: dict
     violations: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "continuous": self.continuous,
-            "breakpoint_values": {k: [list(p) for p in v]
-                                  for k, v in self.breakpoint_values.items()},
-            "violations": [list(v) for v in self.violations],
-        }
-
 
 @dataclass(frozen=True)
 class ProbeParams:

@@ -27,7 +27,6 @@ from .spaces import (
     SYMBOLIC,
     FiniteSubset,
     Region,
-    distance,
     dist_symbolic,
     hausdorff_array,
     hausdorff_ball,
@@ -41,8 +40,9 @@ HOLDS = "holds-at-horizon"
 FAILS = "fails-at-horizon"
 
 HYPERSPACE_CARDINALITY_BOUND = 3
-# pair rows the weak probe classifies at once; an early witness ends the walk
-WEAK_BLOCK_ROWS = 256
+# pair rows built at once: the scan summary walks every block, the weak probe
+# stops at the first block holding a witness
+BLOCK_ROWS = 256
 
 
 def _pair_indices(count: int):
@@ -57,7 +57,10 @@ class RegionScan:
     ``rows(a, b)`` returns the distances of pair rows a .. b-1, row r for
     the pair ``(pi[r], pj[r])``, with one column per time 0 .. horizon.
     ``max_series[n]`` is the largest sampled pair distance at time n; index
-    0 holds the initial spread. Delta enters only when slicing.
+    0 holds the initial spread. Delta enters only when slicing. The summary
+    walks ``BLOCK_ROWS`` rows at a time, never the whole pairs × times
+    table; a later block wins a time only with a strictly larger value, so
+    ties keep the first pair, as ``np.argmax`` does.
     """
 
     def __init__(self, sample, horizon, pi, pj, rows, truncation_bound=None):
@@ -65,9 +68,15 @@ class RegionScan:
         self.horizon = horizon
         self.pi, self.pj = pi, pj
         self.rows = rows
-        dists = rows(0, len(pi))
-        best = np.argmax(dists, axis=0)
-        self.max_series = dists[best, np.arange(horizon + 1)]
+        top = np.full(horizon + 1, -np.inf)
+        best = np.zeros(horizon + 1, dtype=np.intp)
+        for a in range(0, len(pi), BLOCK_ROWS):
+            dists = rows(a, a + BLOCK_ROWS)
+            arg = np.argmax(dists, axis=0)
+            peak = np.take_along_axis(dists, arg[None], axis=0)[0]
+            best = np.where(peak > top, a + arg, best)
+            top = np.maximum(peak, top)
+        self.max_series = top
         self.argmax_i = pi[best]
         self.argmax_j = pj[best]
         self.truncation_bound = truncation_bound
@@ -141,6 +150,12 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     return RegionScan(sample, horizon, pi, pj, rows, truncation_bound=bound)
 
 
+def _scan(seq: MapSequence, sample, horizon: int, space) -> RegionScan:
+    if space == SYMBOLIC:
+        return _scan_symbolic(seq, sample, horizon)
+    return _scan_orbits(seq, sample, horizon, space)
+
+
 @lru_cache(maxsize=128)
 def region_scan(seq: MapSequence, region: Region, horizon: int,
                 resolution: int) -> RegionScan:
@@ -153,9 +168,7 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
         space = region.space.base
     else:
         space = seq.space or region.space
-    if space == SYMBOLIC:
-        return _scan_symbolic(seq, sample, horizon)
-    return _scan_orbits(seq, sample, horizon, space)
+    return _scan(seq, sample, horizon, space)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +207,13 @@ def pair_separation_times(seq: MapSequence, x, y, delta: float,
     """{n <= horizon : d(prefix_n(x), prefix_n(y)) > delta}."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
     space = seq.space
     if space is None:
         space = INTERVAL if isinstance(x, float) else SYMBOLIC
-    ox = orbit(seq, x, horizon)
-    oy = orbit(seq, y, horizon)
-    hits = [n for n in range(1, horizon + 1)
-            if distance(space, ox[n], oy[n]) > delta]
-    return windowed(hits, horizon)
+    hits = _scan(seq, (x, y), horizon, space).hits(delta, 0, 1)
+    return families.from_mask(hits[0])
 
 
 @dataclass(frozen=True)
@@ -339,8 +351,8 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
     whose own separation-time set is accepted by the family."""
     def classify(scan):
         # the first accepted row in pair order is the witness
-        for a in range(0, len(scan.pi), WEAK_BLOCK_ROWS):
-            hits = scan.hits(delta, a, a + WEAK_BLOCK_ROWS)
+        for a in range(0, len(scan.pi), BLOCK_ROWS):
+            hits = scan.hits(delta, a, a + BLOCK_ROWS)
             accepted = np.flatnonzero(families.member_rows(fam, hits))
             if accepted.size:
                 r = int(accepted[0])

@@ -264,48 +264,33 @@ def grid_points(lo: float, hi: float, count: int) -> list:
     return [lo + (hi - lo) * (i / den) for i in range(count)]
 
 
-def _dedup_sorted(values, tol=DEDUP_TOL):
-    kept = []
-    for v in values:
-        if not kept or v - kept[-1] > tol:
-            kept.append(v)
-    return kept
+def _ball_values(space, center, radius: float, count: int) -> tuple:
+    """Endpoint grid over an interval or circle ball, sorted and deduplicated.
 
-
-def _interval_ball_values(center: float, radius: float, count: int):
-    lo = max(0.0, center - radius)
-    hi = min(1.0, center + radius)
-    if hi < lo:
-        raise ValueError("ball does not meet the interval")
-    pts = grid_points(lo, hi, count)
+    The interval grid is clipped to [0, 1]; the circle grid wraps.
+    """
+    if space == INTERVAL:
+        lo = max(0.0, center - radius)
+        hi = min(1.0, center + radius)
+        if hi < lo:
+            raise ValueError("ball does not meet the interval")
+        pts = grid_points(lo, hi, count)
+    else:
+        grid = grid_points(center - radius, center + radius, count)
+        pts, center = [v % 1.0 for v in grid], center % 1.0
     # Snap near-misses onto the center so it survives deduplication exactly.
-    pts = [center if abs(v - center) <= DEDUP_TOL else v for v in pts]
+    pts = [center if distance(space, v, center) <= DEDUP_TOL else v
+           for v in pts]
     pts.append(center)
-    return tuple(_dedup_sorted(sorted(pts)))
-
-
-def _circle_ball_values(center: float, radius: float, count: int):
-    raw = grid_points(center - radius, center + radius, count)
-    c = center % 1.0
-    pts = [v % 1.0 for v in raw]
-    pts = [c if circle_distance(v, c) <= DEDUP_TOL else v for v in pts]
-    pts.append(c)
     pts.sort()
     kept = []
     for v in pts:
-        if not kept or circle_distance(v, kept[-1]) > DEDUP_TOL:
+        if not kept or distance(space, v, kept[-1]) > DEDUP_TOL:
             kept.append(v)
-    if len(kept) > 1 and circle_distance(kept[0], kept[-1]) <= DEDUP_TOL:
+    # a circle grid can wrap its last node onto its first
+    if len(kept) > 1 and distance(space, kept[0], kept[-1]) <= DEDUP_TOL:
         kept.pop()
     return tuple(kept)
-
-
-def _sample_interval_ball(region: Region, resolution: int):
-    return _interval_ball_values(region.center, region.radius, resolution)
-
-
-def _sample_circle_ball(region: Region, resolution: int):
-    return _circle_ball_values(region.center, region.radius, resolution)
 
 
 def _sample_cylinder(region: Region, resolution: int):
@@ -340,11 +325,7 @@ def _sample_hausdorff_ball(region: Region, resolution: int):
     per = max(2, resolution // k)
     subsets = {center.elements: center}
     for i, e in enumerate(center.elements):
-        if base == INTERVAL:
-            values = _interval_ball_values(e, region.radius, per)
-        else:
-            values = _circle_ball_values(e, region.radius, per)
-        for v in values:
+        for v in _ball_values(base, e, region.radius, per):
             elems = list(center.elements)
             elems[i] = v
             s = finite_subset(elems, base)
@@ -364,10 +345,9 @@ def sample_region(region: Region, resolution: int):
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if region.kind == "ball" and region.space == INTERVAL:
-        out = _sample_interval_ball(region, resolution)
-    elif region.kind == "ball" and region.space == CIRCLE:
-        out = _sample_circle_ball(region, resolution)
+    if region.kind == "ball" and region.space in (INTERVAL, CIRCLE):
+        out = _ball_values(region.space, region.center, region.radius,
+                           resolution)
     elif region.kind == "cylinder":
         out = _sample_cylinder(region, resolution)
     elif region.kind == "hausdorff-ball":

@@ -143,16 +143,7 @@ def map_space(m: MapSpec):
     if m.kind == "piecewise-linear":
         return INTERVAL
     if m.kind == "composition":
-        tag = None
-        for g in m.maps:
-            s = map_space(g)
-            if s is None:
-                continue
-            if tag is None:
-                tag = s
-            elif tag != s:
-                raise ValueError(f"composition mixes spaces {tag} and {s}")
-        return tag
+        return _infer_space(m.maps)
     raise ValueError(f"unknown map kind: {m.kind!r}")
 
 
@@ -374,36 +365,21 @@ def net_shift_series(seq: MapSequence, horizon: int):
 # Supremum metric and perturbation bounds
 
 
-def _common_space(f: MapSpec, g: MapSpec):
-    sf, sg = map_space(f), map_space(g)
-    if sf is None and sg is None:
-        return None
-    if sf is None:
-        return sg
-    if sg is None:
-        return sf
-    if sf != sg:
-        raise ValueError(f"maps act on different spaces: {sf}, {sg}")
-    return sf
-
-
-def _is_rotational(m: MapSpec) -> bool:
-    if m.kind in ("identity", "rotation"):
-        return True
-    if m.kind == "composition":
-        return all(_is_rotational(g) for g in m.maps)
-    return False
-
-
-def _rotation_offset(m: MapSpec) -> float:
+def _rotation_offset(m: MapSpec):
+    """Net rotation if the map is built only of rotations, else None."""
     if m.kind == "identity":
         return 0.0
     if m.kind == "rotation":
         return m.offset
-    total = 0.0
-    for g in m.maps:
-        total = (total + _rotation_offset(g)) % 1.0
-    return total
+    if m.kind == "composition":
+        total = 0.0
+        for g in m.maps:
+            s = _rotation_offset(g)
+            if s is None:
+                return None
+            total = (total + s) % 1.0
+        return total
+    return None
 
 
 def sup_metric(f: MapSpec, g: MapSpec, resolution: int = 256) -> float:
@@ -411,14 +387,15 @@ def sup_metric(f: MapSpec, g: MapSpec, resolution: int = 256) -> float:
     breakpoints, hence exact for piecewise-linear maps and rotations."""
     if resolution < 100:
         raise ValueError("sup_metric needs resolution >= 100")
-    space = _common_space(f, g)
+    space = _infer_space((f, g))
     if space is None:
         return 0.0
     if space == SYMBOLIC:
         raise ValueError("no finite grid is faithful on the sequence space")
-    if _is_rotational(f) and _is_rotational(g):
+    of, og = _rotation_offset(f), _rotation_offset(g)
+    if of is not None and og is not None:
         # constant displacement field: every grid sees the true supremum
-        return circle_distance(_rotation_offset(f), _rotation_offset(g))
+        return circle_distance(of, og)
     grid = set(grid_points(0.0, 1.0, resolution))
     grid.update(breakpoints(f))
     grid.update(breakpoints(g))
@@ -430,7 +407,6 @@ class PerturbationReport:
     partial_sums: tuple
     converged: bool
     tolerance: float
-    records: tuple = ()
 
 
 def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,

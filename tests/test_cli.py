@@ -1,12 +1,15 @@
 """Command-line flows: config parsing, exit codes, output determinism."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nonauto.cli import main, parse_config, ConfigError
+from nonauto.registry import build
 from nonauto.systems import cyclic_sequence, piecewise_linear, sequence_to_dict
 
 F1_KNOTS = [[0.0, 0.0], [0.25, 1.0], [1.0, 0.25]]
@@ -149,6 +152,43 @@ class TestDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def load_probe_script():
+    path = (Path(__file__).resolve().parent.parent / "scripts"
+            / "run_builtin_probes.py")
+    spec = importlib.util.spec_from_file_location("run_builtin_probes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProbeScript:
+    def test_outputs_match_nonauto_run(self, tmp_path, capsys):
+        names = ["identity", "rotations_summable"]
+        script = load_probe_script()
+        assert script.main(["--systems", *names,
+                            "--out", str(tmp_path / "script")]) == 0
+        assert "identity: F-sensitive" in capsys.readouterr().out
+        for name in names:
+            params = build(name).params
+            cfg = write_config(tmp_path / f"{name}.json", {
+                "system": name,
+                "modes": ["F-sensitive", "weakly-F-sensitive"],
+                "family": {"kind": "infinite", "min_count": 10,
+                           "tail_fraction": 0.25},
+                "deltas": list(params.deltas),
+                "horizon": params.horizon,
+                "resolution": params.resolution,
+            })
+            ran = tmp_path / "run" / name
+            assert main(["run", cfg, "--out", str(ran)]) == 0
+            probed = tmp_path / "script" / name
+            files = sorted(p.name for p in ran.iterdir())
+            assert files == sorted(p.name for p in probed.iterdir())
+            assert "report.json" in files
+            for f in files:
+                assert (probed / f).read_bytes() == (ran / f).read_bytes()
 
 
 class TestVerifyAndList:

@@ -20,8 +20,10 @@ from nonauto.families import (
     syndetic_family,
 )
 from nonauto.sensitivity import (
+    BLOCK_ROWS,
     FAILS,
     HOLDS,
+    RegionScan,
     asym_pair_test,
     attaching_estimate,
     hit_times,
@@ -96,6 +98,30 @@ class TestHitTimesAgainstOracle:
         expected = naive_hit_times(seq, sample, 0.04, 20, CIRCLE)
         got = hit_times(seq, region, 0.04, 20, resolution=5)
         assert got.times.indices == expected
+
+
+PAIR_SYSTEMS = {
+    "interval": (cyclic_sequence([F1, F2]), INTERVAL),
+    "circle": (cyclic_sequence([rotation(0.3), rotation(0.45)],
+                               space=CIRCLE), CIRCLE),
+    # no space on the sequence: a float pair falls back to the interval
+    "untagged": (explicit_sequence([identity()]), INTERVAL),
+}
+
+
+class TestPairTimesAgainstOracle:
+    @given(st.sampled_from(sorted(PAIR_SYSTEMS)),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.01, max_value=0.6),
+           st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_hit_times(self, system, x, y, delta, horizon):
+        seq, space = PAIR_SYSTEMS[system]
+        got = pair_separation_times(seq, x, y, delta, horizon)
+        assert got.horizon == horizon
+        assert got.indices == naive_hit_times(seq, (x, y), delta, horizon,
+                                              space)
 
 
 def naive_symbolic_distance(dx, dy, window):
@@ -501,6 +527,56 @@ class TestScanMachinery:
         maxima = [max(col) for col in zip(*per_pair)]
         assert scan.max_series.view(np.int64).tolist() == \
             np.array(maxima).view(np.int64).tolist()
+
+    @staticmethod
+    def assert_summary_is_full_argmax(scan):
+        # the reference: one argmax over the whole pairs x times table
+        table = scan.rows(0, len(scan.pi))
+        best = np.argmax(table, axis=0)
+        top = table[best, np.arange(scan.horizon + 1)]
+        assert scan.max_series.view(np.int64).tolist() == \
+            top.view(np.int64).tolist()
+        assert scan.argmax_i.tolist() == scan.pi[best].tolist()
+        assert scan.argmax_j.tolist() == scan.pj[best].tolist()
+
+    @staticmethod
+    def table_scan(table):
+        pi = np.arange(len(table), dtype=np.intp)
+        return RegionScan(None, table.shape[1] - 1, pi, pi + len(table),
+                          lambda a, b: table[a:b])
+
+    def test_summary_every_row_constant(self):
+        rows = 6 * BLOCK_ROWS + 5
+        for table in (np.full((rows, 9), 0.25),
+                      np.repeat((np.arange(rows) % 7.0)[:, None], 9, 1)):
+            self.assert_summary_is_full_argmax(self.table_scan(table))
+
+    def test_summary_tie_across_blocks_keeps_first(self):
+        rng = np.random.default_rng(7)
+        table = rng.random((6 * BLOCK_ROWS, 12))
+        # the maximum first appears in block 2 and again in block 5
+        table[2 * BLOCK_ROWS + 9, 3:8] = 2.0
+        table[5 * BLOCK_ROWS + 1, 3:8] = 2.0
+        scan = self.table_scan(table)
+        self.assert_summary_is_full_argmax(scan)
+        assert scan.argmax_i[3:8].tolist() == [2 * BLOCK_ROWS + 9] * 5
+
+    @given(st.integers(1, 3 * BLOCK_ROWS + 3), st.integers(0, 6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_summary_on_tie_heavy_tables(self, rows, horizon, seed):
+        table = np.random.default_rng(seed).integers(
+            0, 3, (rows, horizon + 1)).astype(np.float64)
+        self.assert_summary_is_full_argmax(self.table_scan(table))
+
+    @pytest.mark.parametrize("name, region", [
+        ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
+        ("example31", cylinder_region({0: 1})),
+    ])
+    def test_summary_of_multi_block_scans(self, name, region):
+        scan = region_scan(registry.build(name).sequence, region, 80, 64)
+        assert len(scan.pi) > 2 * BLOCK_ROWS
+        self.assert_summary_is_full_argmax(scan)
 
     def test_degenerate_sample_rejected(self):
         named = registry.build("identity")

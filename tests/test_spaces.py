@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonauto.spaces import (
     CIRCLE,
+    DEDUP_TOL,
     INTERVAL,
     circle_distance,
     cylinder_region,
@@ -276,6 +277,75 @@ class TestRegionSampling:
             sample_region(metric_ball(INTERVAL, 0.5, 0.1), 1)
         with pytest.raises(ValueError):
             metric_ball(INTERVAL, 0.5, 0.0)
+
+
+# Oracles for ball sampling: the separate interval and circle samplers that
+# sample_region's single ball sampler replaced, kept verbatim.
+
+
+def separate_interval_ball(center, radius, count):
+    lo = max(0.0, center - radius)
+    hi = min(1.0, center + radius)
+    if hi < lo:
+        raise ValueError("ball does not meet the interval")
+    pts = grid_points(lo, hi, count)
+    pts = [center if abs(v - center) <= DEDUP_TOL else v for v in pts]
+    pts.append(center)
+    kept = []
+    for v in sorted(pts):
+        if not kept or v - kept[-1] > DEDUP_TOL:
+            kept.append(v)
+    return tuple(kept)
+
+
+def separate_circle_ball(center, radius, count):
+    raw = grid_points(center - radius, center + radius, count)
+    c = center % 1.0
+    pts = [v % 1.0 for v in raw]
+    pts = [c if circle_distance(v, c) <= DEDUP_TOL else v for v in pts]
+    pts.append(c)
+    pts.sort()
+    kept = []
+    for v in pts:
+        if not kept or circle_distance(v, kept[-1]) > DEDUP_TOL:
+            kept.append(v)
+    if len(kept) > 1 and circle_distance(kept[0], kept[-1]) <= DEDUP_TOL:
+        kept.pop()
+    return tuple(kept)
+
+
+def outcome(fn, *args):
+    """Values with their exact types and bits, or the error raised."""
+    try:
+        values = fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+    return tuple((type(v), v.hex() if isinstance(v, float) else v)
+                 for v in values)
+
+
+class TestBallSamplerOracle:
+    @given(st.sampled_from([INTERVAL, CIRCLE]),
+           st.one_of(st.floats(-1.5, 2.5, allow_nan=False), near_ends,
+                     st.integers(-2, 3)),
+           st.one_of(st.floats(1e-15, 2.0), st.floats(0.5, 2.0),
+                     st.sampled_from([1e-13, 0.5, 0.75, 1.0, 1.5])),
+           st.integers(2, 70))
+    @settings(max_examples=2000)
+    # the circle grid wraps its last node onto its first (the pop fires)
+    @example(CIRCLE, 0.6, 1.0, 11)
+    @example(CIRCLE, 0.35, 0.75, 16)
+    # clipped interval balls, and one that misses the interval
+    @example(INTERVAL, 0.0, 0.2, 3)
+    @example(INTERVAL, 1, 0.3, 4)
+    @example(INTERVAL, 2.0, 0.5, 5)
+    def test_sample_region_matches_separate_samplers(self, space, center,
+                                                     radius, count):
+        oracle = (separate_interval_ball if space == INTERVAL
+                  else separate_circle_ball)
+        region = metric_ball(space, center, radius)
+        assert (outcome(sample_region, region, count)
+                == outcome(oracle, center, radius, count))
 
 
 class TestGrids:
