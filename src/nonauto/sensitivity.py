@@ -7,10 +7,12 @@ verdicts are explicitly horizon-relative: they say what happened in the
 computed window under the stated sampling, nothing more.
 
 Scans are organized so that one orbit computation per sample point serves
-every delta and every probe mode. Orbit points are produced by the exact
-scalar ``apply`` path; numpy only ever touches distances, so equal prefixes
-yield bitwise equal separations across probes (the embedding checks rely
-on this).
+every delta and every probe mode. Orbit points are produced by each map's
+compiled scalar ``step`` (``systems.MapSpec.step``); numpy only ever
+touches distances, so equal prefixes yield bitwise equal separations across
+probes (the embedding checks rely on this). A symbolic scan shifts every
+sample point once per distinct shift and fills that shift's table column
+with one ``dist_symbolic`` per pair.
 """
 
 from __future__ import annotations
@@ -132,11 +134,10 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     # distance between two shifted points depends only on the shift amount,
     # so one evaluation per (pair, shift) covers the whole horizon
     table = np.empty((len(pi), len(distinct)), dtype=np.float64)
+    pairs = list(zip(pi.tolist(), pj.tolist()))
     for col, s in enumerate(distinct):
-        for row in range(len(pi)):
-            x = sample[pi[row]].shifted(s)
-            y = sample[pj[row]].shifted(s)
-            table[row, col] = dist_symbolic(x, y)
+        moved = [p.shifted(s) for p in sample]
+        table[:, col] = [dist_symbolic(moved[i], moved[j]) for i, j in pairs]
     cols = np.searchsorted(distinct, shifts)
     # both points of a pair shift together, so the narrowest window seen is
     # the narrowest sample point moved by the largest displacement

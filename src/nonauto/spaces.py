@@ -10,7 +10,7 @@ else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -121,12 +121,13 @@ def dist_symbolic(x: SymbolicPoint, y: SymbolicPoint) -> float:
     Coordinates at index j carry weight 2**-|j|. Truncating to the shared
     window under-reports by at most ``symbolic_truncation_bound``.
     """
-    w = min(x.radius, y.radius)
+    ox, oy = x.origin, y.origin
+    w = min(ox, len(x.bits) - 1 - ox, oy, len(y.bits) - 1 - oy)
     if w < MIN_COMMON_RADIUS:
         raise ValueError("points have drifted past their sampled windows")
-    bx = _bits_array(x.bits)[x.origin - w:x.origin + w + 1]
-    by = _bits_array(y.bits)[y.origin - w:y.origin + w + 1]
-    return float(np.abs(bx - by) @ _weights(w))
+    diff = (_bits_array(x.bits)[ox - w:ox + w + 1]
+            - _bits_array(y.bits)[oy - w:oy + w + 1])
+    return float(np.abs(diff, out=diff) @ _weights(w))
 
 
 def symbolic_truncation_bound(x: SymbolicPoint, y: SymbolicPoint) -> float:
@@ -177,8 +178,19 @@ def hausdorff_array(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # full-size temporaries to every point scan
         return distance(space, a[..., 0], b[..., 0])
     cross = distance(space, a[..., :, None], b[..., None, :])
-    return np.maximum(cross.min(axis=-1).max(axis=-1),
-                      cross.min(axis=-2).max(axis=-1))
+    if cross.ndim == 2:
+        # one pair of subsets: two small reductions beat a fold of scalars
+        return np.maximum(cross.min(axis=1).max(), cross.min(axis=0).max())
+    m, k = cross.shape[-2:]
+    # many pairs: fold over the element slices, since numpy reductions over
+    # a trailing axis of length 2-4 are slow; min/max are exact in any order
+    forward = reduce(np.maximum, (
+        reduce(np.minimum, (cross[..., i, j] for j in range(k)))
+        for i in range(m)))
+    backward = reduce(np.maximum, (
+        reduce(np.minimum, (cross[..., i, j] for i in range(m)))
+        for j in range(k)))
+    return np.maximum(forward, backward)
 
 
 def hausdorff(a: FiniteSubset, b: FiniteSubset) -> float:

@@ -4,7 +4,9 @@ A MapSpec is a small closed vocabulary of concrete maps: the identity,
 coordinate shifts on binary sequences, piecewise-linear interval maps,
 circle rotations, and compositions of those. A MapSequence produces the
 map acting at each time step n >= 1; orbits always use the prefix
-composition (apply map 1, then map 2, and so on).
+composition (apply map 1, then map 2, and so on). Each map is compiled
+once into ``MapSpec.step``, a plain one-argument function with its tables
+and offsets bound in; ``apply`` and ``orbit`` call it directly.
 
 Everything here is exact in the sense that matters downstream: piecewise
 slopes are small integers evaluated once per step, shifts move an origin
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .spaces import (
     CIRCLE,
@@ -43,9 +45,17 @@ class MapSpec:
     knots: tuple = ()
     maps: tuple = ()
 
+    @cached_property
+    def step(self):
+        """The map as a one-argument function, compiled once per map."""
+        return _compile(self)
+
+
+_IDENTITY = MapSpec(kind="identity")
+
 
 def identity() -> MapSpec:
-    return MapSpec(kind="identity")
+    return _IDENTITY
 
 
 def shift(power: int) -> MapSpec:
@@ -95,41 +105,61 @@ def _pwl_tables(knots: tuple):
     return xs, ys, slopes
 
 
-def _apply_pwl(knots: tuple, x: float) -> float:
-    if not (-CLAMP_TOL <= x <= 1.0 + CLAMP_TOL):
-        raise ValueError(f"point {x!r} outside [0,1]")
-    x = min(1.0, max(0.0, x))
+def _pwl_step(knots: tuple):
     xs, ys, slopes = _pwl_tables(knots)
-    i = bisect_right(xs, x) - 1
-    if i >= len(slopes):
-        i = len(slopes) - 1
-    y = ys[i] + (x - xs[i]) * slopes[i]
-    if y < 0.0:
-        if y < -CLAMP_TOL:
-            raise ValueError(f"map left [0,1]: {y!r}")
-        y = 0.0
-    elif y > 1.0:
-        if y > 1.0 + CLAMP_TOL:
-            raise ValueError(f"map left [0,1]: {y!r}")
-        y = 1.0
-    return y
+    last = len(slopes) - 1
+
+    def step(x):
+        # clamp x into [0, 1] and find its piece: the same bits as
+        # min(1.0, max(0.0, x)) then bisecting, with the end pieces known
+        if 0.0 < x < 1.0:
+            i = bisect_right(xs, x) - 1
+        elif -CLAMP_TOL <= x <= 0.0:
+            x, i = 0.0, 0
+        elif 1.0 <= x <= 1.0 + CLAMP_TOL:
+            x, i = 1.0, last
+        else:
+            raise ValueError(f"point {x!r} outside [0,1]")
+        y = ys[i] + (x - xs[i]) * slopes[i]
+        if y < 0.0:
+            if y < -CLAMP_TOL:
+                raise ValueError(f"map left [0,1]: {y!r}")
+            y = 0.0
+        elif y > 1.0:
+            if y > 1.0 + CLAMP_TOL:
+                raise ValueError(f"map left [0,1]: {y!r}")
+            y = 1.0
+        return y
+
+    return step
+
+
+def _compile(m: MapSpec):
+    if m.kind == "identity":
+        return lambda x: x
+    if m.kind == "shift":
+        power = m.power
+        return lambda x: x.shifted(power)
+    if m.kind == "rotation":
+        offset = m.offset
+        return lambda x: (x + offset) % 1.0
+    if m.kind == "piecewise-linear":
+        return _pwl_step(m.knots)
+    if m.kind == "composition":
+        steps = tuple(g.step for g in m.maps)
+
+        def step(x):
+            for f in steps:
+                x = f(x)
+            return x
+
+        return step
+    raise ValueError(f"unknown map kind: {m.kind!r}")
 
 
 def apply(m: MapSpec, x):
     """Evaluate one map at one point. Compositions apply members in list order."""
-    if m.kind == "identity":
-        return x
-    if m.kind == "shift":
-        return x.shifted(m.power)
-    if m.kind == "rotation":
-        return (x + m.offset) % 1.0
-    if m.kind == "piecewise-linear":
-        return _apply_pwl(m.knots, x)
-    if m.kind == "composition":
-        for g in m.maps:
-            x = apply(g, x)
-        return x
-    raise ValueError(f"unknown map kind: {m.kind!r}")
+    return m.step(x)
 
 
 def map_space(m: MapSpec):
@@ -237,6 +267,11 @@ class MapSequence:
     base: object = None
     k: int = 1
 
+    @cached_property
+    def _iterates(self) -> dict:
+        # kth-iterate: map index -> its composition, built once per index
+        return {}
+
 
 # generator name -> (end index of each block so far, the blocks)
 _BLOCK_CACHE: dict = {}
@@ -268,14 +303,17 @@ def map_at(seq: MapSequence, n: int) -> MapSpec:
         if seq.tail == "hold":
             return seq.maps[-1]
         if seq.tail == "identity":
-            return identity()
+            return _IDENTITY
         raise ValueError(f"unknown tail rule: {seq.tail!r}")
     if seq.rule == "block-structured":
         return _block_walk(seq.generator_name, n)
     if seq.rule == "kth-iterate":
-        parts = tuple(map_at(seq.base, seq.k * (n - 1) + i)
-                      for i in range(1, seq.k + 1))
-        return composition(parts)
+        m = seq._iterates.get(n)
+        if m is None:
+            m = seq._iterates[n] = composition(
+                map_at(seq.base, seq.k * (n - 1) + i)
+                for i in range(1, seq.k + 1))
+        return m
     raise ValueError(f"unknown sequence rule: {seq.rule!r}")
 
 
@@ -339,7 +377,7 @@ def orbit(seq: MapSequence, x, horizon: int) -> tuple:
     """Points at times 0 .. horizon; orbit[n] is the prefix of length n at x."""
     out = [x]
     for i in range(1, horizon + 1):
-        x = apply(map_at(seq, i), x)
+        x = map_at(seq, i).step(x)
         out.append(x)
     return tuple(out)
 

@@ -5,12 +5,15 @@ The oracles here recompose prefixes step by step for every time index
 dicts, so they share no orbit or windowing code with the scan machinery.
 """
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonauto import registry
+from nonauto import registry, sensitivity, spaces, systems
 from nonauto.acceptance import STANDARD_FAMILIES
 from nonauto.families import (
     cofinite_family,
@@ -37,9 +40,12 @@ from nonauto.sensitivity import (
 from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
+    SYMBOLIC,
     cylinder_region,
+    dist_symbolic,
     distance,
     finite_subset,
+    hausdorff_ball,
     make_symbolic,
     metric_ball,
     sample_region,
@@ -49,10 +55,13 @@ from nonauto.systems import (
     cyclic_sequence,
     explicit_sequence,
     identity,
+    kth_iterate,
     map_at,
+    net_shift_series,
     orbit,
     piecewise_linear,
     rotation,
+    shift,
 )
 
 F1 = piecewise_linear([(0.0, 0.0), (0.25, 1.0), (1.0, 0.25)])
@@ -163,6 +172,117 @@ class TestSymbolicScanAgainstOracle:
         got = pair_separation_times(seq, x, y, delta, 50)
         assert got.indices == tuple(expected)
         assert expected
+
+
+def bits_of(table):
+    return np.asarray(table, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestSymbolicTableAgainstPerCellDistance:
+    """The hoisted fill (each point shifted once per distinct shift) equals
+    one ``dist_symbolic`` per cell on freshly shifted points, bitwise."""
+
+    @staticmethod
+    def assert_rows_match_per_cell(seq, sample, horizon):
+        scan = sensitivity._scan(seq, sample, horizon, SYMBOLIC)
+        shifts = net_shift_series(seq, horizon)
+        expect = [[dist_symbolic(sample[i].shifted(s), sample[j].shifted(s))
+                   for s in shifts]
+                  for i, j in zip(scan.pi.tolist(), scan.pj.tolist())]
+        assert bits_of(scan.rows(0, len(scan.pi))) == bits_of(expect)
+
+    def test_negative_and_repeated_shifts_unequal_radii(self):
+        seq = explicit_sequence([shift(3), shift(-5), shift(2), shift(2),
+                                 shift(-1), shift(0)], tail="identity",
+                                space=SYMBOLIC)
+        assert net_shift_series(seq, 9) == [0, 3, -2, 0, 2, 1, 1, 1, 1, 1]
+        sample = (make_symbolic({0: 1, 2: 1}, radius=7),
+                  make_symbolic({-1: 1}, radius=12),
+                  make_symbolic({0: 1, 5: 1}, radius=9, fill=1),
+                  make_symbolic({}, radius=20),
+                  make_symbolic({-6: 1, 6: 1}, radius=6))
+        self.assert_rows_match_per_cell(seq, sample, 9)
+
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(25, 40),
+                              st.dictionaries(st.integers(-10, 10),
+                                              st.integers(0, 1)),
+                              st.integers(0, 1)),
+                    min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_shift_lists(self, powers, points):
+        seq = explicit_sequence([shift(p) for p in powers], tail="identity",
+                                space=SYMBOLIC)
+        sample = tuple(make_symbolic(bits, radius=r, fill=fill)
+                       for r, bits, fill in points)
+        self.assert_rows_match_per_cell(seq, sample, len(powers) + 2)
+
+
+class TestTracedCallPattern:
+    """The call counts perfbench's traced run cross-checks: one ``orbit`` per
+    sample element, one ``map_at`` per step made directly by ``orbit``, and
+    one in-scan ``dist_symbolic`` per (pair, distinct shift)."""
+
+    @staticmethod
+    def install(monkeypatch, *functions):
+        # rebind every module attribute of the package bound to a traced
+        # function, as perfbench/traced_cli.py does
+        stack, calls = [], Counter()
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if stack:
+                    calls[f"{name} under {stack[-1]}"] += 1
+                if "_scan" in stack:
+                    calls[f"{name} in scan"] += 1
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapper
+
+        mods = [m for name, m in sys.modules.items()
+                if name == "nonauto" or name.startswith("nonauto.")]
+        for fn in functions:
+            wrapper = wrap(fn.__name__, fn)
+            for mod in mods:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("seq, region, horizon, width", [
+        (registry.build("example41_composition").sequence,
+         metric_ball(INTERVAL, 0.3, 0.05), 40, 1),
+        (kth_iterate(registry.build("example41_generated").sequence, 2),
+         metric_ball(INTERVAL, 0.6, 0.05), 30, 1),
+        (registry.build("rotations_harmonic").sequence,
+         metric_ball(CIRCLE, 0.97, 0.05), 35, 1),
+        (registry.build("example41_composition").sequence,
+         hausdorff_ball(finite_subset([0.2, 0.5, 0.7], INTERVAL), 0.04),
+         25, 3),
+    ], ids=["interval", "kth-iterate", "circle", "hausdorff"])
+    def test_numeric_scan(self, monkeypatch, seq, region, horizon, width):
+        calls = self.install(monkeypatch, systems.orbit, systems.map_at,
+                             sensitivity._scan)
+        scan = region_scan.__wrapped__(seq, region, horizon, 9)
+        samples = len(scan.sample)
+        assert max(len(getattr(s, "elements", (s,)))
+                   for s in scan.sample) == width
+        assert calls["orbit"] == samples * width
+        assert calls["map_at under orbit"] == samples * width * horizon
+
+    def test_cylinder_scan(self, monkeypatch):
+        seq = registry.build("example31").sequence
+        distinct = len(set(net_shift_series(seq, 70)))
+        calls = self.install(monkeypatch, spaces.dist_symbolic,
+                             sensitivity._scan)
+        scan = region_scan.__wrapped__(seq, cylinder_region({0: 1}), 70, 12)
+        pairs = len(scan.pi)
+        assert distinct > 1 and pairs > 1
+        assert calls["dist_symbolic in scan"] == pairs * distinct
 
 
 class TestTrivialCases:

@@ -15,6 +15,7 @@ from nonauto.spaces import (
     finite_subset,
     grid_points,
     hausdorff,
+    hausdorff_array,
     hausdorff_ball,
     make_symbolic,
     metric_ball,
@@ -144,6 +145,20 @@ class TestSymbolicMetric:
         assert (dist_symbolic(x, y) == 0.0) == (x.bits == y.bits)
         assert dist_symbolic(x, z) <= dist_symbolic(x, y) + dist_symbolic(y, z) + 1e-12
 
+    @given(st.lists(st.tuples(st.integers(8, 30), sparse_bits,
+                              st.integers(-6, 6)), min_size=2, max_size=2),
+           st.integers(0, 1))
+    def test_equals_reference_formula_bitwise(self, points, fill):
+        # the formula before the shared window was read from the origins
+        # and ``abs`` was taken in place
+        x, y = (make_symbolic(bits, radius=r, fill=fill).shifted(s)
+                for r, bits, s in points)
+        w = min(x.radius, y.radius)
+        bx = np.asarray(x.bits, dtype=np.float64)[x.origin - w:x.origin + w + 1]
+        by = np.asarray(y.bits, dtype=np.float64)[y.origin - w:y.origin + w + 1]
+        expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
+        assert dist_symbolic(x, y).hex() == expect.hex()
+
     def test_shift_moves_coordinates(self):
         x = make_symbolic({2: 1})
         assert x.shifted(2).coord(0) == 1
@@ -202,6 +217,50 @@ class TestFiniteSubsets:
         a, b, c = (finite_subset(v, INTERVAL) for v in (xs, ys, zs))
         assert hausdorff(a, b) == hausdorff(b, a)
         assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-12
+
+
+# Oracle for the folded ``hausdorff_array``: the trailing-axis reductions it
+# replaced, transcribed here.
+
+
+def reference_hausdorff_array(space, a, b):
+    if a.shape[-1] == b.shape[-1] == 1:
+        return distance(space, a[..., 0], b[..., 0])
+    cross = distance(space, a[..., :, None], b[..., None, :])
+    return np.maximum(cross.min(axis=-1).max(axis=-1),
+                      cross.min(axis=-2).max(axis=-1))
+
+
+@st.composite
+def padded_subsets(draw, times, width):
+    """A (times, subsets, width) array of ragged subsets, each padded to
+    ``width`` by repeating its first element, as scans pad them."""
+    count = draw(st.integers(1, 4))
+    out = np.empty((times, count, width))
+    for c in range(count):
+        size = draw(st.integers(1, width))
+        for t in range(times):
+            elems = draw(st.lists(edge_unit, min_size=size, max_size=size))
+            out[t, c] = elems + elems[:1] * (width - size)
+    return out
+
+
+class TestHausdorffArrayFold:
+    @given(st.sampled_from([INTERVAL, CIRCLE]), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=300)
+    def test_equals_trailing_axis_reductions_bitwise(self, space, times, m, k,
+                                                     data):
+        a = data.draw(padded_subsets(times, m))
+        b = data.draw(padded_subsets(times, k))
+        # one pair of subsets, then every subset of a against every subset
+        # of b through broadcasting
+        for x, y in ((a[0, 0], b[0, 0]), (a[:, :, None, :], b[:, None, :, :])):
+            got = np.asarray(hausdorff_array(space, x, y))
+            expect = np.asarray(reference_hausdorff_array(space, x, y))
+            assert got.shape == expect.shape
+            assert got.view(np.int64).tolist() == \
+                expect.view(np.int64).tolist()
 
 
 class TestRegionSampling:

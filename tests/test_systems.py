@@ -1,5 +1,7 @@
+from bisect import bisect_right
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonauto import systems
@@ -12,8 +14,10 @@ from nonauto.spaces import (
     metric_ball,
 )
 from nonauto.systems import (
+    CLAMP_TOL,
     CommutationError,
     MapSequence,
+    MapSpec,
     apply,
     breakpoints,
     composition,
@@ -85,6 +89,144 @@ class TestApply:
     def test_piecewise_stays_inside(self, x):
         for m in (F1, F2, PRINTED_TWO_STEP, composition([F1, F2])):
             assert 0.0 <= apply(m, x) <= 1.0
+
+
+# Oracle for the compiled maps: the string-dispatched evaluator that
+# ``MapSpec.step`` replaced, transcribed here so it shares no code with it.
+
+
+def reference_apply(m, x):
+    if m.kind == "identity":
+        return x
+    if m.kind == "shift":
+        return x.shifted(m.power)
+    if m.kind == "rotation":
+        return (x + m.offset) % 1.0
+    if m.kind == "piecewise-linear":
+        return reference_apply_pwl(m.knots, x)
+    if m.kind == "composition":
+        for g in m.maps:
+            x = reference_apply(g, x)
+        return x
+    raise ValueError(f"unknown map kind: {m.kind!r}")
+
+
+def reference_apply_pwl(knots, x):
+    if not (-CLAMP_TOL <= x <= 1.0 + CLAMP_TOL):
+        raise ValueError(f"point {x!r} outside [0,1]")
+    x = min(1.0, max(0.0, x))
+    xs = tuple(k[0] for k in knots)
+    ys = tuple(k[1] for k in knots)
+    slopes = tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+                   for i in range(len(knots) - 1))
+    i = bisect_right(xs, x) - 1
+    if i >= len(slopes):
+        i = len(slopes) - 1
+    y = ys[i] + (x - xs[i]) * slopes[i]
+    if y < 0.0:
+        if y < -CLAMP_TOL:
+            raise ValueError(f"map left [0,1]: {y!r}")
+        y = 0.0
+    elif y > 1.0:
+        if y > 1.0 + CLAMP_TOL:
+            raise ValueError(f"map left [0,1]: {y!r}")
+        y = 1.0
+    return y
+
+
+def outcome(fn, m, x):
+    """The value's bit pattern, or the error's type and text."""
+    try:
+        y = fn(m, x)
+    except ValueError as exc:
+        return ("raises", str(exc))
+    return ("value", y.hex() if isinstance(y, float) else y)
+
+
+# knot values straddle [0, 1] so that some tables (built directly, past the
+# constructor's check) leave the interval and raise "map left [0,1]"
+knot_value = st.one_of(
+    st.sampled_from([0.0, 1.0, CLAMP_TOL, 1.0 - CLAMP_TOL, -CLAMP_TOL / 2,
+                     1.0 + CLAMP_TOL / 2, -0.25, 1.25]),
+    st.floats(min_value=-0.25, max_value=1.25, allow_nan=False))
+
+
+@st.composite
+def knot_tables(draw):
+    inner = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                    exclude_min=True, exclude_max=True),
+                          max_size=5, unique=True))
+    xs = [0.0, *sorted(inner), 1.0]
+    ys = draw(st.lists(knot_value, min_size=len(xs), max_size=len(xs)))
+    return tuple(zip(xs, ys))
+
+
+pwl_maps = knot_tables().map(
+    lambda k: MapSpec(kind="piecewise-linear", knots=k))
+rotations = st.floats(min_value=-2.0, max_value=2.0,
+                      allow_nan=False).map(rotation)
+# nested compositions are built directly: ``composition`` flattens them
+interval_maps = st.recursive(
+    st.one_of(st.just(identity()), pwl_maps),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda ms: MapSpec(kind="composition", maps=tuple(ms))),
+    max_leaves=6)
+circle_maps = st.recursive(
+    st.one_of(st.just(identity()), rotations),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda ms: MapSpec(kind="composition", maps=tuple(ms))),
+    max_leaves=6)
+# points on and just past the [0, 1] guard of the piecewise-linear maps
+guard_point = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, CLAMP_TOL, -CLAMP_TOL, 1.0 + CLAMP_TOL,
+                     -2 * CLAMP_TOL, 1.0 + 2 * CLAMP_TOL, 5e-324, 1.5,
+                     -0.5]),
+    st.floats(min_value=-0.1, max_value=1.1, allow_nan=False))
+
+
+class TestCompiledStep:
+    @given(interval_maps, guard_point)
+    @settings(max_examples=600)
+    @example(MapSpec(kind="piecewise-linear",
+                     knots=((0.0, -0.5), (1.0, 1.5))), 0.1)
+    @example(MapSpec(kind="piecewise-linear",
+                     knots=((0.0, 0.0), (0.5, 1.0 + CLAMP_TOL / 2),
+                            (1.0, 0.0))), 0.5)
+    @example(F1, float("nan"))
+    def test_interval_maps_match_reference(self, m, x):
+        expect = outcome(reference_apply, m, x)
+        assert outcome(apply, m, x) == expect
+        assert outcome(lambda m, x: m.step(x), m, x) == expect
+
+    @given(circle_maps, st.floats(min_value=0.0, max_value=1.0,
+                                  exclude_max=True))
+    @settings(max_examples=300)
+    def test_circle_maps_match_reference(self, m, x):
+        assert outcome(apply, m, x) == outcome(reference_apply, m, x)
+
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+           st.dictionaries(st.integers(-8, 8), st.integers(0, 1)))
+    def test_shift_maps_match_reference(self, powers, bits):
+        x = make_symbolic(bits, radius=24)
+        m = MapSpec(kind="composition", maps=tuple(shift(p) for p in powers))
+        assert apply(m, x) == reference_apply(m, x)
+        assert apply(m, x).bits is x.bits
+
+    def test_out_of_range_texts(self):
+        with pytest.raises(ValueError, match=r"^point 1\.5 outside \[0,1\]$"):
+            apply(F1, 1.5)
+        wild = MapSpec(kind="piecewise-linear", knots=((0.0, -0.5), (1.0, 1.5)))
+        with pytest.raises(ValueError, match=r"^map left \[0,1\]: -0\.5$"):
+            apply(wild, 0.0)
+        with pytest.raises(ValueError, match="^unknown map kind: 'bogus'$"):
+            apply(MapSpec(kind="bogus"), 0.5)
+
+    def test_compiled_once(self):
+        m = composition([F1, F2])
+        assert m.step is m.step
+        assert identity() is identity()
+        seq = explicit_sequence([F1], tail="identity")
+        assert map_at(seq, 5) is map_at(seq, 9) is identity()
 
 
 class TestMapSpace:
@@ -204,6 +346,18 @@ class TestKthIterate:
             for x in (0.0, 0.11, 0.5, 0.73, 1.0):
                 for n in range(0, 8):
                     assert prefix_compose(t, n, x) == prefix_compose(s, k * n, x)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_map_at_is_memoised_composition(self, k):
+        systems.register_block_generator("unit-test-distinct", distinct_block)
+        base = systems.block_sequence("unit-test-distinct", space=CIRCLE)
+        t = kth_iterate(base, k)
+        for n in range(1, 12):
+            fresh = composition([map_at(base, k * (n - 1) + i)
+                                 for i in range(1, k + 1)])
+            m = map_at(t, n)
+            assert m == fresh
+            assert map_at(t, n) is m
 
     def test_generated_kth_equals_autonomous_composition(self):
         s = generated_system([F1, F2])
