@@ -336,43 +336,91 @@ def _curated_suite(h=200):
             geometric]
 
 
+HEREDITARY_SEED = 20260816
+HEREDITARY_ROWS = 10 ** 5
+HEREDITARY_CHUNK = 1000
+HEREDITARY_WIDTH = 200
+
+
+def _hereditary_rows(rng, rows, chunk):
+    """Yield (small, big) bool blocks of at most ``chunk`` rows each.
+
+    The rows are exactly what this per-call loop draws from ``rng``::
+
+        small = [rng.random() < 0.5 for _ in range(200)]
+        big = [b or rng.random() < 0.05 for b in small]
+
+    but the stream is taken in bulk. ``random()`` reads two 32-bit words
+    w0, w1 and returns ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, and
+    ``getrandbits(64 * k)`` hands out the words of k such calls, the first
+    in the lowest bits. A row reads 200 draws for ``small`` and then one
+    draw per False bit for ``big``, so the next row starts 400 - popcount
+    draws later. Draws left over at the end of a block carry into the next.
+    """
+    width = HEREDITARY_WIDTH
+    cols = np.arange(width)
+    pairs = np.empty((0, 2), dtype="<u4")
+    done = 0
+    while done < rows:
+        r = min(chunk, rows - done)
+        need = 2 * width * r - len(pairs)
+        if need > 0:
+            fresh = rng.getrandbits(64 * need).to_bytes(8 * need, "little")
+            pairs = np.concatenate(
+                (pairs, np.frombuffer(fresh, dtype="<u4").reshape(need, 2)))
+        half = pairs[:, 0] < 2 ** 31            # random() < 0.5, exactly
+        ones = np.concatenate(([0], np.cumsum(half, dtype=np.int32)))
+        starts = np.empty(r, dtype=np.intp)
+        s = 0
+        for i in range(r):
+            starts[i] = s
+            s += 2 * width - int(ones[s + width] - ones[s])
+        small = half.take(starts[:, None] + cols)
+        # the k-th False bit of a row (k = 0, 1, ...) reads draw start+200+k
+        k = np.cumsum(~small, axis=1) - 1
+        p = pairs.take(starts[:, None] + width + k, axis=0)
+        u = ((p[..., 0] >> 5) * 67108864.0 + (p[..., 1] >> 6)) * (
+            1.0 / 9007199254740992.0)
+        yield small, small | (u < 0.05)
+        pairs = pairs[s:]
+        done += r
+
+
 def _check_family_classifiers():
     """Windowed classifiers agree with direct predicate evaluation on every
     subset of a short window, stay hereditary upwards on sampled pairs, and
-    the intersection-closure probe splits as expected."""
+    the intersection-closure probe splits as expected.
+
+    Each brute-force predicate runs once per subset; the dual's row is
+    checked against the negated predicate of the complement, which is the
+    subset at the mirrored mask. The hereditary pairs come from
+    ``random.Random(20260816)`` in bulk (``_hereditary_rows``): the same
+    stream and the same draws as one ``random()`` call per bit.
+    """
     h = 16
     fams = [(infinite_family(4, 0.25),
              lambda idx: _brute_infinite(idx, h, 4, 0.25)),
             (cofinite_family(3), lambda idx: _brute_cofinite(idx, h, 3)),
             (syndetic_family(3), lambda idx: _brute_syndetic(idx, h, 3))]
     windows = ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1).astype(bool)
-    verdicts = [(member_rows(fam, windows).tolist(),
-                 member_rows(dual(fam), windows).tolist(), brute)
-                for fam, brute in fams]
+    subsets = (tuple(j + 1 for j in range(h) if mask >> j & 1)
+               for mask in range(2 ** h))
+    truth = np.fromiter((brute(idx) for idx in subsets for _, brute in fams),
+                        dtype=bool, count=len(fams) * 2 ** h)
+    truth = truth.reshape(2 ** h, len(fams))
     mismatches = 0
-    for mask in range(2 ** h):
-        idx = tuple(j + 1 for j in range(h) if mask >> j & 1)
-        comp = tuple(j + 1 for j in range(h) if not mask >> j & 1)
-        for got, got_dual, brute in verdicts:
-            if got[mask] != brute(idx):
-                mismatches += 1
-            if got_dual[mask] != (not brute(comp)):
-                mismatches += 1
+    for c, (fam, _) in enumerate(fams):
+        # the complement of mask m is mask (2**h - 1) - m: truth read backwards
+        mismatches += int(np.count_nonzero(
+            member_rows(fam, windows) != truth[:, c]))
+        mismatches += int(np.count_nonzero(
+            member_rows(dual(fam), windows) != ~truth[::-1, c]))
 
-    rng = random.Random(20260816)
     hered_fams = [infinite_family(), cofinite_family(), syndetic_family(),
                   dual(infinite_family())]
     hered_violations = 0
-    chunk = 10 ** 4
-    for _ in range(10 ** 5 // chunk):
-        # one byte per draw; nested lists would cost 8 bytes a draw
-        small, big = bytearray(), bytearray()
-        for _ in range(chunk):
-            bits = [rng.random() < 0.5 for _ in range(200)]
-            small += bytes(bits)
-            big += bytes([b or rng.random() < 0.05 for b in bits])
-        small, big = (np.frombuffer(buf, dtype=bool).reshape(chunk, 200)
-                      for buf in (small, big))
+    for small, big in _hereditary_rows(random.Random(HEREDITARY_SEED),
+                                       HEREDITARY_ROWS, HEREDITARY_CHUNK):
         for fam in hered_fams:
             hered_violations += int(np.count_nonzero(
                 member_rows(fam, small) & ~member_rows(fam, big)))

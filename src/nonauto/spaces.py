@@ -94,9 +94,19 @@ def _weights(window: int) -> np.ndarray:
     return 0.5 ** np.abs(j).astype(np.float64)
 
 
-@lru_cache(maxsize=4096)
+# id(bits) -> (bits, its float array). Keying by id skips hashing the whole
+# tuple on every lookup; holding the tuple keeps its id from being reused.
+_BITS_ARRAYS: dict = {}
+_BITS_ARRAYS_MAX = 4096
+
+
 def _bits_array(bits: tuple) -> np.ndarray:
-    return np.asarray(bits, dtype=np.float64)
+    hit = _BITS_ARRAYS.get(id(bits))
+    if hit is None:
+        if len(_BITS_ARRAYS) >= _BITS_ARRAYS_MAX:
+            _BITS_ARRAYS.clear()
+        hit = _BITS_ARRAYS[id(bits)] = bits, np.asarray(bits, dtype=np.float64)
+    return hit[1]
 
 
 def dist_interval(a, b):

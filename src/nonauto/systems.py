@@ -278,16 +278,20 @@ _BLOCK_CACHE: dict = {}
 
 
 def _block_walk(name: str, n: int) -> MapSpec:
-    # Grow the cached blocks until the one containing n exists, then find it
-    # by bisecting on the block end indices.
-    fn = BLOCK_GENERATORS[name]
-    ends, blocks = _BLOCK_CACHE.setdefault(name, ([], []))
-    while not ends or ends[-1] < n:
-        block = tuple(fn(len(blocks) + 1))
-        if not block:
-            raise ValueError(f"generator {name!r} produced an empty block")
-        ends.append((ends[-1] if ends else 0) + len(block))
-        blocks.append(block)
+    # Find the block containing n by bisecting on the block end indices,
+    # growing the cached blocks first when they do not reach n yet.
+    cached = _BLOCK_CACHE.get(name)
+    if cached is None or cached[0][-1] < n:
+        fn = BLOCK_GENERATORS[name]
+        ends, blocks = cached or ([], [])
+        while not ends or ends[-1] < n:
+            block = tuple(fn(len(blocks) + 1))
+            if not block:
+                raise ValueError(f"generator {name!r} produced an empty block")
+            ends.append((ends[-1] if ends else 0) + len(block))
+            blocks.append(block)
+        cached = _BLOCK_CACHE[name] = ends, blocks
+    ends, blocks = cached
     r = bisect_left(ends, n)
     return blocks[r][n - (ends[r] - len(blocks[r])) - 1]
 
@@ -473,6 +477,19 @@ class CommutationError(ValueError):
             f"disagreement {gap:.3g} at x = {x!r}")
 
 
+@lru_cache(maxsize=4096)
+def _commutation_failure(space, f: MapSpec, g: MapSpec):
+    """The first point (p, gap) of the grid where f and g fail to commute,
+    or None. The grid is 17 even points plus both maps' breakpoints; the
+    answer depends only on the maps, so each pair is checked once."""
+    grid = set(grid_points(0.0, 1.0, 17)) | set(breakpoints(f))
+    for p in sorted(grid | set(breakpoints(g))):
+        gap = distance(space, apply(f, apply(g, p)), apply(g, apply(f, p)))
+        if gap > COMMUTE_TOL:
+            return p, gap
+    return None
+
+
 @dataclass(frozen=True)
 class ShadowBoundRecord:
     x: object
@@ -494,15 +511,10 @@ def shadow_bound_check(seq: MapSequence, f: MapSpec, x, n: int,
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     space = seq.space or map_space(f) or CIRCLE
-    grid = grid_points(0.0, 1.0, 17)
-    grid += [b for b in breakpoints(f)]
     for i in range(1, n + k + 1):
-        g = map_at(seq, i)
-        grid_i = sorted(set(grid) | set(breakpoints(g)))
-        for p in grid_i:
-            gap = distance(space, apply(f, apply(g, p)), apply(g, apply(f, p)))
-            if gap > COMMUTE_TOL:
-                raise CommutationError(i, p, gap)
+        failure = _commutation_failure(space, f, map_at(seq, i))
+        if failure is not None:
+            raise CommutationError(i, *failure)
     mid = prefix_compose(seq, n, x)
     true_pt = prefix_compose(seq, n + k, x)
     shadow = mid

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nonauto import spaces
 from nonauto.spaces import (
     CIRCLE,
     DEDUP_TOL,
@@ -158,6 +159,23 @@ class TestSymbolicMetric:
         by = np.asarray(y.bits, dtype=np.float64)[y.origin - w:y.origin + w + 1]
         expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
         assert dist_symbolic(x, y).hex() == expect.hex()
+
+    def test_window_arrays_follow_the_points(self):
+        # every point has its own bits tuple and is dropped on the next
+        # pass, so freed ids come back; the array cache must never serve a
+        # stale array for a reused id, and stays within its bound
+        y = make_symbolic({0: 1, -3: 1}, radius=20)
+        for i in range(6000):
+            x = make_symbolic({i % 41 - 20: 1, (7 * i) % 41 - 20: 1},
+                              radius=20).shifted(i % 5 - 2)
+            w = min(x.radius, y.radius)
+            bx = np.asarray(x.bits, dtype=np.float64)[x.origin - w:
+                                                       x.origin + w + 1]
+            by = np.asarray(y.bits, dtype=np.float64)[y.origin - w:
+                                                       y.origin + w + 1]
+            expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
+            assert dist_symbolic(x, y) == expect, i
+            assert len(spaces._BITS_ARRAYS) <= 4096
 
     def test_shift_moves_coordinates(self):
         x = make_symbolic({2: 1})

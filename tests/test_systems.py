@@ -9,6 +9,7 @@ from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
     SYMBOLIC,
+    distance,
     grid_points,
     make_symbolic,
     metric_ball,
@@ -462,6 +463,74 @@ class TestShadowBound:
     def test_noncommuting_rejected(self):
         with pytest.raises(CommutationError):
             shadow_bound_check(cyclic_sequence([F1]), rotation(0.25), 0.1, 1, 1)
+
+
+def loop_shadow_bound_check(seq, f, x, n, k):
+    # Transcription of shadow_bound_check before the commutation check was
+    # memoised per map: every map 1..n+k is re-checked on its grid each call.
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    space = seq.space or map_space(f) or CIRCLE
+    grid = grid_points(0.0, 1.0, 17)
+    grid += [b for b in breakpoints(f)]
+    for i in range(1, n + k + 1):
+        g = map_at(seq, i)
+        grid_i = sorted(set(grid) | set(breakpoints(g)))
+        for p in grid_i:
+            gap = distance(space, apply(f, apply(g, p)), apply(g, apply(f, p)))
+            if gap > systems.COMMUTE_TOL:
+                raise CommutationError(i, p, gap)
+    mid = prefix_compose(seq, n, x)
+    true_pt = prefix_compose(seq, n + k, x)
+    shadow = mid
+    for _ in range(k):
+        shadow = apply(f, shadow)
+    lhs = distance(space, true_pt, shadow)
+    rhs = 0.0
+    for i in range(n + 1, n + k + 1):
+        rhs += sup_metric(map_at(seq, i), f)
+    return systems.ShadowBoundRecord(x=x, n=n, k=k, lhs=lhs, rhs=rhs,
+                                     ok=lhs <= rhs + systems.COMMUTE_TOL)
+
+
+class TestMemoisedCommutation:
+    # maps 1 and 2 commute with the reference rotation; map 3 is the first
+    # that does not
+    SEQ = explicit_sequence([rotation(0.125), rotation(0.375), F1, F2],
+                            tail="hold", space=CIRCLE)
+
+    def raised(self, check, n, k):
+        with pytest.raises(CommutationError) as info:
+            check(self.SEQ, rotation(0.25), 0.1, n, k)
+        err = info.value
+        return err.index, err.x, err.gap, str(err)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (1, 3), (4, 2)])
+    def test_error_matches_loop_fresh_and_cached(self, n, k):
+        systems._commutation_failure.cache_clear()
+        want = self.raised(loop_shadow_bound_check, n, k)
+        assert want[0] == 3
+        assert self.raised(shadow_bound_check, n, k) == want
+        assert systems._commutation_failure.cache_info().currsize > 0
+        hits = systems._commutation_failure.cache_info().hits
+        assert self.raised(shadow_bound_check, n, k) == want
+        assert systems._commutation_failure.cache_info().hits > hits
+
+    def test_commuting_prefix_passes(self):
+        rec = shadow_bound_check(self.SEQ, rotation(0.25), 0.1, 1, 1)
+        assert rec == loop_shadow_bound_check(self.SEQ, rotation(0.25), 0.1,
+                                              1, 1)
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
+                     allow_nan=False),
+           st.integers(min_value=0, max_value=50),
+           st.integers(min_value=1, max_value=20),
+           st.sampled_from([0.0, 0.25, 2.0 ** -5]))
+    @settings(max_examples=60, deadline=None)
+    def test_records_equal_loop(self, x, n, k, c):
+        seq, f = summable_rotations(40), rotation(c)
+        assert (shadow_bound_check(seq, f, x, n, k)
+                == loop_shadow_bound_check(seq, f, x, n, k))
 
 
 class TestFeebleOpenProbe:
