@@ -338,7 +338,7 @@ def _curated_suite(h=200):
 
 HEREDITARY_SEED = 20260816
 HEREDITARY_ROWS = 10 ** 5
-HEREDITARY_CHUNK = 1000
+HEREDITARY_CHUNK = 500
 HEREDITARY_WIDTH = 200
 
 
@@ -512,7 +512,8 @@ def _check_metric_suite():
                    for _ in range(rng.randint(0, 10))}
         return make_symbolic(support)
 
-    sym_triples = [(sym_point(), sym_point(), sym_point()) for _ in range(n)]
+    # streamed: nothing else draws from rng until the triples are used up
+    sym_triples = ((sym_point(), sym_point(), sym_point()) for _ in range(n))
     bad["symbolic"] = _axiom_failures(dist_symbolic, sym_triples)
 
     def subset():

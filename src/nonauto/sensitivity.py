@@ -47,9 +47,14 @@ HYPERSPACE_CARDINALITY_BOUND = 3
 BLOCK_ROWS = 256
 
 
+@lru_cache(maxsize=None)
 def _pair_indices(count: int):
+    """Pair order for ``count`` sample points, shared read-only by every
+    scan of that count: cached scans live for the whole process."""
     i, j = np.triu_indices(count, k=1)
-    return i.astype(np.intp), j.astype(np.intp)
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 class RegionScan:
@@ -157,10 +162,16 @@ def _scan(seq: MapSequence, sample, horizon: int, space) -> RegionScan:
     return _scan_orbits(seq, sample, horizon, space)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def region_scan(seq: MapSequence, region: Region, horizon: int,
                 resolution: int) -> RegionScan:
-    """Shared scan cache: every probe mode and delta reuses one orbit pass."""
+    """Shared scan cache: every probe mode and delta reuses one orbit pass.
+
+    The cache has no size bound, so each key is built once and its scan
+    lives for the rest of the process. Scans keep only compact data (orbits
+    or the pair × shift table, the summary, shared pair indices), which is
+    what makes keeping all of them affordable.
+    """
     sample = sample_region(region, resolution)
     if len(sample) < 2:
         raise ValueError(f"region sample is degenerate "

@@ -41,8 +41,9 @@ def test_every_check_is_covered():
     assert len(CRITERION_KEYS) == 10
 
 
-# The details text the two brute-force checks print, as computed by the
-# one-draw-per-call and two-oracle-pass versions of the checks.
+# The details text the brute-force checks print, as computed by the
+# one-draw-per-call and two-oracle-pass versions of the checks and by the
+# metric suite that built its symbolic triples as one list.
 PINNED_DETAILS = {
     "family-classifiers": (
         "exhaustive window 16: 0 classifier mismatches over 65536 subsets; "
@@ -51,12 +52,32 @@ PINNED_DETAILS = {
     "perturbation-bound": (
         "0 bound failures over 1000 sampled (x, n, k); summable tail "
         "S_1000=1.0 converged=True; harmonic converged=False"),
+    "metric-suite": (
+        "axiom failures per space {'interval': 0, 'circle': 0, "
+        "'symbolic': 0, 'subsets': 0}; covering equivalence breaks 0; "
+        "window enlargement breaks 0; 10000 samples each"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_DETAILS))
 def test_details_text_pinned(key):
     assert results()[key].details == PINNED_DETAILS[key]
+
+
+def test_metric_suite_takes_the_same_draws(monkeypatch):
+    # streaming the symbolic triples must leave random.Random(5150) where
+    # the list-built triples left it: the next draw is pinned
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(acceptance.random, "Random", Recording)
+    assert acceptance._check_metric_suite()[0]
+    assert len(made) == 1
+    assert made[0].random() == 0.14303450423396746
 
 
 def per_call_rows(rng, rows):
@@ -130,8 +151,10 @@ class TestHereditaryDraws:
         return per_call_rows(random.Random(20260816), self.ROWS)
 
     # 333 splits the rows into seven blocks, the last one short, so the
-    # unused draws carry across six block boundaries
-    @pytest.mark.parametrize("chunk", [333, 1000, 1, 4096])
+    # unused draws carry across six block boundaries; the shipped block size
+    # is always among those tested
+    @pytest.mark.parametrize("chunk", list(dict.fromkeys(
+        [333, 1000, 1, 4096, acceptance.HEREDITARY_CHUNK])))
     def test_bulk_rows_equal_per_call_loop(self, reference, chunk):
         small, big = bulk_rows(random.Random(20260816), self.ROWS, chunk)
         want_small, want_big = reference

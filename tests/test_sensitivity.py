@@ -626,6 +626,48 @@ class TestScanMachinery:
         b = region_scan(named.sequence, region, 50, 8)
         assert a is b
 
+    @pytest.fixture
+    def empty_scan_cache(self):
+        region_scan.cache_clear()
+        yield
+        region_scan.cache_clear()
+
+    def test_no_scan_is_built_twice(self, monkeypatch, empty_scan_cache):
+        # more distinct scans than the old 128-entry bound held, then the
+        # first again: it must come from the cache without one orbit step
+        seq = registry.build("example41_composition").sequence
+        regions = [metric_ball(INTERVAL, 0.1 + k / 200, 0.01)
+                   for k in range(150)]
+        first = region_scan(seq, regions[0], 5, 4)
+        for region in regions[1:]:
+            region_scan(seq, region, 5, 4)
+        assert region_scan.cache_info().misses == len(regions) > 128
+        calls = TestTracedCallPattern.install(monkeypatch, systems.orbit)
+        assert region_scan(seq, regions[0], 5, 4) is first
+        assert calls["orbit"] == 0
+        assert region_scan.cache_info().misses == len(regions)
+
+    def test_pair_indices_shared_and_read_only(self):
+        pi, pj = sensitivity._pair_indices(7)
+        again = sensitivity._pair_indices(7)
+        assert again[0] is pi and again[1] is pj
+        want_i, want_j = np.triu_indices(7, 1)
+        assert pi.dtype == pj.dtype == np.intp
+        assert np.array_equal(pi, want_i.astype(np.intp))
+        assert np.array_equal(pj, want_j.astype(np.intp))
+        for a in (pi, pj):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_scans_share_pair_indices_by_sample_count(self):
+        seq = registry.build("example41_composition").sequence
+        a = region_scan(seq, metric_ball(INTERVAL, 0.3, 0.05), 5, 4)
+        b = region_scan(seq, metric_ball(INTERVAL, 0.6, 0.05), 7, 4)
+        c = region_scan(seq, metric_ball(INTERVAL, 0.3, 0.05), 5, 8)
+        assert len(a.sample) == len(b.sample) != len(c.sample)
+        assert a.pi is b.pi and a.pj is b.pj
+        assert c.pi is not a.pi and c.pj is not a.pj
+
     @pytest.mark.parametrize("name, region", [
         ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
         ("rotations_harmonic", metric_ball(CIRCLE, 0.97, 0.05)),
