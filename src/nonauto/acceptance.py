@@ -173,25 +173,32 @@ def _check_shift_blocks():
 # 4. doubled-time embedding
 
 
+def _embedding_counts(coarse, fine, k, delta, cover, horizon):
+    """Scan each region of the cover in the coarse system to ``horizon`` and
+    in the fine one to k times that. Returns (hits checked, hits missing at
+    k times, witness separations not bitwise equal)."""
+    checked = violations = mismatches = 0
+    for region in cover:
+        sc = region_scan(coarse, region, horizon, 64)
+        sf = region_scan(fine, region, k * horizon, 64)
+        hits_f = set(sf.times(delta).indices)
+        for n in sc.times(delta).indices:
+            checked += 1
+            if k * n not in hits_f:
+                violations += 1
+            if sc.max_series[n] != sf.max_series[k * n]:
+                mismatches += 1
+    return checked, violations, mismatches
+
+
 def _check_generated_embedding():
     """Every hit of the composed cycle reappears at doubled time in the
     alternating system, with bitwise equal witness separations."""
     comp = build("example41_composition").sequence
     gen = build("example41_generated").sequence
     cover = default_cover("interval-balls")
-    checked = 0
-    violations = 0
-    mismatches = 0
-    for region in cover:
-        sc = region_scan(comp, region, 200, 64)
-        sg = region_scan(gen, region, 400, 64)
-        hits_g = set(sg.times(0.2).indices)
-        for m in sc.times(0.2).indices:
-            checked += 1
-            if 2 * m not in hits_g:
-                violations += 1
-            if sc.max_series[m] != sg.max_series[2 * m]:
-                mismatches += 1
+    checked, violations, mismatches = _embedding_counts(
+        comp, gen, 2, 0.2, cover, 200)
     ok = checked > 0 and violations == 0 and mismatches == 0
     details = (f"{checked} hit times across {len(cover)} regions; "
                f"{violations} missing at doubled time; {mismatches} witness "
@@ -208,24 +215,13 @@ def _check_iterate_embedding():
     system, exactly."""
     cases = [("example41_generated", 0.2, "interval-balls", 100),
              ("example31", 0.5, "cylinders", 400)]
-    checked = 0
-    violations = 0
-    mismatches = 0
+    runs = []
     for name, delta, cover_kind, h_it in cases:
         seq = build(name).sequence
         cover = default_cover(cover_kind)
-        for k in (2, 3):
-            it_seq = kth_iterate(seq, k)
-            for region in cover:
-                si = region_scan(it_seq, region, h_it, 64)
-                sb = region_scan(seq, region, k * h_it, 64)
-                hits_b = set(sb.times(delta).indices)
-                for n in si.times(delta).indices:
-                    checked += 1
-                    if k * n not in hits_b:
-                        violations += 1
-                    if si.max_series[n] != sb.max_series[k * n]:
-                        mismatches += 1
+        runs += [_embedding_counts(kth_iterate(seq, k), seq, k, delta, cover,
+                                   h_it) for k in (2, 3)]
+    checked, violations, mismatches = map(sum, zip(*runs))
     ok = checked > 0 and violations == 0 and mismatches == 0
     details = (f"{checked} iterate hit times over k in {{2, 3}}; "
                f"{violations} missing at multiplied time; {mismatches} "

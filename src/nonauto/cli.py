@@ -82,16 +82,22 @@ def _parse_cover(spec, space):
                      f"ball region {i} needs center and radius")
             _require(space in (INTERVAL, CIRCLE),
                      "ball regions need an interval or circle system")
-            regions.append(metric_ball(space, float(rd["center"]),
-                                       float(rd["radius"]), label=label))
         elif kind == "cylinder":
             _require(isinstance(rd.get("constraints"), dict),
                      f"cylinder region {i} needs a constraints object")
-            constraints = {int(j): int(v)
-                           for j, v in rd["constraints"].items()}
-            regions.append(cylinder_region(constraints, label=label))
         else:
             raise ConfigError(f"unknown region kind {kind!r} in cover")
+        try:
+            if kind == "ball":
+                region = metric_ball(space, float(rd["center"]),
+                                     float(rd["radius"]), label=label)
+            else:
+                region = cylinder_region(
+                    {int(j): int(v) for j, v in rd["constraints"].items()},
+                    label=label)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad cover entry {i}: {exc}") from exc
+        regions.append(region)
     return tuple(regions)
 
 
@@ -134,7 +140,10 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
         deltas = list(named.params.deltas)
     else:
         raise ConfigError("config needs 'delta' or 'deltas'")
-    deltas = tuple(float(d) for d in deltas)
+    try:
+        deltas = tuple(float(d) for d in deltas)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad delta: {exc}") from exc
     _require(all(d > 0 for d in deltas), "every delta must be positive")
 
     family = None
@@ -149,12 +158,13 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
 
     default_h = named.params.horizon if named else None
     horizon = raw.get("horizon", default_h)
-    _require(isinstance(horizon, int) and horizon >= 1,
+    # exact type: JSON true and false load as bool, a subclass of int
+    _require(type(horizon) is int and horizon >= 1,
              "config needs an integer horizon >= 1")
 
     default_r = named.params.resolution if named else 64
     resolution = raw.get("resolution", default_r)
-    _require(isinstance(resolution, int) and resolution >= 2,
+    _require(type(resolution) is int and resolution >= 2,
              "resolution must be an integer >= 2")
 
     cover_spec = raw.get("cover")

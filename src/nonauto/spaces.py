@@ -4,12 +4,13 @@ Four kinds of points move through the rest of the package: floats on the
 unit interval, floats on the unit circle, two-sided binary sequences with a
 finite sampled window, and finite subsets of any of those. Every consumer
 goes through ``distance`` so the choice of metric lives here and nowhere
-else.
+else. A sequence point carries its window as an array, so the metric keeps
+no cache of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -47,10 +48,14 @@ class SymbolicPoint:
     ``bits`` stores coordinates ``-origin .. len(bits)-1-origin``; anything
     outside the stored window reads as 0. Shifting moves the origin, not the
     bits, so iteration is O(1) and points from a common orbit share storage.
+    ``window`` holds the same bits as a read-only bool array, built once by
+    ``make_symbolic`` and shared by every shift, so distances slice it
+    without a conversion; it takes no part in equality, hashing or repr.
     """
 
     bits: tuple
     origin: int
+    window: np.ndarray = field(compare=False, repr=False)
 
     def coord(self, j: int) -> int:
         k = self.origin + j
@@ -60,7 +65,7 @@ class SymbolicPoint:
 
     def shifted(self, k: int) -> "SymbolicPoint":
         # shifted(1).coord(j) == coord(j+1): the left shift.
-        return SymbolicPoint(self.bits, self.origin + k)
+        return SymbolicPoint(self.bits, self.origin + k, self.window)
 
     @property
     def radius(self) -> int:
@@ -85,28 +90,15 @@ def make_symbolic(assignments: dict | None = None, radius: int = WINDOW_RADIUS,
         if v not in (0, 1):
             raise ValueError(f"coordinate value must be 0 or 1, got {v!r}")
         bits[radius + j] = v
-    return SymbolicPoint(tuple(bits), radius)
+    window = np.array(bits, dtype=bool)
+    window.flags.writeable = False
+    return SymbolicPoint(tuple(bits), radius, window)
 
 
 @lru_cache(maxsize=None)
 def _weights(window: int) -> np.ndarray:
     j = np.arange(-window, window + 1)
     return 0.5 ** np.abs(j).astype(np.float64)
-
-
-# id(bits) -> (bits, its float array). Keying by id skips hashing the whole
-# tuple on every lookup; holding the tuple keeps its id from being reused.
-_BITS_ARRAYS: dict = {}
-_BITS_ARRAYS_MAX = 4096
-
-
-def _bits_array(bits: tuple) -> np.ndarray:
-    hit = _BITS_ARRAYS.get(id(bits))
-    if hit is None:
-        if len(_BITS_ARRAYS) >= _BITS_ARRAYS_MAX:
-            _BITS_ARRAYS.clear()
-        hit = _BITS_ARRAYS[id(bits)] = bits, np.asarray(bits, dtype=np.float64)
-    return hit[1]
 
 
 def dist_interval(a, b):
@@ -135,9 +127,8 @@ def dist_symbolic(x: SymbolicPoint, y: SymbolicPoint) -> float:
     w = min(ox, len(x.bits) - 1 - ox, oy, len(y.bits) - 1 - oy)
     if w < MIN_COMMON_RADIUS:
         raise ValueError("points have drifted past their sampled windows")
-    diff = (_bits_array(x.bits)[ox - w:ox + w + 1]
-            - _bits_array(y.bits)[oy - w:oy + w + 1])
-    return float(np.abs(diff, out=diff) @ _weights(w))
+    differ = x.window[ox - w:ox + w + 1] != y.window[oy - w:oy + w + 1]
+    return float(differ @ _weights(w))
 
 
 def symbolic_truncation_bound(x: SymbolicPoint, y: SymbolicPoint) -> float:

@@ -6,7 +6,9 @@ circle rotations, and compositions of those. A MapSequence produces the
 map acting at each time step n >= 1; orbits always use the prefix
 composition (apply map 1, then map 2, and so on). Each map is compiled
 once into ``MapSpec.step``, a plain one-argument function with its tables
-and offsets bound in; ``apply`` and ``orbit`` call it directly.
+and offsets bound in; ``apply`` and ``orbit`` call it directly. Block-
+structured and k-th iterate sequences keep the maps they have built in a
+list on the sequence itself, grown in order, so ``map_at`` is an index.
 
 Everything here is exact in the sense that matters downstream: piecewise
 slopes are small integers evaluated once per step, shifts move an origin
@@ -16,7 +18,7 @@ bitwise equal points.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -257,6 +259,9 @@ class MapSequence:
     block-structured: a registered generator emits block r for r = 1, 2, ...
         and time indices walk the concatenated blocks.
     kth-iterate: map n is the composition of maps k(n-1)+1 .. kn of base.
+
+    The last two build each map once per sequence object: generator blocks
+    are appended whole, iterates one composition at a time.
     """
 
     rule: str
@@ -268,32 +273,28 @@ class MapSequence:
     k: int = 1
 
     @cached_property
-    def _iterates(self) -> dict:
-        # kth-iterate: map index -> its composition, built once per index
-        return {}
+    def _built(self) -> _Built:
+        # maps 1 .. len of a block-structured or kth-iterate sequence
+        return _Built()
 
 
-# generator name -> (end index of each block so far, the blocks)
-_BLOCK_CACHE: dict = {}
+class _Built(list):
+    blocks = 0  # generator blocks appended so far
 
 
-def _block_walk(name: str, n: int) -> MapSpec:
-    # Find the block containing n by bisecting on the block end indices,
-    # growing the cached blocks first when they do not reach n yet.
-    cached = _BLOCK_CACHE.get(name)
-    if cached is None or cached[0][-1] < n:
-        fn = BLOCK_GENERATORS[name]
-        ends, blocks = cached or ([], [])
-        while not ends or ends[-1] < n:
-            block = tuple(fn(len(blocks) + 1))
-            if not block:
-                raise ValueError(f"generator {name!r} produced an empty block")
-            ends.append((ends[-1] if ends else 0) + len(block))
-            blocks.append(block)
-        cached = _BLOCK_CACHE[name] = ends, blocks
-    ends, blocks = cached
-    r = bisect_left(ends, n)
-    return blocks[r][n - (ends[r] - len(blocks[r])) - 1]
+def _grow(seq: MapSequence, built: _Built) -> None:
+    """Append the next generator block, or the next k-th iterate."""
+    if seq.rule == "block-structured":
+        block = tuple(BLOCK_GENERATORS[seq.generator_name](built.blocks + 1))
+        if not block:
+            raise ValueError(
+                f"generator {seq.generator_name!r} produced an empty block")
+        built.extend(block)
+        built.blocks += 1
+    else:
+        n = len(built) + 1
+        built.append(composition(map_at(seq.base, seq.k * (n - 1) + i)
+                                 for i in range(1, seq.k + 1)))
 
 
 def map_at(seq: MapSequence, n: int) -> MapSpec:
@@ -309,15 +310,11 @@ def map_at(seq: MapSequence, n: int) -> MapSpec:
         if seq.tail == "identity":
             return _IDENTITY
         raise ValueError(f"unknown tail rule: {seq.tail!r}")
-    if seq.rule == "block-structured":
-        return _block_walk(seq.generator_name, n)
-    if seq.rule == "kth-iterate":
-        m = seq._iterates.get(n)
-        if m is None:
-            m = seq._iterates[n] = composition(
-                map_at(seq.base, seq.k * (n - 1) + i)
-                for i in range(1, seq.k + 1))
-        return m
+    if seq.rule in ("block-structured", "kth-iterate"):
+        built = seq._built
+        while len(built) < n:
+            _grow(seq, built)
+        return built[n - 1]
     raise ValueError(f"unknown sequence rule: {seq.rule!r}")
 
 

@@ -128,6 +128,24 @@ class TestExitCodes:
         })
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"deltas": ["abc"]},
+        {"delta": None},
+        {"cover": [{"center": 0.5, "radius": -1}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"x": 1}}]},
+        {"horizon": True},
+        {"resolution": True},
+    ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
+            "horizon-bool", "resolution-bool"])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
+        payload = {"system": "identity", "modes": ["sensitive"],
+                   "delta": 0.1, "horizon": 20, **overrides}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_check_name(self, capsys):
         assert main(["verify", "--only", "no-such-check"]) == 2
         assert "unknown check" in capsys.readouterr().err

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonauto import spaces
 from nonauto.spaces import (
     CIRCLE,
     DEDUP_TOL,
@@ -162,8 +161,8 @@ class TestSymbolicMetric:
 
     def test_window_arrays_follow_the_points(self):
         # every point has its own bits tuple and is dropped on the next
-        # pass, so freed ids come back; the array cache must never serve a
-        # stale array for a reused id, and stays within its bound
+        # pass, so freed ids come back; each distance must read the
+        # windows of the points it is given
         y = make_symbolic({0: 1, -3: 1}, radius=20)
         for i in range(6000):
             x = make_symbolic({i % 41 - 20: 1, (7 * i) % 41 - 20: 1},
@@ -175,7 +174,19 @@ class TestSymbolicMetric:
                                                        y.origin + w + 1]
             expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
             assert dist_symbolic(x, y) == expect, i
-            assert len(spaces._BITS_ARRAYS) <= 4096
+
+    def test_window_is_shared_and_read_only(self):
+        p = make_symbolic({0: 1, 3: 1}, radius=12)
+        q = p.shifted(2).shifted(-5)
+        assert q.window is p.window
+        assert p.window.tolist() == [bool(b) for b in p.bits]
+        with pytest.raises(ValueError):
+            q.window[0] = True
+        # the array takes no part in equality, hashing or repr
+        twin = make_symbolic({0: 1, 3: 1}, radius=12)
+        assert twin.window is not p.window
+        assert twin == p and hash(twin) == hash(p)
+        assert repr(twin) == repr(p) and "window" not in repr(p)
 
     def test_shift_moves_coordinates(self):
         x = make_symbolic({2: 1})

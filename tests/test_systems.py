@@ -320,10 +320,44 @@ class TestBlocks:
         with pytest.raises(ValueError):
             systems.block_sequence("no-such-generator")
 
+    def test_empty_block_raises_every_time(self):
+        systems.register_block_generator("unit-test-empty", empty_third_block)
+        s = systems.block_sequence("unit-test-empty", space=CIRCLE)
+        assert map_at(s, 4) == rotation(2 / 64)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^generator "
+                               r"'unit-test-empty' produced an empty block$"):
+                map_at(s, 5)
+        assert map_at(s, 1) == rotation(1 / 64)
+
+    def test_separate_sequences_and_iterates_agree(self):
+        systems.register_block_generator("unit-test-distinct", distinct_block)
+        first, second = (systems.block_sequence("unit-test-distinct",
+                                                space=CIRCLE)
+                         for _ in range(2))
+        flat = [m for r in range(1, 12) for m in distinct_block(r)]
+        forward = list(range(1, len(flat) + 1))
+        for seq in (first, second):
+            for n in forward + forward[::-1]:
+                assert map_at(seq, n) == flat[n - 1], n
+        third = kth_iterate(first, 3)
+        forward = list(range(1, len(flat) // 3 + 1))
+        for n in forward + forward[::-1]:
+            assert map_at(third, n) == composition(flat[3 * n - 3:3 * n]), n
+        # asked for its last map first, a fresh sequence builds every
+        # earlier block in one call
+        fresh = systems.block_sequence("unit-test-distinct", space=CIRCLE)
+        assert map_at(fresh, len(flat)) == flat[-1]
+        assert [map_at(fresh, n) for n in range(1, len(flat) + 1)] == flat
+
 
 def distinct_block(r):
     # block r has r + (r % 3) maps and no map repeats anywhere in the sequence
     return tuple(rotation(r / 64 + i / 4096) for i in range(r + r % 3))
+
+
+def empty_third_block(r):
+    return (rotation(r / 64),) * (0 if r == 3 else 2)
 
 
 class TestKthIterate:
