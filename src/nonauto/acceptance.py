@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .spaces import (
     dist_symbolic,
     finite_subset,
     grid_points,
-    hausdorff,
+    hausdorff_array,
     make_symbolic,
 )
 from .systems import (
@@ -291,32 +292,44 @@ def _check_weak_strong_agreement():
 # 8. family classifiers
 
 
-def _brute_infinite(idx, h, min_count, tail_fraction):
-    return (len(idx) >= min_count
-            and any(n > (1 - tail_fraction) * h for n in idx))
+def _popcount(masks, h):
+    return sum((masks >> j) & 1 for j in range(h))
 
 
-def _brute_cofinite(idx, h, max_missing):
-    present = set(idx)
-    missing = h - len(present)
-    suffix = range(max(1, h - max_missing + 1), h + 1)
-    return missing <= max_missing and all(n in present for n in suffix)
+def _mask_infinite(masks, h, min_count, tail_fraction):
+    """At least ``min_count`` times present, one of them in the tail. Bit
+    j of a mask is time j + 1, here and in the two rules below."""
+    tail = sum(1 << (n - 1) for n in range(1, h + 1)
+               if n > (1 - tail_fraction) * h)
+    return (_popcount(masks, h) >= min_count) & ((masks & tail) != 0)
 
 
-def _brute_syndetic(idx, h, max_gap):
-    # runs-of-absent formulation: no absent run longer than allowed
-    if not idx:
-        return h <= max_gap
-    runs = []
-    prev = 0
-    for n in idx:
-        runs.append(n - prev - 1)
-        prev = n
-    lead = runs[0] if runs else 0
-    trail = h - idx[-1]
-    internal = runs[1:]
-    return (lead <= max_gap and trail <= max_gap
-            and all(r <= max_gap - 1 for r in internal))
+def _mask_cofinite(masks, h, max_missing):
+    """At most ``max_missing`` times absent, and the last ``max_missing``
+    all present."""
+    suffix = sum(1 << (n - 1)
+                 for n in range(max(1, h - max_missing + 1), h + 1))
+    return ((h - _popcount(masks, h) <= max_missing)
+            & ((masks & suffix) == suffix))
+
+
+def _mask_syndetic(masks, h, max_gap):
+    """Runs of absent times: the lead and trail runs at most ``max_gap``
+    long, each internal run at most ``max_gap - 1``. The empty set passes
+    only when the whole window is one allowed lead run."""
+    absent = ~masks & ((1 << h) - 1)
+    ok = np.ones(masks.shape, dtype=bool)
+    if max_gap < h:
+        ok &= (masks & ((1 << (max_gap + 1)) - 1)) != 0    # lead run
+        ok &= (masks >> (h - max_gap - 1)) != 0            # trail run
+    # an internal run of L absent times: present at bit p and p + L + 1,
+    # absent at p + 1 .. p + L
+    for run in range(max_gap, h - 1):
+        found = masks & (masks >> (run + 1))
+        for k in range(1, run + 1):
+            found &= absent >> k
+        ok &= found == 0
+    return ok
 
 
 def _curated_suite(h=200):
@@ -387,30 +400,26 @@ def _check_family_classifiers():
     subset of a short window, stay hereditary upwards on sampled pairs, and
     the intersection-closure probe splits as expected.
 
-    Each brute-force predicate runs once per subset; the dual's row is
-    checked against the negated predicate of the complement, which is the
-    subset at the mirrored mask. The hereditary pairs come from
+    The direct predicates are evaluated once, on all 2**16 masks as
+    integers (``_mask_*``), from each predicate's own terms: counts, tail
+    and suffix bits, runs of absent times; the dual's row is checked
+    against the negated predicate of the complement, which is the subset
+    at the mirrored mask. The hereditary pairs come from
     ``random.Random(20260816)`` in bulk (``_hereditary_rows``): the same
     stream and the same draws as one ``random()`` call per bit.
     """
     h = 16
-    fams = [(infinite_family(4, 0.25),
-             lambda idx: _brute_infinite(idx, h, 4, 0.25)),
-            (cofinite_family(3), lambda idx: _brute_cofinite(idx, h, 3)),
-            (syndetic_family(3), lambda idx: _brute_syndetic(idx, h, 3))]
-    windows = ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1).astype(bool)
-    subsets = (tuple(j + 1 for j in range(h) if mask >> j & 1)
-               for mask in range(2 ** h))
-    truth = np.fromiter((brute(idx) for idx in subsets for _, brute in fams),
-                        dtype=bool, count=len(fams) * 2 ** h)
-    truth = truth.reshape(2 ** h, len(fams))
+    masks = np.arange(2 ** h)
+    truth = [(infinite_family(4, 0.25), _mask_infinite(masks, h, 4, 0.25)),
+             (cofinite_family(3), _mask_cofinite(masks, h, 3)),
+             (syndetic_family(3), _mask_syndetic(masks, h, 3))]
+    windows = ((masks[:, None] >> np.arange(h)) & 1).astype(bool)
     mismatches = 0
-    for c, (fam, _) in enumerate(fams):
-        # the complement of mask m is mask (2**h - 1) - m: truth read backwards
+    for fam, want in truth:
+        # the complement of mask m is mask (2**h - 1) - m: want read backwards
+        mismatches += int(np.count_nonzero(member_rows(fam, windows) != want))
         mismatches += int(np.count_nonzero(
-            member_rows(fam, windows) != truth[:, c]))
-        mismatches += int(np.count_nonzero(
-            member_rows(dual(fam), windows) != ~truth[::-1, c]))
+            member_rows(dual(fam), windows) != ~want[::-1]))
 
     hered_fams = [infinite_family(), cofinite_family(), syndetic_family(),
                   dual(infinite_family())]
@@ -471,59 +480,76 @@ def _check_perturbation_bound():
 # 10. metric suite
 
 
-def _axiom_failures(d_fn, triples):
-    bad = 0
-    for x, y, z in triples:
-        dxy = d_fn(x, y)
-        if dxy < 0 or d_fn(x, x) != 0.0 or d_fn(y, x) != dxy:
-            bad += 1
-        elif d_fn(x, z) > dxy + d_fn(y, z) + TRIANGLE_SLACK:
-            bad += 1
-    return bad
+def _triple_distances(d_fn, x, y, z):
+    """The distances the axioms read, in ``_axiom_failures``' order."""
+    return d_fn(x, y), d_fn(x, x), d_fn(y, x), d_fn(x, z), d_fn(y, z)
 
 
-def _mutual_cover(a, b, eps):
-    da = all(min(distance(a.space, p, q) for q in b.elements) <= eps
-             for p in a.elements)
-    db = all(min(distance(a.space, p, q) for p in a.elements) <= eps
-             for q in b.elements)
-    return da and db
+def _axiom_failures(dxy, dxx, dyx, dxz, dyz):
+    """Triples that break a metric axiom, from one array per distance:
+    each triple counts once, whichever axioms it breaks."""
+    bad = ((dxy < 0) | (dxx != 0.0) | (dyx != dxy)
+           | (dxz > dxy + dyz + TRIANGLE_SLACK))
+    return int(np.count_nonzero(bad))
+
+
+def _mutual_cover(space, a, b, eps):
+    """Per row of (rows, width) element arrays: every element of ``a`` lies
+    within ``eps`` of some element of ``b``, and every element of ``b``
+    within ``eps`` of some element of ``a``."""
+    near = distance(space, a[:, :, None], b[:, None, :]) <= eps[:, None, None]
+    return near.any(axis=2).all(axis=1) & near.any(axis=1).all(axis=1)
+
+
+SUBSET_WIDTH = 4
 
 
 def _check_metric_suite():
     """Metric axioms per space, Hausdorff mutual-covering equivalence, and
-    window-enlargement stability of the sequence metric."""
+    window-enlargement stability of the sequence metric.
+
+    Every axiom and the covering test run on arrays: interval and circle
+    triples through the array form of ``distance``, subsets of 1 to 4
+    elements padded to width 4 (by repeating their first element) through
+    ``hausdorff_array``.
+    Symbolic distances stay scalar ``dist_symbolic`` calls, stored as each
+    triple is drawn. The draws from ``random.Random(5150)`` are the same,
+    in the same order, as drawing each triple as objects.
+    """
     rng = random.Random(5150)
     n = GRID_POINTS
     bad = {}
 
-    triples = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
-    bad["interval"] = _axiom_failures(
-        lambda a, b: distance(INTERVAL, a, b), triples)
-    bad["circle"] = _axiom_failures(
-        lambda a, b: distance(CIRCLE, a, b), triples)
+    x, y, z = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3).T
+    for space in (INTERVAL, CIRCLE):
+        bad[space] = _axiom_failures(
+            *_triple_distances(partial(distance, space), x, y, z))
 
     def sym_point():
         support = {rng.randint(-12, 12): 1
                    for _ in range(rng.randint(0, 10))}
         return make_symbolic(support)
 
-    # streamed: nothing else draws from rng until the triples are used up
-    sym_triples = ((sym_point(), sym_point(), sym_point()) for _ in range(n))
-    bad["symbolic"] = _axiom_failures(dist_symbolic, sym_triples)
+    sym = np.empty((5, n))
+    for t in range(n):
+        sym[:, t] = _triple_distances(dist_symbolic, sym_point(), sym_point(),
+                                      sym_point())
+    bad["symbolic"] = _axiom_failures(*sym)
 
-    def subset():
-        k = rng.randint(1, 4)
-        return finite_subset([rng.random() for _ in range(k)], INTERVAL)
+    subsets = np.empty((3, n, SUBSET_WIDTH))
+    for t in range(n):
+        for row in subsets[:, t]:
+            k = rng.randint(1, SUBSET_WIDTH)
+            elems = finite_subset([rng.random() for _ in range(k)],
+                                  INTERVAL).elements
+            row[:] = elems + elems[:1] * (SUBSET_WIDTH - len(elems))
+    dists = _triple_distances(partial(hausdorff_array, INTERVAL), *subsets)
+    bad["subsets"] = _axiom_failures(*dists)
 
-    subset_triples = [(subset(), subset(), subset()) for _ in range(n)]
-    bad["subsets"] = _axiom_failures(hausdorff, subset_triples)
-
-    cover_breaks = 0
-    for a, b, _ in subset_triples:
-        eps = rng.random()
-        if (hausdorff(a, b) <= eps) != _mutual_cover(a, b, eps):
-            cover_breaks += 1
+    eps = np.array([rng.random() for _ in range(n)])
+    cover_breaks = int(np.count_nonzero(
+        (dists[0] <= eps)
+        != _mutual_cover(INTERVAL, subsets[0], subsets[1], eps)))
 
     window_breaks = 0
     for _ in range(n):

@@ -77,6 +77,8 @@ def _parse_cover(spec, space):
         _require(isinstance(rd, dict), f"cover entry {i} is not an object")
         kind = rd.get("kind", "ball")
         label = rd.get("label", f"region-{i:02d}")
+        _require(isinstance(label, str),
+                 f"cover entry {i} label must be a string")
         if kind == "ball":
             _require("center" in rd and "radius" in rd,
                      f"ball region {i} needs center and radius")
@@ -97,6 +99,10 @@ def _parse_cover(spec, space):
                     label=label)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad cover entry {i}: {exc}") from exc
+        if kind == "ball" and space == INTERVAL:
+            _require(region.center + region.radius >= 0.0
+                     and region.center - region.radius <= 1.0,
+                     f"ball region {i} does not meet the interval [0, 1]")
         regions.append(region)
     return tuple(regions)
 
@@ -140,6 +146,9 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
         deltas = list(named.params.deltas)
     else:
         raise ConfigError("config needs 'delta' or 'deltas'")
+    # JSON true and false load as bool, which float() would take
+    _require(not any(isinstance(d, bool) for d in deltas),
+             "every delta must be a number, not true or false")
     try:
         deltas = tuple(float(d) for d in deltas)
     except (TypeError, ValueError) as exc:

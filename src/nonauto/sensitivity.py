@@ -10,9 +10,12 @@ Scans are organized so that one orbit computation per sample point serves
 every delta and every probe mode. Orbit points are produced by each map's
 compiled scalar ``step`` (``systems.MapSpec.step``); numpy only ever
 touches distances, so equal prefixes yield bitwise equal separations across
-probes (the embedding checks rely on this). A symbolic scan shifts every
-sample point once per distinct shift and fills that shift's table column
-with one ``dist_symbolic`` per pair.
+probes (the embedding checks rely on this). Numeric orbits are stored
+sample-major, (samples, horizon + 1, width), so a block of pair rows
+gathers whole contiguous orbits. A symbolic scan shifts every sample point
+once per distinct shift and fills that shift's table column with one
+``dist_symbolic`` per pair; its summary is taken per column and then read
+out at each time through the time -> column map.
 """
 
 from __future__ import annotations
@@ -61,39 +64,53 @@ class RegionScan:
     """Per-region orbit data: max pairwise separation at each time, the
     achieving pair, and pair separation rows on demand.
 
-    ``rows(a, b)`` returns the distances of pair rows a .. b-1, row r for
-    the pair ``(pi[r], pj[r])``, with one column per time 0 .. horizon.
+    ``stored(a, b)`` returns the distances of pair rows a .. b-1, row r for
+    the pair ``(pi[r], pj[r])``, over the columns the scan stores; ``cols``
+    maps each time 0 .. horizon to its column, and ``None`` means one column
+    per time. ``rows(a, b)`` expands stored rows to one column per time.
     ``max_series[n]`` is the largest sampled pair distance at time n; index
-    0 holds the initial spread. Delta enters only when slicing. The summary
-    walks ``BLOCK_ROWS`` rows at a time, never the whole pairs × times
-    table; a later block wins a time only with a strictly larger value, so
-    ties keep the first pair, as ``np.argmax`` does.
+    0 holds the initial spread. Delta enters only when slicing.
+
+    The summary takes max and argmax over the stored columns, then indexes
+    them by time: a time reads exactly its column, so this equals the
+    summary of the expanded table. It walks ``BLOCK_ROWS`` rows at a time,
+    never the whole table; a later block wins a column only with a strictly
+    larger value, so ties keep the first pair, as ``np.argmax`` does.
     """
 
-    def __init__(self, sample, horizon, pi, pj, rows, truncation_bound=None):
+    def __init__(self, sample, horizon, pi, pj, stored, cols=None,
+                 truncation_bound=None):
         self.sample = sample
         self.horizon = horizon
         self.pi, self.pj = pi, pj
-        self.rows = rows
-        top = np.full(horizon + 1, -np.inf)
-        best = np.zeros(horizon + 1, dtype=np.intp)
+        self.stored = stored
+        self.cols = cols
+        top, best = -np.inf, 0
         for a in range(0, len(pi), BLOCK_ROWS):
-            dists = rows(a, a + BLOCK_ROWS)
+            dists = stored(a, a + BLOCK_ROWS)
             arg = np.argmax(dists, axis=0)
             peak = np.take_along_axis(dists, arg[None], axis=0)[0]
             best = np.where(peak > top, a + arg, best)
             top = np.maximum(peak, top)
-        self.max_series = top
+        best = self._at_times(best)
+        self.max_series = self._at_times(top)
         self.argmax_i = pi[best]
         self.argmax_j = pj[best]
         self.truncation_bound = truncation_bound
+
+    def _at_times(self, per_column: np.ndarray) -> np.ndarray:
+        return per_column if self.cols is None else per_column[..., self.cols]
+
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Pair rows a .. b-1 with one column per time 0 .. horizon."""
+        return self._at_times(self.stored(a, b))
 
     def times(self, delta: float) -> WindowedIndexSet:
         return families.from_mask(self.max_series[1:] > delta)
 
     def hits(self, delta: float, a: int, b: int) -> np.ndarray:
         """Pair rows a .. b-1 as bool hit rows over times 1 .. horizon."""
-        return self.rows(a, b)[:, 1:] > delta
+        return self._at_times(self.stored(a, b) > delta)[:, 1:]
 
     def witness(self, n: int):
         i = int(self.argmax_i[n])
@@ -116,18 +133,19 @@ def _scan_orbits(seq: MapSequence, sample, horizon: int,
     elements = [s.elements if isinstance(s, FiniteSubset) else (s,)
                 for s in sample]
     width = max(len(e) for e in elements)
-    orbits = np.empty((horizon + 1, len(sample), width), dtype=np.float64)
+    # sample-major, so a pair row gathers two contiguous orbits and comes
+    # out as (pairs, times) with no transpose
+    orbits = np.empty((len(sample), horizon + 1, width), dtype=np.float64)
     for c, elems in enumerate(elements):
         elems = elems + (elems[0],) * (width - len(elems))
         for e, x in enumerate(elems):
-            orbits[:, c, e] = orbit(seq, x, horizon)
+            orbits[c, :, e] = orbit(seq, x, horizon)
     pi, pj = _pair_indices(len(sample))
 
-    def rows(a, b):
-        return hausdorff_array(space, orbits[:, pi[a:b], :],
-                               orbits[:, pj[a:b], :]).T
+    def stored(a, b):
+        return hausdorff_array(space, orbits[pi[a:b]], orbits[pj[a:b]])
 
-    return RegionScan(sample, horizon, pi, pj, rows)
+    return RegionScan(sample, horizon, pi, pj, stored)
 
 
 def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
@@ -137,23 +155,24 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     pi, pj = _pair_indices(len(sample))
     distinct = sorted(set(shifts))
     # distance between two shifted points depends only on the shift amount,
-    # so one evaluation per (pair, shift) covers the whole horizon
+    # so one column per distinct shift covers the whole horizon
     table = np.empty((len(pi), len(distinct)), dtype=np.float64)
     pairs = list(zip(pi.tolist(), pj.tolist()))
     for col, s in enumerate(distinct):
         moved = [p.shifted(s) for p in sample]
         table[:, col] = [dist_symbolic(moved[i], moved[j]) for i, j in pairs]
-    cols = np.searchsorted(distinct, shifts)
     # both points of a pair shift together, so the narrowest window seen is
     # the narrowest sample point moved by the largest displacement
     narrowest = min(sample, key=lambda p: p.radius).shifted(
         max(distinct, key=abs))
     bound = symbolic_truncation_bound(narrowest, narrowest)
 
-    def rows(a, b):
-        return table[a:b, cols]
+    def stored(a, b):
+        return table[a:b]
 
-    return RegionScan(sample, horizon, pi, pj, rows, truncation_bound=bound)
+    return RegionScan(sample, horizon, pi, pj, stored,
+                      cols=np.searchsorted(distinct, shifts),
+                      truncation_bound=bound)
 
 
 def _scan(seq: MapSequence, sample, horizon: int, space) -> RegionScan:
@@ -362,6 +381,12 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
     """Verdict holds exactly when every region contains one sampled pair
     whose own separation-time set is accepted by the family."""
     def classify(scan):
+        # every family rule is hereditary upwards, and each pair's hit row
+        # lies inside the region's union row: a rejected union rejects them
+        # all, so the pair rows are walked only when it is accepted
+        union = scan.max_series[None, 1:] > delta
+        if not families.member_rows(fam, union)[0]:
+            return False, windowed([], horizon), {}
         # the first accepted row in pair order is the witness
         for a in range(0, len(scan.pi), BLOCK_ROWS):
             hits = scan.hits(delta, a, a + BLOCK_ROWS)

@@ -151,7 +151,8 @@ def element_sort_key(space, p):
     if space in (INTERVAL, CIRCLE):
         return (p,)
     if space == SYMBOLIC:
-        return tuple(p.coord(j) for j in range(-p.radius, p.radius + 1))
+        # coordinates -radius .. radius, as coord() would read them
+        return p.bits[p.origin - p.radius:p.origin + p.radius + 1]
     raise ValueError(f"no canonical order for elements of {space!r}")
 
 

@@ -19,6 +19,14 @@ from hypothesis import strategies as st
 
 from nonauto import acceptance
 from nonauto.acceptance import CRITERION_KEYS, _hereditary_rows, run_all
+from nonauto.spaces import (
+    CIRCLE,
+    INTERVAL,
+    distance,
+    finite_subset,
+    hausdorff,
+    hausdorff_array,
+)
 
 _RESULTS = None
 
@@ -212,3 +220,216 @@ class TestHereditaryDraws:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "False 0"
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles for the array forms of family-classifiers and metric-suite:
+# the predicates as stated, over tuples of present times, and the metric
+# loops over single triples.
+
+
+def _brute_infinite(idx, h, min_count, tail_fraction):
+    return (len(idx) >= min_count
+            and any(n > (1 - tail_fraction) * h for n in idx))
+
+
+def _brute_cofinite(idx, h, max_missing):
+    present = set(idx)
+    missing = h - len(present)
+    suffix = range(max(1, h - max_missing + 1), h + 1)
+    return missing <= max_missing and all(n in present for n in suffix)
+
+
+def _brute_syndetic(idx, h, max_gap):
+    # runs-of-absent formulation: no absent run longer than allowed
+    if not idx:
+        return h <= max_gap
+    runs = []
+    prev = 0
+    for n in idx:
+        runs.append(n - prev - 1)
+        prev = n
+    lead = runs[0] if runs else 0
+    trail = h - idx[-1]
+    internal = runs[1:]
+    return (lead <= max_gap and trail <= max_gap
+            and all(r <= max_gap - 1 for r in internal))
+
+
+def _mutual_cover(a, b, eps):
+    da = all(min(distance(a.space, p, q) for q in b.elements) <= eps
+             for p in a.elements)
+    db = all(min(distance(a.space, p, q) for p in a.elements) <= eps
+             for q in b.elements)
+    return da and db
+
+
+def axiom_failures_loop(d_fn, triples):
+    bad = 0
+    for x, y, z in triples:
+        dxy = d_fn(x, y)
+        if dxy < 0 or d_fn(x, x) != 0.0 or d_fn(y, x) != dxy:
+            bad += 1
+        elif d_fn(x, z) > dxy + d_fn(y, z) + acceptance.TRIANGLE_SLACK:
+            bad += 1
+    return bad
+
+
+def subsets_of(h):
+    return [tuple(j + 1 for j in range(h) if m >> j & 1)
+            for m in range(2 ** h)]
+
+
+def mask_table(rule, h, *params):
+    return rule(np.arange(2 ** h), h, *params).tolist()
+
+
+class TestMaskTruthTable:
+    """The integer truth table of family-classifiers against the scalar
+    predicates, mask for mask."""
+
+    def test_check_parameters_over_every_window_16_mask(self):
+        subsets = subsets_of(16)
+        for rule, brute, params in [
+                (acceptance._mask_infinite, _brute_infinite, (4, 0.25)),
+                (acceptance._mask_cofinite, _brute_cofinite, (3,)),
+                (acceptance._mask_syndetic, _brute_syndetic, (3,))]:
+            got = mask_table(rule, 16, *params)
+            assert got == [brute(idx, 16, *params) for idx in subsets]
+            assert 0 < sum(got) < len(got)
+
+    # 1/3 and 0.3 put the tail threshold on or next to a time
+    @pytest.mark.parametrize("h", range(1, 8))
+    def test_every_parameter_at_small_windows(self, h):
+        subsets = subsets_of(h)
+        for count in range(1, h + 2):
+            for frac in (0.1, 0.25, 0.3, 1 / 3, 0.5, 0.75, 1.0):
+                assert mask_table(acceptance._mask_infinite, h, count,
+                                  frac) == [_brute_infinite(idx, h, count,
+                                                            frac)
+                                            for idx in subsets]
+        for bound in range(1, h + 2):
+            assert mask_table(acceptance._mask_cofinite, h, bound) == [
+                _brute_cofinite(idx, h, bound) for idx in subsets]
+            assert mask_table(acceptance._mask_syndetic, h, bound) == [
+                _brute_syndetic(idx, h, bound) for idx in subsets]
+
+
+def bits_of(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestMetricSuiteArrays:
+    """The array axiom counter and the array cover against the scalar
+    loops, on metrics and data built to fail, so the counts compared are
+    not all zero."""
+
+    @staticmethod
+    def table_metric(seed, size=12):
+        # a metric on points 0 .. size-1 as a distance table, then broken:
+        # asymmetric and negative cells, a nonzero self distance, and
+        # triangles exactly on and just past the slack
+        rng = np.random.default_rng(seed)
+        pos = rng.random(size)
+        table = np.abs(pos[:, None] - pos[None, :])
+        table[1, 2] += 1e-3
+        table[3, 4] = -0.25
+        table[5, 5] = 1e-9
+        on = table[6, 7] + table[7, 8] + acceptance.TRIANGLE_SLACK
+        table[6, 8] = table[8, 6] = on
+        past = table[9, 10] + table[10, 11] + acceptance.TRIANGLE_SLACK
+        table[9, 11] = table[11, 9] = np.nextafter(past, 2.0)
+        return table
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_axiom_counter_on_a_broken_table(self, seed):
+        table = self.table_metric(seed)
+        rng = np.random.default_rng(100 + seed)
+        points = rng.integers(0, len(table), (3, 4000))
+        points[:, :4] = [[6, 9, 5, 1], [7, 10, 0, 2], [8, 11, 0, 0]]
+
+        def d(a, b):
+            return table[a, b]
+
+        want = axiom_failures_loop(d, points.T.tolist())
+        got = acceptance._axiom_failures(
+            *acceptance._triple_distances(d, *points))
+        assert got == want > 0
+        # the triangle on the slack passes, the one past it fails
+        assert axiom_failures_loop(d, [(6, 7, 8)]) == 0
+        assert axiom_failures_loop(d, [(9, 10, 11)]) == 1
+
+    @pytest.mark.parametrize("name, d_fn", [
+        ("asymmetric", lambda a, b: abs(a - b) + 1e-3 * (a > b)),
+        ("squared", lambda a, b: (a - b) * (a - b)),
+        ("signed", lambda a, b: a - b),
+        ("offset", lambda a, b: abs(a - b) + 0.5),
+        ("interval", lambda a, b: distance(INTERVAL, a, b)),
+        ("circle", lambda a, b: distance(CIRCLE, a, b)),
+    ])
+    def test_axiom_counter_on_real_triples(self, name, d_fn):
+        x, y, z = np.random.default_rng(5).random((3, 3000))
+        want = axiom_failures_loop(d_fn, zip(x.tolist(), y.tolist(),
+                                             z.tolist()))
+        got = acceptance._axiom_failures(
+            *acceptance._triple_distances(d_fn, x, y, z))
+        assert got == want
+        assert (want == 0) == (name in ("interval", "circle"))
+
+    @staticmethod
+    def padded_subsets(seed, n):
+        # sizes 1 .. 4, some elements repeated, so finite_subset merges them
+        rng = np.random.default_rng(seed)
+        subsets = []
+        for _ in range(n):
+            elems = rng.choice(np.linspace(0.0, 1.0, 9),
+                               rng.integers(1, 5)).tolist()
+            subsets.append(finite_subset(elems, INTERVAL))
+        width = acceptance.SUBSET_WIDTH
+        rows = np.array([s.elements + s.elements[:1] * (width - len(s))
+                         for s in subsets])
+        return subsets, rows
+
+    def test_padded_hausdorff_equals_scalar_bitwise(self):
+        a, rows_a = self.padded_subsets(1, 2000)
+        b, rows_b = self.padded_subsets(2, 2000)
+        got = hausdorff_array(INTERVAL, rows_a, rows_b)
+        assert bits_of(got) == bits_of([hausdorff(p, q)
+                                         for p, q in zip(a, b)])
+
+    def test_cover_with_eps_on_the_boundary(self):
+        a, rows_a = self.padded_subsets(3, 2000)
+        b, rows_b = self.padded_subsets(4, 2000)
+        rng = np.random.default_rng(6)
+        # every eps equals one of the pair's element distances
+        cross = np.abs(rows_a[:, :, None] - rows_b[:, None, :])
+        eps = cross.reshape(len(a), -1)[np.arange(len(a)),
+                                        rng.integers(0, 16, len(a))]
+        got = acceptance._mutual_cover(INTERVAL, rows_a, rows_b, eps)
+        want = [_mutual_cover(p, q, e) for p, q, e in zip(a, b, eps)]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    def test_cover_breaks_equal_the_loop(self):
+        a, rows_a = self.padded_subsets(7, 2000)
+        b, rows_b = self.padded_subsets(8, 2000)
+        eps = np.random.default_rng(9).random(len(a))
+
+        def forward(p, q):
+            # only one direction of the Hausdorff distance: breaks the
+            # equivalence wherever the other direction is larger
+            return np.abs(p[..., :, None] - q[..., None, :]).min(-1).max(-1)
+
+        for d_array, want_zero in [
+                (lambda p, q: hausdorff_array(INTERVAL, p, q),
+                 True),
+                (forward, False)]:
+            want = sum(
+                (float(d_array(np.array(p.elements), np.array(q.elements)))
+                 <= e) != _mutual_cover(p, q, e)
+                for p, q, e in zip(a, b, eps.tolist()))
+            got = np.count_nonzero(
+                (d_array(rows_a, rows_b) <= eps)
+                != acceptance._mutual_cover(INTERVAL, rows_a, rows_b, eps))
+            assert got == want
+            assert (want == 0) == want_zero

@@ -136,8 +136,13 @@ class TestExitCodes:
                                            "constraints": {"x": 1}}]},
         {"horizon": True},
         {"resolution": True},
+        {"cover": [{"center": 5.0, "radius": 0.1}]},
+        {"cover": [{"center": 0.5, "radius": 0.1, "label": 7}]},
+        {"delta": True},
+        {"deltas": [0.1, True]},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
-            "horizon-bool", "resolution-bool"])
+            "horizon-bool", "resolution-bool", "ball-off-interval",
+            "label-number", "delta-bool", "deltas-bool"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}

@@ -17,6 +17,7 @@ from nonauto import registry, sensitivity, spaces, systems
 from nonauto.acceptance import STANDARD_FAMILIES
 from nonauto.families import (
     cofinite_family,
+    dual,
     infinite_family,
     member,
     nonempty,
@@ -501,10 +502,16 @@ def late_witness_case():
     return seq, 0.6, [ball_a, ball_b], 100, 64
 
 
+def family_id(fam):
+    return fam.kind if fam.kind != "dual" else f"dual-{fam.inner.kind}"
+
+
 class TestWeakWitness:
     @pytest.mark.parametrize("case", [
         "late-and-never", "circle-balls", "cylinders"])
-    @pytest.mark.parametrize("fam", STANDARD_FAMILIES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("fam", STANDARD_FAMILIES + (
+        nonempty(), dual(STANDARD_FAMILIES[0]), dual(STANDARD_FAMILIES[1]),
+        dual(STANDARD_FAMILIES[2])), ids=family_id)
     def test_matches_pair_by_pair_walk(self, case, fam):
         if case == "late-and-never":
             seq, delta, cover, horizon, resolution = late_witness_case()
@@ -533,6 +540,24 @@ class TestWeakWitness:
         if case == "late-and-never":
             assert [f[0] if f else None for f in expect] == [310, None]
 
+
+    @pytest.mark.parametrize("fam", STANDARD_FAMILIES + (
+        dual(STANDARD_FAMILIES[0]),), ids=family_id)
+    def test_rejected_union_walks_no_pair_rows(self, monkeypatch, fam):
+        seq, delta, cover, horizon, resolution = late_witness_case()
+        never = cover[1:]
+        walked = []
+        hits = RegionScan.hits
+        monkeypatch.setattr(RegionScan, "hits", lambda scan, *a: (
+            walked.append(a), hits(scan, *a))[1])
+        rep = weak_sensitivity_probe(seq, delta, fam, never, horizon,
+                                     resolution)
+        assert not rep.holds and walked == []
+        assert rep.regions[0].times.indices == ()
+        assert rep.regions[0].witness == {}
+        rep = weak_sensitivity_probe(seq, delta, fam, cover, horizon,
+                                     resolution)
+        assert walked
 
 class TestHyperspaceProbe:
     def test_singletons_reproduce_base_hit_sets(self):
@@ -691,9 +716,11 @@ class TestScanMachinery:
             np.array(maxima).view(np.int64).tolist()
 
     @staticmethod
-    def assert_summary_is_full_argmax(scan):
+    def assert_summary_is_full_argmax(scan, table=None):
         # the reference: one argmax over the whole pairs x times table
-        table = scan.rows(0, len(scan.pi))
+        if table is None:
+            table = scan.rows(0, len(scan.pi))
+        assert bits_of(scan.rows(0, len(scan.pi))) == bits_of(table)
         best = np.argmax(table, axis=0)
         top = table[best, np.arange(scan.horizon + 1)]
         assert scan.max_series.view(np.int64).tolist() == \
@@ -702,10 +729,11 @@ class TestScanMachinery:
         assert scan.argmax_j.tolist() == scan.pj[best].tolist()
 
     @staticmethod
-    def table_scan(table):
+    def table_scan(table, cols=None):
         pi = np.arange(len(table), dtype=np.intp)
-        return RegionScan(None, table.shape[1] - 1, pi, pi + len(table),
-                          lambda a, b: table[a:b])
+        horizon = (table.shape[1] if cols is None else len(cols)) - 1
+        return RegionScan(None, horizon, pi, pi + len(table),
+                          lambda a, b: table[a:b], cols=cols)
 
     def test_summary_every_row_constant(self):
         rows = 6 * BLOCK_ROWS + 5
@@ -739,6 +767,78 @@ class TestScanMachinery:
         scan = region_scan(registry.build(name).sequence, region, 80, 64)
         assert len(scan.pi) > 2 * BLOCK_ROWS
         self.assert_summary_is_full_argmax(scan)
+
+    @given(st.integers(1, 3 * BLOCK_ROWS + 3), st.integers(1, 4),
+           st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_per_shift_summary_on_tie_heavy_tables(self, rows, shifts,
+                                                   horizon, seed):
+        # few values, so pairs tie; times revisit columns in any order
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 3, (rows, shifts)).astype(np.float64)
+        cols = rng.integers(0, shifts, horizon + 1)
+        self.assert_summary_is_full_argmax(self.table_scan(table, cols),
+                                           table[:, cols])
+
+    @pytest.mark.parametrize("cols", [[0] * 9, [0, 1, 2, 1, 0, 2, 2, 1, 0]],
+                             ids=["single-shift", "returning-shifts"])
+    def test_per_shift_summary_ties_across_blocks(self, cols):
+        table = np.zeros((3 * BLOCK_ROWS, 3))
+        # column 1 peaks in pair 5 and again, tied, in a later block;
+        # column 2 is a tie of every pair
+        table[5, 0] = table[5, 1] = table[2 * BLOCK_ROWS + 3, 1] = 1.0
+        table[:, 2] = 0.5
+        scan = self.table_scan(table, np.array(cols))
+        self.assert_summary_is_full_argmax(scan, table[:, cols])
+        assert {int(scan.argmax_i[n]) for n in range(9)} <= {0, 5}
+
+    @pytest.mark.parametrize("steps", [
+        [2, -2, 2, -2, 3, -3, 0, 1, -1, 2],
+        [0, 0, 0],
+    ], ids=["returning-shifts", "single-shift"])
+    def test_per_shift_summary_of_symbolic_scans(self, steps):
+        seq = explicit_sequence([shift(k) for k in steps], tail="identity",
+                                space=SYMBOLIC)
+        shifts = net_shift_series(seq, 30)
+        distinct = sorted(set(shifts))
+        cols = [distinct.index(k) for k in shifts]
+        for region in (cylinder_region({0: 1}), cylinder_region({2: 0})):
+            scan = region_scan(seq, region, 30, 64)
+            assert len(scan.pi) > BLOCK_ROWS
+            stored = scan.stored(0, len(scan.pi))
+            assert stored.shape[1] == len(distinct)
+            self.assert_summary_is_full_argmax(scan, stored[:, cols])
+
+    @pytest.mark.parametrize("space, elements", [
+        (INTERVAL, [0.3]),
+        (CIRCLE, [0.97]),
+        (INTERVAL, [0.2, 0.7]),
+        (CIRCLE, [0.05, 0.4, 0.9]),
+    ], ids=["interval", "circle", "hausdorff-2", "hausdorff-3"])
+    def test_sample_major_rows_equal_time_major_build(self, space, elements):
+        name = ("example41_composition" if space == INTERVAL
+                else "rotations_harmonic")
+        seq = registry.build(name).sequence
+        center = finite_subset(elements, space)
+        region = (metric_ball(space, elements[0], 0.05) if len(center) == 1
+                  else hausdorff_ball(center, 0.05))
+        scan = region_scan(seq, region, 40, 9)
+        # the time-major layout: orbits[time, sample, element], and each
+        # pair row is a column of the transposed table
+        elements = [s.elements if len(center) > 1 else (s,)
+                    for s in scan.sample]
+        width = max(len(e) for e in elements)
+        assert width == len(center)
+        orbits = np.empty((41, len(elements), width))
+        for c, elems in enumerate(elements):
+            elems = elems + (elems[0],) * (width - len(elems))
+            for e, x in enumerate(elems):
+                orbits[:, c, e] = orbit(seq, x, 40)
+        expect = spaces.hausdorff_array(space, orbits[:, scan.pi],
+                                        orbits[:, scan.pj]).T
+        got = scan.rows(0, len(scan.pi))
+        assert got.flags.c_contiguous
+        assert bits_of(got) == bits_of(expect)
 
     def test_degenerate_sample_rejected(self):
         named = registry.build("identity")

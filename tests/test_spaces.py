@@ -7,11 +7,13 @@ from nonauto.spaces import (
     CIRCLE,
     DEDUP_TOL,
     INTERVAL,
+    SYMBOLIC,
     circle_distance,
     cylinder_region,
     dist_interval,
     dist_symbolic,
     distance,
+    element_sort_key,
     finite_subset,
     grid_points,
     hausdorff,
@@ -187,6 +189,18 @@ class TestSymbolicMetric:
         assert twin.window is not p.window
         assert twin == p and hash(twin) == hash(p)
         assert repr(twin) == repr(p) and "window" not in repr(p)
+
+    def test_sort_key_equals_coordinate_reads(self):
+        # shifted points of unequal radius: the key is coordinates
+        # -radius .. radius read one at a time
+        base = [make_symbolic({0: 1, 3: 1, -2: 1}, radius=12),
+                make_symbolic({-1: 1}, radius=7, fill=1),
+                make_symbolic({5: 1}, radius=64)]
+        points = [p.shifted(k) for p in base for k in (-6, -1, 0, 2, 5)]
+        for p in points:
+            want = tuple(p.coord(j) for j in range(-p.radius, p.radius + 1))
+            assert element_sort_key(SYMBOLIC, p) == want
+        assert len({p.radius for p in points}) > 5
 
     def test_shift_moves_coordinates(self):
         x = make_symbolic({2: 1})
