@@ -69,7 +69,10 @@ def _require(cond: bool, message: str) -> None:
 
 def _parse_cover(spec, space):
     if isinstance(spec, str):
-        return tuple(default_cover(spec))
+        try:
+            return tuple(default_cover(spec))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     _require(isinstance(spec, list) and spec,
              "cover must be a kind name or a nonempty list of regions")
     regions = []
@@ -178,11 +181,18 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
 
     cover_spec = raw.get("cover")
     if cover_spec is None:
-        kind = (named.params.cover_kind if named
-                else _DEFAULT_COVER_KIND[space])
-        cover = tuple(default_cover(kind))
-    else:
-        cover = _parse_cover(cover_spec, space)
+        cover_spec = (named.params.cover_kind if named
+                      else _DEFAULT_COVER_KIND[space])
+    cover = _parse_cover(cover_spec, space)
+    _require(all(r.space == space for r in cover),
+             f"cover regions must lie in the system's {space} space")
+    files = {}
+    for i, region in enumerate(cover):
+        name = _region_label(region, i)
+        path = _hits_name(name)
+        _require(path not in files, f"cover labels {files.get(path)!r} and "
+                                    f"{name!r} would both write {path}")
+        files[path] = name
 
     out_dir = out_override or raw.get("out", "out")
     return ExperimentConfig(label=label, sequence=sequence, family=family,
@@ -222,8 +232,8 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_-]", "_", label)
+def _hits_name(label: str) -> str:
+    return "hits_" + re.sub(r"[^A-Za-z0-9_-]", "_", label) + ".csv"
 
 
 def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
@@ -246,7 +256,7 @@ def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
         for n in scan.times(delta).indices:
             i, j, sep = scan.witness(n)
             lines.append(f"{n},{sep!r},{i}-{j}")
-        path = out / f"hits_{_safe_name(label)}.csv"
+        path = out / _hits_name(label)
         _write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
 

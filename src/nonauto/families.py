@@ -197,6 +197,8 @@ def family_to_dict(fam: FamilySpec) -> dict:
 
 
 def family_from_dict(d: dict) -> FamilySpec:
+    if not isinstance(d, dict):
+        raise TypeError(f"a family must be an object, not {d!r}")
     kind = d.get("kind")
     if kind == "nonempty":
         return nonempty()

@@ -16,12 +16,17 @@ gathers whole contiguous orbits. A symbolic scan shifts every sample point
 once per distinct shift and fills that shift's table column with one
 ``dist_symbolic`` per pair; its summary is taken per column and then read
 out at each time through the time -> column map.
+A scan to horizon h depends only on the first h maps, so ``region_scan``
+serves it as a prefix view of a longer scan of the same region and
+resolution, and counts only the scans it builds as misses.
 """
 
 from __future__ import annotations
 
+import copy
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 
 import numpy as np
 
@@ -76,15 +81,17 @@ class RegionScan:
     summary of the expanded table. It walks ``BLOCK_ROWS`` rows at a time,
     never the whole table; a later block wins a column only with a strictly
     larger value, so ties keep the first pair, as ``np.argmax`` does.
+    ``shifts`` holds a symbolic scan's shift per column; a scan with one
+    column per time reads only times below ``stop`` in ``stored(a, b, stop)``.
     """
 
     def __init__(self, sample, horizon, pi, pj, stored, cols=None,
-                 truncation_bound=None):
+                 shifts=None):
         self.sample = sample
         self.horizon = horizon
         self.pi, self.pj = pi, pj
         self.stored = stored
-        self.cols = cols
+        self.cols, self.shifts = cols, shifts
         top, best = -np.inf, 0
         for a in range(0, len(pi), BLOCK_ROWS):
             dists = stored(a, a + BLOCK_ROWS)
@@ -96,7 +103,35 @@ class RegionScan:
         self.max_series = self._at_times(top)
         self.argmax_i = pi[best]
         self.argmax_j = pj[best]
-        self.truncation_bound = truncation_bound
+        self.truncation_bound = self._truncation_bound()
+
+    def _truncation_bound(self):
+        if self.shifts is None:
+            return None
+        # both points of a pair shift together, so the narrowest window seen
+        # is the narrowest sample point moved by the largest displacement;
+        # shifts ascend, so it is an extreme, the negative one on a tie
+        largest = max(self.shifts[self.cols.min()],
+                      self.shifts[self.cols.max()], key=abs)
+        narrowest = min(self.sample, key=lambda p: p.radius).shifted(largest)
+        return symbolic_truncation_bound(narrowest, narrowest)
+
+    def prefix(self, horizon: int) -> RegionScan:
+        """This scan cut to times 0 .. horizon, bit for bit a scan built to
+        ``horizon``: it shares the orbits or table, and slices the summary,
+        since a column's max and first argmax pair ignore other columns."""
+        stop = horizon + 1
+        part = copy.copy(self)
+        part.horizon = horizon
+        part.max_series = self.max_series[:stop]
+        part.argmax_i = self.argmax_i[:stop]
+        part.argmax_j = self.argmax_j[:stop]
+        if self.cols is None:
+            part.stored = partial(self.stored, stop=stop)
+        else:
+            part.cols = self.cols[:stop]
+            part.truncation_bound = part._truncation_bound()
+        return part
 
     def _at_times(self, per_column: np.ndarray) -> np.ndarray:
         return per_column if self.cols is None else per_column[..., self.cols]
@@ -142,8 +177,9 @@ def _scan_orbits(seq: MapSequence, sample, horizon: int,
             orbits[c, :, e] = orbit(seq, x, horizon)
     pi, pj = _pair_indices(len(sample))
 
-    def stored(a, b):
-        return hausdorff_array(space, orbits[pi[a:b]], orbits[pj[a:b]])
+    def stored(a, b, stop=None):
+        view = orbits[:, :stop]
+        return hausdorff_array(space, view[pi[a:b]], view[pj[a:b]])
 
     return RegionScan(sample, horizon, pi, pj, stored)
 
@@ -161,18 +197,8 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     for col, s in enumerate(distinct):
         moved = [p.shifted(s) for p in sample]
         table[:, col] = [dist_symbolic(moved[i], moved[j]) for i, j in pairs]
-    # both points of a pair shift together, so the narrowest window seen is
-    # the narrowest sample point moved by the largest displacement
-    narrowest = min(sample, key=lambda p: p.radius).shifted(
-        max(distinct, key=abs))
-    bound = symbolic_truncation_bound(narrowest, narrowest)
-
-    def stored(a, b):
-        return table[a:b]
-
-    return RegionScan(sample, horizon, pi, pj, stored,
-                      cols=np.searchsorted(distinct, shifts),
-                      truncation_bound=bound)
+    return RegionScan(sample, horizon, pi, pj, lambda a, b: table[a:b],
+                      cols=np.searchsorted(distinct, shifts), shifts=distinct)
 
 
 def _scan(seq: MapSequence, sample, horizon: int, space) -> RegionScan:
@@ -181,15 +207,48 @@ def _scan(seq: MapSequence, sample, horizon: int, space) -> RegionScan:
     return _scan_orbits(seq, sample, horizon, space)
 
 
-@lru_cache(maxsize=None)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _PrefixCache:
+    """``region_scan``'s cache: scans by key, and the longest per region."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.exact, self.longest, self.hits, self.misses = {}, {}, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, None, len(self.exact))
+
+    def __call__(self, seq, region, horizon, resolution):
+        key = (seq, region, resolution, horizon)
+        top = self.longest.get(key[:3])
+        if key in self.exact:
+            self.hits += 1
+        elif top is not None and top.horizon > horizon:
+            self.exact[key] = top.prefix(horizon)
+            self.hits += 1
+        else:
+            self.exact[key] = self.longest[key[:3]] = self.__wrapped__(
+                seq, region, horizon, resolution)
+            self.misses += 1
+        return self.exact[key]
+
+
+@_PrefixCache
 def region_scan(seq: MapSequence, region: Region, horizon: int,
                 resolution: int) -> RegionScan:
     """Shared scan cache: every probe mode and delta reuses one orbit pass.
 
-    The cache has no size bound, so each key is built once and its scan
-    lives for the rest of the process. Scans keep only compact data (orbits
-    or the pair × shift table, the summary, shared pair indices), which is
-    what makes keeping all of them affordable.
+    The cache has no size bound, so each scan lives for the rest of the
+    process. A horizon shorter than a scan already built for the same
+    (seq, region, resolution) is a prefix hit that builds nothing, so
+    ``cache_info().misses`` counts the scans built. Scans keep only compact
+    data (orbits or the pair × shift table, the summary, shared pair
+    indices), which is what makes keeping all of them affordable.
     """
     sample = sample_region(region, resolution)
     if len(sample) < 2:

@@ -140,15 +140,43 @@ class TestExitCodes:
         {"cover": [{"center": 0.5, "radius": 0.1, "label": 7}]},
         {"delta": True},
         {"deltas": [0.1, True]},
+        {"cover": "nope"},
+        {"family": 5},
+        {"cover": "cylinders"},
+        {"cover": [{"kind": "cylinder", "constraints": {"0": 1}}]},
+        {"family": {"kind": "dual", "of": 5}},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
-            "label-number", "delta-bool", "deltas-bool"])
+            "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
+            "family-number", "cover-kind-other-space",
+            "cylinder-on-interval", "dual-of-number"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("labels", [("a b", "a_b"), ("x", "x"),
+                                        ("region-01", None)],
+                             ids=["same-file-name", "same-label",
+                                  "default-label"])
+    def test_labels_naming_one_csv_are_refused(self, tmp_path, capsys,
+                                               labels):
+        cover = [{"center": 0.25, "radius": 0.1},
+                 {"center": 0.75, "radius": 0.1}]
+        for entry, label in zip(cover, labels):
+            if label is not None:
+                entry["label"] = label
+        cfg = write_config(tmp_path / "c.json", {
+            "system": "identity", "modes": ["sensitive"], "delta": 0.1,
+            "horizon": 20, "cover": cover})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        first, second = labels[0], labels[1] or "region-01"
+        assert f"{first!r} and {second!r}" in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_check_name(self, capsys):

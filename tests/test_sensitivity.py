@@ -50,6 +50,7 @@ from nonauto.spaces import (
     make_symbolic,
     metric_ball,
     sample_region,
+    symbolic_truncation_bound,
 )
 from nonauto.systems import (
     apply,
@@ -643,6 +644,99 @@ class TestAttaching:
         assert cof.elements == ()
 
 
+@pytest.fixture
+def empty_scan_cache():
+    region_scan.cache_clear()
+    yield
+    region_scan.cache_clear()
+
+
+# net shifts 0, 1, -1, -1, 2, 2, 6: the horizon-3 prefix ties -1 and +1
+TIED_SHIFTS = explicit_sequence([shift(k) for k in (1, -2, 0, 3, 0, 4)],
+                                tail="identity", space=SYMBOLIC)
+
+
+class TestPrefixScans:
+    """A shorter horizon served from a longer scan equals, bit for bit, the
+    scan built to that horizon."""
+
+    @pytest.mark.parametrize("seq, region, short, long, resolution", [
+        (registry.build("example41_composition").sequence,
+         metric_ball(INTERVAL, 0.3, 0.05), 25, 60, 9),
+        (registry.build("rotations_harmonic").sequence,
+         metric_ball(CIRCLE, 0.97, 0.05), 30, 70, 9),
+        (registry.build("example41_composition").sequence,
+         hausdorff_ball(finite_subset([0.2, 0.5, 0.7], INTERVAL), 0.04),
+         20, 45, 9),
+        (kth_iterate(registry.build("example41_generated").sequence, 2),
+         metric_ball(INTERVAL, 0.6, 0.05), 15, 40, 9),
+        (registry.build("example31").sequence, cylinder_region({0: 1}),
+         30, 80, 12),
+        (TIED_SHIFTS, cylinder_region({1: 0}), 3, 6, 12),
+    ], ids=["interval", "circle", "hausdorff-3", "kth-iterate",
+            "cylinder-smaller-shift", "cylinder-tied-shifts"])
+    def test_prefix_equals_fresh_build(self, empty_scan_cache, seq, region,
+                                       short, long, resolution):
+        full = region_scan(seq, region, long, resolution)
+        scan = region_scan(seq, region, short, resolution)
+        assert region_scan.cache_info()[:2] == (1, 1)
+        fresh = region_scan.__wrapped__(seq, region, short, resolution)
+        rows = len(fresh.pi)
+        assert scan.horizon == fresh.horizon == short
+        assert bits_of(scan.max_series) == bits_of(fresh.max_series)
+        assert scan.argmax_i.tolist() == fresh.argmax_i.tolist()
+        assert scan.argmax_j.tolist() == fresh.argmax_j.tolist()
+        assert bits_of(scan.rows(0, rows)) == bits_of(fresh.rows(0, rows))
+        assert scan.rows(0, rows).shape == (rows, short + 1)
+        if fresh.truncation_bound is None:
+            assert scan.truncation_bound is None
+        else:
+            assert bits_of(scan.truncation_bound) == \
+                bits_of(fresh.truncation_bound)
+        if region.kind != "cylinder":
+            return
+        # the bound from its definition: the narrowest window that any
+        # sample point reaches at times 0 .. short
+        shifts = net_shift_series(seq, short)
+        moved = [p.shifted(s) for p in scan.sample for s in set(shifts)]
+        assert scan.truncation_bound == max(
+            symbolic_truncation_bound(q, q) for q in moved)
+        # the cases hold what their ids say: a ± tie for the prefix's
+        # largest shift, or a largest shift below the full scan's
+        if max(shifts) == 1:
+            assert min(shifts) == -1
+        else:
+            assert scan.truncation_bound < full.truncation_bound
+
+    @pytest.mark.parametrize("name, region", [
+        ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
+        ("example31", cylinder_region({0: 1})),
+    ])
+    def test_shorter_horizon_builds_nothing(self, monkeypatch,
+                                            empty_scan_cache, name, region):
+        seq = registry.build(name).sequence
+        region_scan(seq, region, 60, 8)
+        calls = TestTracedCallPattern.install(
+            monkeypatch, systems.orbit, systems.map_at, spaces.dist_symbolic,
+            spaces.sample_region)
+        short = region_scan(seq, region, 25, 8)
+        assert calls == {}
+        assert region_scan.cache_info() == (1, 1, None, 2)
+        assert region_scan(seq, region, 25, 8) is short
+        assert region_scan.cache_info() == (2, 1, None, 2)
+
+    def test_longer_horizon_is_built(self, empty_scan_cache):
+        seq = registry.build("example41_composition").sequence
+        region = metric_ball(INTERVAL, 0.3, 0.05)
+        region_scan(seq, region, 25, 8)
+        longer = region_scan(seq, region, 60, 8)
+        assert region_scan.cache_info()[:2] == (0, 2)
+        # a horizon between the two is cut from the longest scan
+        between = region_scan(seq, region, 40, 8)
+        assert region_scan.cache_info()[:2] == (1, 2)
+        assert bits_of(between.max_series) == bits_of(longer.max_series[:41])
+
+
 class TestScanMachinery:
     def test_scan_cache_returns_same_object(self):
         named = registry.build("example41_composition")
@@ -650,12 +744,6 @@ class TestScanMachinery:
         a = region_scan(named.sequence, region, 50, 8)
         b = region_scan(named.sequence, region, 50, 8)
         assert a is b
-
-    @pytest.fixture
-    def empty_scan_cache(self):
-        region_scan.cache_clear()
-        yield
-        region_scan.cache_clear()
 
     def test_no_scan_is_built_twice(self, monkeypatch, empty_scan_cache):
         # more distinct scans than the old 128-entry bound held, then the
