@@ -347,8 +347,13 @@ def _curated_suite(h=200):
 
 HEREDITARY_SEED = 20260816
 HEREDITARY_ROWS = 10 ** 5
-HEREDITARY_CHUNK = 500
+# rows per hereditary block: a block's getrandbits int, its bytes and the
+# gathered draws take about 19 kB a row, so 100 rows keep it near 2 MB
+HEREDITARY_CHUNK = 100
 HEREDITARY_WIDTH = 200
+# masks per family-classifiers oracle block: its windows and member_rows'
+# gap temporaries take about 170 bytes a mask, so 4096 keep it under 1 MB
+ORACLE_BLOCK = 4096
 
 
 def _hereditary_rows(rng, rows, chunk):
@@ -402,9 +407,10 @@ def _check_family_classifiers():
 
     The direct predicates are evaluated once, on all 2**16 masks as
     integers (``_mask_*``), from each predicate's own terms: counts, tail
-    and suffix bits, runs of absent times; the dual's row is checked
-    against the negated predicate of the complement, which is the subset
-    at the mirrored mask. The hereditary pairs come from
+    and suffix bits, runs of absent times. The classifiers under test see
+    the masks as bool windows, ``ORACLE_BLOCK`` masks at a time; the dual's
+    row is checked against the negated predicate of the complement, which
+    is the subset at the mirrored mask. The hereditary pairs come from
     ``random.Random(20260816)`` in bulk (``_hereditary_rows``): the same
     stream and the same draws as one ``random()`` call per bit.
     """
@@ -413,13 +419,17 @@ def _check_family_classifiers():
     truth = [(infinite_family(4, 0.25), _mask_infinite(masks, h, 4, 0.25)),
              (cofinite_family(3), _mask_cofinite(masks, h, 3)),
              (syndetic_family(3), _mask_syndetic(masks, h, 3))]
-    windows = ((masks[:, None] >> np.arange(h)) & 1).astype(bool)
-    mismatches = 0
+    checks = []
     for fam, want in truth:
         # the complement of mask m is mask (2**h - 1) - m: want read backwards
-        mismatches += int(np.count_nonzero(member_rows(fam, windows) != want))
-        mismatches += int(np.count_nonzero(
-            member_rows(dual(fam), windows) != ~want[::-1]))
+        checks += [(fam, want), (dual(fam), ~want[::-1])]
+    mismatches = 0
+    for a in range(0, 2 ** h, ORACLE_BLOCK):
+        block = slice(a, a + ORACLE_BLOCK)
+        windows = ((masks[block, None] >> np.arange(h)) & 1).astype(bool)
+        for fam, want in checks:
+            mismatches += int(np.count_nonzero(
+                member_rows(fam, windows) != want[block]))
 
     hered_fams = [infinite_family(), cofinite_family(), syndetic_family(),
                   dual(infinite_family())]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -25,6 +26,7 @@ from .families import FamilySpec, cofinite_family, nonempty, syndetic_family
 from .registry import build, default_cover, registry_names
 from .sensitivity import (
     _region_label,
+    _region_sample,
     region_scan,
     sensitivity_probe,
     weak_sensitivity_probe,
@@ -100,7 +102,7 @@ def _parse_cover(spec, space):
                 region = cylinder_region(
                     {int(j): int(v) for j, v in rd["constraints"].items()},
                     label=label)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad cover entry {i}: {exc}") from exc
         if kind == "ball" and space == INTERVAL:
             _require(region.center + region.radius >= 0.0
@@ -157,12 +159,15 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad delta: {exc}") from exc
     _require(all(d > 0 for d in deltas), "every delta must be positive")
+    _require(all(math.isfinite(d) for d in deltas),
+             "every delta must be finite")
 
     family = None
     if "family" in raw:
         try:
             family = families.family_from_dict(raw["family"])
-        except (KeyError, TypeError, ValueError) as exc:
+        # int() of a count that JSON read as infinity overflows
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad family: {exc}") from exc
     if any(m in ("F-sensitive", "weakly-F-sensitive") for m in modes):
         _require(family is not None,
@@ -186,6 +191,12 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     cover = _parse_cover(cover_spec, space)
     _require(all(r.space == space for r in cover),
              f"cover regions must lie in the system's {space} space")
+    # the probes read the same memoised samples, so this samples nothing extra
+    for region in cover:
+        try:
+            _region_sample(region, resolution)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     files = {}
     for i, region in enumerate(cover):
         name = _region_label(region, i)

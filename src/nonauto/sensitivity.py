@@ -65,6 +65,18 @@ def _pair_indices(count: int):
     return i, j
 
 
+@lru_cache(maxsize=None)
+def _region_sample(region: Region, resolution: int) -> tuple:
+    """The sample standing in for ``region``, shared read-only by every scan
+    of that (region, resolution): scans of one region under different
+    sequences or horizons hold the same tuple."""
+    sample = tuple(sample_region(region, resolution))
+    if len(sample) < 2:
+        raise ValueError(f"region sample is degenerate "
+                         f"(single point): {region.label or region.kind}")
+    return sample
+
+
 class RegionScan:
     """Per-region orbit data: max pairwise separation at each time, the
     achieving pair, and pair separation rows on demand.
@@ -248,12 +260,9 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
     (seq, region, resolution) is a prefix hit that builds nothing, so
     ``cache_info().misses`` counts the scans built. Scans keep only compact
     data (orbits or the pair × shift table, the summary, shared pair
-    indices), which is what makes keeping all of them affordable.
+    indices and sample), which is what makes keeping all of them affordable.
     """
-    sample = sample_region(region, resolution)
-    if len(sample) < 2:
-        raise ValueError(f"region sample is degenerate "
-                         f"(single point): {region.label or region.kind}")
+    sample = _region_sample(region, resolution)
     if region.kind == "hausdorff-ball":
         space = region.space.base
     else:

@@ -10,6 +10,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -159,10 +160,10 @@ class TestHereditaryDraws:
         return per_call_rows(random.Random(20260816), self.ROWS)
 
     # 333 splits the rows into seven blocks, the last one short, so the
-    # unused draws carry across six block boundaries; the shipped block size
-    # is always among those tested
+    # unused draws carry across six block boundaries, and 500 leaves a last
+    # block of 101 rows; the shipped block size is always among those tested
     @pytest.mark.parametrize("chunk", list(dict.fromkeys(
-        [333, 1000, 1, 4096, acceptance.HEREDITARY_CHUNK])))
+        [333, 1000, 1, 4096, 500, acceptance.HEREDITARY_CHUNK])))
     def test_bulk_rows_equal_per_call_loop(self, reference, chunk):
         small, big = bulk_rows(random.Random(20260816), self.ROWS, chunk)
         want_small, want_big = reference
@@ -220,6 +221,42 @@ class TestHereditaryDraws:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "False 0"
+
+
+class TestFamilyClassifiersOracle:
+    def test_peak_memory_above_start(self):
+        # numpy reports its buffers to tracemalloc, so the peak is exact; one
+        # 2**16-row window table with its gap temporaries alone takes 10 MB
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert acceptance._check_family_classifiers()[0]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    def test_every_mask_reaches_its_own_verdict(self, monkeypatch):
+        # flip the classifier's verdict on masks at both edges of the first,
+        # second and last blocks: each of the six checks counts each once
+        flipped = [0, acceptance.ORACLE_BLOCK - 1, acceptance.ORACLE_BLOCK,
+                   2 ** 16 - 1]
+        real = acceptance.member_rows
+
+        def wrong(fam, rows):
+            got = real(fam, rows)
+            if rows.shape[1] == 16:
+                got ^= np.isin(rows @ (1 << np.arange(16)), flipped)
+            return got
+
+        monkeypatch.setattr(acceptance, "member_rows", wrong)
+        monkeypatch.setattr(acceptance, "_hereditary_rows",
+                            lambda rng, rows, chunk: iter(()))
+        ok, details = acceptance._check_family_classifiers()
+        assert not ok
+        assert details.startswith(
+            f"exhaustive window 16: {6 * len(flipped)} classifier mismatches "
+            "over 65536 subsets;")
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,17 @@ class TestExitCodes:
         {"cover": "cylinders"},
         {"cover": [{"kind": "cylinder", "constraints": {"0": 1}}]},
         {"family": {"kind": "dual", "of": 5}},
+        {"cover": [{"center": 0.5, "radius": 1e-300}]},
+        {"family": {"kind": "infinite", "min_count": 1e400}},
+        {"deltas": [1e309]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"0": 1e400}}]},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
             "family-number", "cover-kind-other-space",
-            "cylinder-on-interval", "dual-of-number"])
+            "cylinder-on-interval", "dual-of-number", "ball-degenerate",
+            "count-infinite", "delta-infinite", "cylinder-value-infinite"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}

@@ -760,6 +760,20 @@ class TestScanMachinery:
         assert calls["orbit"] == 0
         assert region_scan.cache_info().misses == len(regions)
 
+    @pytest.mark.parametrize("name, region", [
+        ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
+        ("example31", cylinder_region({0: 1})),
+    ])
+    def test_scans_of_one_region_share_its_sample(self, empty_scan_cache,
+                                                  name, region):
+        # the sequence and its 2nd iterate: two orbit passes, one sample
+        seq = registry.build(name).sequence
+        a = region_scan(seq, region, 20, 8)
+        b = region_scan(kth_iterate(seq, 2), region, 20, 8)
+        assert a.sample is b.sample
+        assert type(a.sample) is tuple
+        assert region_scan.cache_info().misses == 2
+
     def test_pair_indices_shared_and_read_only(self):
         pi, pj = sensitivity._pair_indices(7)
         again = sensitivity._pair_indices(7)
@@ -929,10 +943,13 @@ class TestScanMachinery:
         assert bits_of(got) == bits_of(expect)
 
     def test_degenerate_sample_rejected(self):
+        # raised on every call: a failed sample is not memoised
         named = registry.build("identity")
-        point = metric_ball(INTERVAL, 0.5, 1e-15)
-        with pytest.raises(ValueError):
-            region_scan(named.sequence, point, 10, 4)
+        point = metric_ball(INTERVAL, 0.5, 1e-15, label="dot")
+        for horizon in (10, 10, 20):
+            with pytest.raises(ValueError, match=r"^region sample is "
+                               r"degenerate \(single point\): dot$"):
+                region_scan(named.sequence, point, horizon, 4)
 
     def test_symbolic_records_carry_truncation_bound(self):
         named = registry.build("example31")
