@@ -31,8 +31,15 @@ from .sensitivity import (
     sensitivity_probe,
     weak_sensitivity_probe,
 )
-from .spaces import CIRCLE, INTERVAL, SYMBOLIC, cylinder_region, metric_ball
-from .systems import MapSequence, sequence_from_dict
+from .spaces import (
+    CIRCLE,
+    INTERVAL,
+    MIN_COMMON_RADIUS,
+    SYMBOLIC,
+    cylinder_region,
+    metric_ball,
+)
+from .systems import MapSequence, net_shift_series, sequence_from_dict
 
 REPORT_SCHEMA = 1
 
@@ -110,6 +117,21 @@ def _parse_cover(spec, space):
                      f"ball region {i} does not meet the interval [0, 1]")
         regions.append(region)
     return tuple(regions)
+
+
+def _check_shift_window(sequence: MapSequence, horizon: int, samples) -> None:
+    """Refuse a symbolic run whose net shift drains a sampled window before
+    the horizon: a distance needs ``MIN_COMMON_RADIUS`` shared coordinates
+    on each side of the origin."""
+    shifts = net_shift_series(sequence, horizon)
+    _require(shifts is not None,
+             "symbolic systems must be built from shifts")
+    radius = min(p.radius for sample in samples for p in sample)
+    limit = radius - MIN_COMMON_RADIUS
+    for n, s in enumerate(shifts):
+        _require(abs(s) <= limit,
+                 f"net shift {s} at time {n} drains the sampled window of "
+                 f"radius {radius}; use a horizon below {n}")
 
 
 def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig:
@@ -192,11 +214,12 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     _require(all(r.space == space for r in cover),
              f"cover regions must lie in the system's {space} space")
     # the probes read the same memoised samples, so this samples nothing extra
-    for region in cover:
-        try:
-            _region_sample(region, resolution)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        samples = [_region_sample(region, resolution) for region in cover]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if space == SYMBOLIC:
+        _check_shift_window(sequence, horizon, samples)
     files = {}
     for i, region in enumerate(cover):
         name = _region_label(region, i)

@@ -4,14 +4,16 @@ Four kinds of points move through the rest of the package: floats on the
 unit interval, floats on the unit circle, two-sided binary sequences with a
 finite sampled window, and finite subsets of any of those. Every consumer
 goes through ``distance`` so the choice of metric lives here and nowhere
-else. A sequence point carries its window as an array, so the metric keeps
-no cache of its own.
+else. A sequence point carries its window as two integer bit codes, so the
+sequence metric is exact integer arithmetic rounded once, and keeps no
+cache of its own.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -48,14 +50,16 @@ class SymbolicPoint:
     ``bits`` stores coordinates ``-origin .. len(bits)-1-origin``; anything
     outside the stored window reads as 0. Shifting moves the origin, not the
     bits, so iteration is O(1) and points from a common orbit share storage.
-    ``window`` holds the same bits as a read-only bool array, built once by
-    ``make_symbolic`` and shared by every shift, so distances slice it
-    without a conversion; it takes no part in equality, hashing or repr.
+    ``fwd`` has bit k set when ``bits[k]`` is 1, and ``rev`` holds the same
+    bits in reverse order. ``make_symbolic`` builds both once and every
+    shift shares them, so distances are integer shifts and masks; they take
+    no part in equality, hashing or repr.
     """
 
     bits: tuple
     origin: int
-    window: np.ndarray = field(compare=False, repr=False)
+    fwd: int = field(compare=False, repr=False)
+    rev: int = field(compare=False, repr=False)
 
     def coord(self, j: int) -> int:
         k = self.origin + j
@@ -65,7 +69,7 @@ class SymbolicPoint:
 
     def shifted(self, k: int) -> "SymbolicPoint":
         # shifted(1).coord(j) == coord(j+1): the left shift.
-        return SymbolicPoint(self.bits, self.origin + k, self.window)
+        return SymbolicPoint(self.bits, self.origin + k, self.fwd, self.rev)
 
     @property
     def radius(self) -> int:
@@ -83,22 +87,23 @@ def make_symbolic(assignments: dict | None = None, radius: int = WINDOW_RADIUS,
         raise ValueError(f"radius must be at least {MIN_COMMON_RADIUS}")
     if fill not in (0, 1):
         raise ValueError("fill must be 0 or 1")
-    bits = [fill] * (2 * radius + 1)
+    # numpy integers would wrap in the shifts below
+    radius = operator.index(radius)
+    size = 2 * radius + 1
+    bits = [fill] * size
+    # bit k of fwd (of rev) is coordinate k - radius (radius - k)
+    fwd = rev = (1 << size) - 1 if fill else 0
     for j, v in (assignments or {}).items():
+        j = operator.index(j)
         if abs(j) > radius:
             raise ValueError(f"coordinate {j} outside window radius {radius}")
         if v not in (0, 1):
             raise ValueError(f"coordinate value must be 0 or 1, got {v!r}")
         bits[radius + j] = v
-    window = np.array(bits, dtype=bool)
-    window.flags.writeable = False
-    return SymbolicPoint(tuple(bits), radius, window)
-
-
-@lru_cache(maxsize=None)
-def _weights(window: int) -> np.ndarray:
-    j = np.arange(-window, window + 1)
-    return 0.5 ** np.abs(j).astype(np.float64)
+        if v != fill:
+            fwd ^= 1 << (radius + j)
+            rev ^= 1 << (radius - j)
+    return SymbolicPoint(tuple(bits), radius, fwd, rev)
 
 
 def dist_interval(a, b):
@@ -121,14 +126,20 @@ def dist_symbolic(x: SymbolicPoint, y: SymbolicPoint) -> float:
     """Weighted coordinate distance over the shared sampled window.
 
     Coordinates at index j carry weight 2**-|j|. Truncating to the shared
-    window under-reports by at most ``symbolic_truncation_bound``.
+    window under-reports by at most ``symbolic_truncation_bound``. The sum
+    is taken exactly as the integer sum of 2**(w-|j|) over unequal j and
+    rounded once by int true division, which stays correct past w = 1023,
+    where a float of the sum would overflow. Bit i of ``left`` is
+    coordinate i - w (j < 0); bit i of ``right`` is coordinate w - i.
     """
     ox, oy = x.origin, y.origin
-    w = min(ox, len(x.bits) - 1 - ox, oy, len(y.bits) - 1 - oy)
+    ex, ey = len(x.bits) - 1 - ox, len(y.bits) - 1 - oy
+    w = min(ox, ex, oy, ey)
     if w < MIN_COMMON_RADIUS:
         raise ValueError("points have drifted past their sampled windows")
-    differ = x.window[ox - w:ox + w + 1] != y.window[oy - w:oy + w + 1]
-    return float(differ @ _weights(w))
+    left = ((x.fwd >> (ox - w)) ^ (y.fwd >> (oy - w))) & ((1 << w) - 1)
+    right = ((x.rev >> (ex - w)) ^ (y.rev >> (ey - w))) & ((2 << w) - 1)
+    return (left + right) / (1 << w)
 
 
 def symbolic_truncation_bound(x: SymbolicPoint, y: SymbolicPoint) -> float:

@@ -185,6 +185,37 @@ class TestExitCodes:
         assert f"{first!r} and {second!r}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("power", [1, -1])
+    def test_shift_that_drains_the_window_is_refused(self, tmp_path, capsys,
+                                                     power):
+        system = {"rule": "cyclic", "space": "symbolic",
+                  "maps": [{"kind": "shift", "power": power}]}
+        cfg = write_config(tmp_path / "c.json", {
+            "system": system, "modes": ["sensitive"], "delta": 0.5,
+            "horizon": 100})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: net shift {64 * power} at time 64 drains the "
+            "sampled window of radius 64; use a horizon below 64\n")
+        assert not (tmp_path / "out").exists()
+        # one coordinate is left on each side at the last time accepted
+        cfg = write_config(tmp_path / "c.json", {
+            "system": system, "modes": ["sensitive"], "delta": 0.5,
+            "horizon": 63, "resolution": 4,
+            "cover": [{"kind": "cylinder", "constraints": {"0": 1}}]})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_symbolic_system_of_other_maps_is_refused(self, tmp_path,
+                                                      capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "system": {"rule": "cyclic", "space": "symbolic",
+                       "maps": [{"kind": "rotation", "offset": 0.1}]},
+            "modes": ["sensitive"], "delta": 0.5, "horizon": 10})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: symbolic systems must be built from shifts\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_check_name(self, capsys):
         assert main(["verify", "--only", "no-such-check"]) == 2
         assert "unknown check" in capsys.readouterr().err

@@ -7,6 +7,7 @@ dicts, so they share no orbit or windowing code with the scan machinery.
 
 import sys
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -180,6 +181,22 @@ def bits_of(table):
     return np.asarray(table, dtype=np.float64).view(np.int64).tolist()
 
 
+@lru_cache(maxsize=None)
+def dot_weights(w):
+    return 0.5 ** np.abs(np.arange(-w, w + 1)).astype(np.float64)
+
+
+def numpy_dot_distance(x, y, windows):
+    """The sequence metric as a numpy dot product of the unequal-coordinate
+    mask with the weights 2**-|j|; ``windows`` maps each point's bits to
+    its bool array."""
+    ox, oy = x.origin, y.origin
+    w = min(ox, len(x.bits) - 1 - ox, oy, len(y.bits) - 1 - oy)
+    differ = (windows[x.bits][ox - w:ox + w + 1]
+              != windows[y.bits][oy - w:oy + w + 1])
+    return float(differ @ dot_weights(w))
+
+
 class TestSymbolicTableAgainstPerCellDistance:
     """The hoisted fill (each point shifted once per distinct shift) equals
     one ``dist_symbolic`` per cell on freshly shifted points, bitwise."""
@@ -204,6 +221,26 @@ class TestSymbolicTableAgainstPerCellDistance:
                   make_symbolic({}, radius=20),
                   make_symbolic({-6: 1, 6: 1}, radius=6))
         self.assert_rows_match_per_cell(seq, sample, 9)
+
+    def test_example31_cylinder_cells_equal_numpy_dot_formula(self):
+        # every cell of every cylinder scan of the shipped example31 run, at
+        # its recommended horizon and resolution, against the dot product
+        # the integer-coded metric replaced
+        named = registry.build("example31")
+        horizon, resolution = named.params.horizon, named.params.resolution
+        cells = 0
+        for region in registry.default_cover(named.params.cover_kind):
+            sample = sample_region(region, resolution)
+            scan = sensitivity._scan(named.sequence, sample, horizon,
+                                     SYMBOLIC)
+            windows = {p.bits: np.array(p.bits, dtype=bool) for p in sample}
+            expect = [[numpy_dot_distance(sample[i].shifted(s),
+                                          sample[j].shifted(s), windows)
+                       for s in scan.shifts]
+                      for i, j in zip(scan.pi.tolist(), scan.pj.tolist())]
+            assert bits_of(scan.stored(0, len(scan.pi))) == bits_of(expect)
+            cells += len(scan.pi) * len(scan.shifts)
+        assert cells > 100_000
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
            st.lists(st.tuples(st.integers(25, 40),

@@ -1,3 +1,6 @@
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from nonauto.spaces import (
     DEDUP_TOL,
     INTERVAL,
     SYMBOLIC,
+    SymbolicPoint,
     circle_distance,
     cylinder_region,
     dist_interval,
@@ -102,6 +106,22 @@ sparse_bits = st.dictionaries(st.integers(min_value=-8, max_value=8),
                               st.sampled_from([0, 1]), max_size=12)
 
 
+@st.composite
+def window_point(draw):
+    """A sequence point of radius 1-64, sparse over a fill or dense, shifted
+    anywhere up to the drain limit (one shared coordinate each side)."""
+    r = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        bits = draw(st.dictionaries(st.integers(-r, r), st.integers(0, 1),
+                                    max_size=8))
+    else:
+        code = draw(st.integers(0, 2 ** (2 * r + 1) - 1))
+        bits = {j: (code >> (r + j)) & 1 for j in range(-r, r + 1)}
+    fill = draw(st.integers(0, 1))
+    return make_symbolic(bits, radius=r, fill=fill).shifted(
+        draw(st.integers(1 - r, r - 1)))
+
+
 class TestSymbolicMetric:
     def test_equal_points(self):
         x = make_symbolic({0: 1, 3: 1})
@@ -113,14 +133,14 @@ class TestSymbolicMetric:
         assert dist_symbolic(x, y) == 1.0
 
     def test_all_ones_window_sum(self):
-        # sum over |j| <= W of 2^-|j| = 3 - 2^(1-W)
-        for w in (4, 8, 64):
+        # sum over |j| <= W of 2^-|j| = 3 - 2^(1-W), rounded once: exact
+        # while 2^(1-W) is at least an ulp of 3 (2^-51), a tie at W = 53
+        # that rounds to even, and 3.0 beyond
+        for w, want in ((4, 2.875), (8, 3 - 2.0 ** -7), (52, 3 - 2.0 ** -51),
+                        (53, 3.0), (64, 3.0)):
             x = make_symbolic({}, radius=w)
             y = make_symbolic({}, radius=w, fill=1)
-            d = dist_symbolic(x, y)
-            assert 3 - 2.0 ** (1 - w) <= d <= 3.0
-        assert dist_symbolic(make_symbolic({}, radius=4),
-                             make_symbolic({}, radius=4, fill=1)) == 2.875
+            assert dist_symbolic(x, y).hex() == want.hex(), w
 
     def test_drained_window_rejected(self):
         p = make_symbolic({}, radius=4)
@@ -161,10 +181,42 @@ class TestSymbolicMetric:
         expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
         assert dist_symbolic(x, y).hex() == expect.hex()
 
+    @given(window_point(), window_point())
+    @example(*[make_symbolic({}, radius=64, fill=fill).shifted(63)
+               for fill in (0, 1)])
+    @example(*[make_symbolic({}, radius=1, fill=fill) for fill in (1, 0)])
+    @example(make_symbolic({-40: 1, 40: 0}, radius=40).shifted(-39),
+             make_symbolic({0: 1}, radius=3, fill=1).shifted(2))
+    @settings(max_examples=400)
+    def test_equals_exact_sum(self, x, y):
+        # the weighted sum over the shared window taken exactly, from
+        # coordinate reads, then rounded once
+        w = min(x.radius, y.radius)
+        exact = sum(Fraction(1, 2 ** abs(j)) for j in range(-w, w + 1)
+                    if x.coord(j) != y.coord(j))
+        assert dist_symbolic(x, y).hex() == float(exact).hex()
+
+    def test_exact_sum_past_float_range(self):
+        # 2**w is no float past w = 1023; the sum is still rounded once
+        x = make_symbolic({-1000: 1, 1100: 1}, radius=1100)
+        y = make_symbolic({}, radius=1100)
+        assert dist_symbolic(x, y) == 2.0 ** -1000
+        assert dist_symbolic(x.shifted(60), y.shifted(60)) == 2.0 ** -1040
+        assert dist_symbolic(y, make_symbolic({}, radius=1100, fill=1)) == 3.0
+
+    def test_numpy_integer_coordinates(self):
+        # a numpy integer would wrap in the shifts that build the codes
+        p = make_symbolic({np.int64(40): 1, np.int64(-3): 1},
+                          radius=np.int64(60))
+        q = make_symbolic({40: 1, -3: 1}, radius=60)
+        assert (p.fwd, p.rev) == (q.fwd, q.rev)
+        zero = make_symbolic({}, radius=60)
+        assert dist_symbolic(p, zero) == 2.0 ** -40 + 0.125
+
     def test_window_arrays_follow_the_points(self):
         # every point has its own bits tuple and is dropped on the next
         # pass, so freed ids come back; each distance must read the
-        # windows of the points it is given
+        # window codes of the points it is given
         y = make_symbolic({0: 1, -3: 1}, radius=20)
         for i in range(6000):
             x = make_symbolic({i % 41 - 20: 1, (7 * i) % 41 - 20: 1},
@@ -178,17 +230,27 @@ class TestSymbolicMetric:
             assert dist_symbolic(x, y) == expect, i
 
     def test_window_is_shared_and_read_only(self):
-        p = make_symbolic({0: 1, 3: 1}, radius=12)
+        p = make_symbolic({0: 1, 3: 1, -12: 1}, radius=12, fill=1)
         q = p.shifted(2).shifted(-5)
-        assert q.window is p.window
-        assert p.window.tolist() == [bool(b) for b in p.bits]
-        with pytest.raises(ValueError):
-            q.window[0] = True
-        # the array takes no part in equality, hashing or repr
-        twin = make_symbolic({0: 1, 3: 1}, radius=12)
-        assert twin.window is not p.window
+        assert q.fwd is p.fwd and q.rev is p.rev
+        # bit k of fwd is bits[k]; rev holds the same bits reversed
+        size = len(p.bits)
+        for k in range(size):
+            assert (p.fwd >> k) & 1 == p.bits[k] == (p.rev >> (size - 1 - k)) & 1
+        assert p.fwd >> size == p.rev >> size == 0
+        # and bits[k] is what coord() reads, from any shift
+        for j in range(-q.radius, q.radius + 1):
+            assert (q.fwd >> (q.origin + j)) & 1 == q.coord(j)
+        with pytest.raises(FrozenInstanceError):
+            q.fwd = 0
+        # the codes take no part in equality, hashing or repr
+        twin = make_symbolic({0: 1, 3: 1, -12: 1}, radius=12, fill=1)
+        assert twin.fwd is not p.fwd
         assert twin == p and hash(twin) == hash(p)
-        assert repr(twin) == repr(p) and "window" not in repr(p)
+        other = SymbolicPoint(p.bits, p.origin, 0, 0)
+        assert other == p and hash(other) == hash(p)
+        assert repr(other) == repr(p)
+        assert "fwd" not in repr(p) and "rev" not in repr(p)
 
     def test_sort_key_equals_coordinate_reads(self):
         # shifted points of unequal radius: the key is coordinates
