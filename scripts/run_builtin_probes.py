@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from nonauto.cli import parse_config, run_experiment, write_outputs
-from nonauto.registry import build, registry_names
+from nonauto.registry import registry_names
 
 
 def main(argv=None) -> int:
@@ -23,15 +23,12 @@ def main(argv=None) -> int:
 
     names = args.systems or list(registry_names())
     for name in names:
-        named = build(name)
+        # deltas, horizon, resolution and cover default to the registry's
         raw = {
             "system": name,
             "modes": ["F-sensitive", "weakly-F-sensitive"],
             "family": {"kind": "infinite", "min_count": 10,
                        "tail_fraction": 0.25},
-            "deltas": list(named.params.deltas),
-            "horizon": named.params.horizon,
-            "resolution": named.params.resolution,
         }
         cfg = parse_config(raw, out_override=f"{args.out}/{name}")
         report = run_experiment(cfg)

@@ -26,6 +26,8 @@ from .families import (
     windowed,
 )
 from .registry import (
+    COVER_KINDS,
+    RESOLUTION,
     TWO_STEP_PIECES,
     build,
     default_cover,
@@ -267,15 +269,14 @@ def _check_weak_strong_agreement():
     agree_breaks = []
     for name in registry_names():
         named = build(name)
-        cover = default_cover(named.params.cover_kind)
-        for delta in named.params.deltas:
+        cover = default_cover(COVER_KINDS[named.sequence.space])
+        for delta in named.deltas:
             for fam in STANDARD_FAMILIES:
                 strong = sensitivity_probe(named.sequence, delta, fam, cover,
-                                           named.params.horizon,
-                                           named.params.resolution)
+                                           named.horizon, RESOLUTION)
                 weak = weak_sensitivity_probe(named.sequence, delta, fam,
-                                              cover, named.params.horizon,
-                                              named.params.resolution)
+                                              cover, named.horizon,
+                                              RESOLUTION)
                 grid += 1
                 if not weak_implication_ok(strong, weak):
                     impl_violations.append((name, fam.kind))

@@ -23,7 +23,13 @@ from pathlib import Path
 
 from . import acceptance, families
 from .families import FamilySpec, cofinite_family, nonempty, syndetic_family
-from .registry import build, default_cover, registry_names
+from .registry import (
+    COVER_KINDS,
+    RESOLUTION,
+    build,
+    default_cover,
+    registry_names,
+)
 from .sensitivity import (
     _region_label,
     _region_sample,
@@ -39,15 +45,12 @@ from .spaces import (
     cylinder_region,
     metric_ball,
 )
-from .systems import MapSequence, net_shift_series, sequence_from_dict
+from .systems import MapSequence, map_at, net_shift_series, sequence_from_dict
 
 REPORT_SCHEMA = 1
 
 MODES = ("sensitive", "cofinite", "syndetic", "F-sensitive",
          "weakly-F-sensitive")
-
-_DEFAULT_COVER_KIND = {INTERVAL: "interval-balls", CIRCLE: "circle-balls",
-                       SYMBOLIC: "cylinders"}
 
 
 class ConfigError(ValueError):
@@ -124,8 +127,6 @@ def _check_shift_window(sequence: MapSequence, horizon: int, samples) -> None:
     the horizon: a distance needs ``MIN_COMMON_RADIUS`` shared coordinates
     on each side of the origin."""
     shifts = net_shift_series(sequence, horizon)
-    _require(shifts is not None,
-             "symbolic systems must be built from shifts")
     radius = min(p.radius for sample in samples for p in sample)
     limit = radius - MIN_COMMON_RADIUS
     for n, s in enumerate(shifts):
@@ -145,17 +146,17 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
             named = build(system)
         except KeyError as exc:
             raise UnknownSystemError(exc.args[0]) from exc
-        label, sequence, space = system, named.sequence, named.space
+        label, sequence = system, named.sequence
     elif isinstance(system, dict):
         try:
             sequence = sequence_from_dict(system)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline system: {exc}") from exc
-        label, space = raw.get("label", "inline"), sequence.space
-        _require(space is not None,
-                 "inline systems must carry a space tag")
+        label = raw.get("label", "inline")
     else:
         raise ConfigError("'system' must be a name or an inline object")
+    space = sequence.space
+    _require(space is not None, "inline systems must carry a space tag")
 
     modes = raw.get("modes")
     _require(isinstance(modes, list) and modes,
@@ -170,7 +171,7 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     elif "delta" in raw:
         deltas = [raw["delta"]]
     elif named is not None:
-        deltas = list(named.params.deltas)
+        deltas = list(named.deltas)
     else:
         raise ConfigError("config needs 'delta' or 'deltas'")
     # JSON true and false load as bool, which float() would take
@@ -195,27 +196,25 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
         _require(family is not None,
                  "family-based modes need a 'family' entry")
 
-    default_h = named.params.horizon if named else None
-    horizon = raw.get("horizon", default_h)
+    horizon = raw.get("horizon", named.horizon if named else None)
     # exact type: JSON true and false load as bool, a subclass of int
     _require(type(horizon) is int and horizon >= 1,
              "config needs an integer horizon >= 1")
 
-    default_r = named.params.resolution if named else 64
-    resolution = raw.get("resolution", default_r)
+    resolution = raw.get("resolution", RESOLUTION)
     _require(type(resolution) is int and resolution >= 2,
              "resolution must be an integer >= 2")
 
     cover_spec = raw.get("cover")
-    if cover_spec is None:
-        cover_spec = (named.params.cover_kind if named
-                      else _DEFAULT_COVER_KIND[space])
-    cover = _parse_cover(cover_spec, space)
+    cover = _parse_cover(COVER_KINDS[space] if cover_spec is None
+                         else cover_spec, space)
     _require(all(r.space == space for r in cover),
              f"cover regions must lie in the system's {space} space")
-    # the probes read the same memoised samples, so this samples nothing extra
+    # the probes read the same memoised samples and built maps, so this
+    # builds nothing extra; building the maps checks each generated block
     try:
         samples = [_region_sample(region, resolution) for region in cover]
+        map_at(sequence, horizon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if space == SYMBOLIC:
@@ -349,10 +348,11 @@ def _cmd_list(_args) -> int:
     width = max(len(n) for n in registry_names())
     for name in registry_names():
         named = build(name)
-        p = named.params
+        cover = COVER_KINDS[named.sequence.space]
         print(f"{name:<{width}}  {named.description}")
-        print(f"{'':<{width}}  deltas={list(p.deltas)} horizon={p.horizon} "
-              f"resolution={p.resolution} cover={p.cover_kind}")
+        print(f"{'':<{width}}  deltas={list(named.deltas)} "
+              f"horizon={named.horizon} resolution={RESOLUTION} "
+              f"cover={cover}")
     return 0
 
 

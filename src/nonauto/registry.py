@@ -73,12 +73,10 @@ class ContinuityReport:
     violations: tuple
 
 
-@dataclass(frozen=True)
-class ProbeParams:
-    deltas: tuple
-    horizon: int
-    resolution: int
-    cover_kind: str
+# probe defaults shared by every system: resolution, and cover per space
+RESOLUTION = 64
+COVER_KINDS = {INTERVAL: "interval-balls", CIRCLE: "circle-balls",
+               SYMBOLIC: "cylinders"}
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,8 @@ class NamedSystem:
     name: str
     description: str
     sequence: MapSequence
-    space: object
-    params: ProbeParams
+    deltas: tuple
+    horizon: int
     piece_tables: tuple = ()
 
 
@@ -120,9 +118,7 @@ def _build_registry() -> dict:
                          "shifts, so displacement spikes recur with widening "
                          "gaps"),
             sequence=block_sequence("shift-blocks", space=SYMBOLIC),
-            space=SYMBOLIC,
-            params=ProbeParams(deltas=(0.5,), horizon=2000, resolution=64,
-                               cover_kind="cylinders"),
+            deltas=(0.5,), horizon=2000,
         ),
         NamedSystem(
             name="example41_f1",
@@ -130,9 +126,7 @@ def _build_registry() -> dict:
                          "an isometric involution on [1/4, 1], run "
                          "autonomously"),
             sequence=cyclic_sequence([_F1]),
-            space=INTERVAL,
-            params=ProbeParams(deltas=(0.2,), horizon=200, resolution=64,
-                               cover_kind="interval-balls"),
+            deltas=(0.2,), horizon=200,
             piece_tables=(("f1", F1_PIECES),),
         ),
         NamedSystem(
@@ -141,9 +135,7 @@ def _build_registry() -> dict:
                          "isometrically and folds the rest, run "
                          "autonomously"),
             sequence=cyclic_sequence([_F2]),
-            space=INTERVAL,
-            params=ProbeParams(deltas=(0.2,), horizon=200, resolution=64,
-                               cover_kind="interval-balls"),
+            deltas=(0.2,), horizon=200,
             piece_tables=(("f2", F2_PIECES),),
         ),
         NamedSystem(
@@ -152,9 +144,7 @@ def _build_registry() -> dict:
                          "composition, whose five linear pieces all have "
                          "slope magnitude at least 2"),
             sequence=cyclic_sequence([composition([_F1, _F2])]),
-            space=INTERVAL,
-            params=ProbeParams(deltas=(0.2,), horizon=200, resolution=64,
-                               cover_kind="interval-balls"),
+            deltas=(0.2,), horizon=200,
             piece_tables=(("f1", F1_PIECES), ("f2", F2_PIECES),
                           ("two-step", TWO_STEP_PIECES)),
         ),
@@ -164,9 +154,7 @@ def _build_registry() -> dict:
                          "even-time prefixes agree bitwise with the "
                          "two-step composition system"),
             sequence=generated_system([_F1, _F2]),
-            space=INTERVAL,
-            params=ProbeParams(deltas=(0.2,), horizon=400, resolution=64,
-                               cover_kind="interval-balls"),
+            deltas=(0.2,), horizon=400,
             piece_tables=(("f1", F1_PIECES), ("f2", F2_PIECES)),
         ),
         NamedSystem(
@@ -175,9 +163,7 @@ def _build_registry() -> dict:
                          "so the sequence converges to the identity in the "
                          "supremum metric"),
             sequence=block_sequence("rot-summable", space=CIRCLE),
-            space=CIRCLE,
-            params=ProbeParams(deltas=(0.25,), horizon=100, resolution=64,
-                               cover_kind="circle-balls"),
+            deltas=(0.25,), horizon=100,
         ),
         NamedSystem(
             name="rotations_harmonic",
@@ -185,17 +171,13 @@ def _build_registry() -> dict:
                          "to the identity but displacements sum like the "
                          "harmonic series"),
             sequence=block_sequence("rot-harmonic", space=CIRCLE),
-            space=CIRCLE,
-            params=ProbeParams(deltas=(0.25,), horizon=100, resolution=64,
-                               cover_kind="circle-balls"),
+            deltas=(0.25,), horizon=100,
         ),
         NamedSystem(
             name="identity",
             description="constant identity sequence on the interval",
             sequence=cyclic_sequence([identity()], space=INTERVAL),
-            space=INTERVAL,
-            params=ProbeParams(deltas=(0.1,), horizon=200, resolution=64,
-                               cover_kind="interval-balls"),
+            deltas=(0.1,), horizon=200,
         ),
     ]
     return {e.name: e for e in entries}

@@ -191,12 +191,9 @@ def hausdorff_array(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # full-size temporaries to every point scan
         return distance(space, a[..., 0], b[..., 0])
     cross = distance(space, a[..., :, None], b[..., None, :])
-    if cross.ndim == 2:
-        # one pair of subsets: two small reductions beat a fold of scalars
-        return np.maximum(cross.min(axis=1).max(), cross.min(axis=0).max())
     m, k = cross.shape[-2:]
-    # many pairs: fold over the element slices, since numpy reductions over
-    # a trailing axis of length 2-4 are slow; min/max are exact in any order
+    # fold over the element slices, since numpy reductions over a trailing
+    # axis of length 2-4 are slow; min/max are exact in any order
     forward = reduce(np.maximum, (
         reduce(np.minimum, (cross[..., i, j] for j in range(k)))
         for i in range(m)))

@@ -262,6 +262,9 @@ class MapSequence:
 
     The last two build each map once per sequence object: generator blocks
     are appended whole, iterates one composition at a time.
+
+    ``space`` is the one space every map acts on, checked when the sequence
+    is built and, for generated blocks, as each block is appended.
     """
 
     rule: str
@@ -289,6 +292,7 @@ def _grow(seq: MapSequence, built: _Built) -> None:
         if not block:
             raise ValueError(
                 f"generator {seq.generator_name!r} produced an empty block")
+        _checked_space(block, seq.space)
         built.extend(block)
         built.blocks += 1
     else:
@@ -329,12 +333,23 @@ def _infer_space(maps) -> object:
     return tag
 
 
+def _checked_space(maps, space) -> object:
+    """The maps' space; a given tag must agree (identities fit any tag)."""
+    if space not in (None, INTERVAL, CIRCLE, SYMBOLIC):
+        raise ValueError(f"unknown space tag {space!r}")
+    inferred = _infer_space(maps)
+    if space is not None and inferred not in (None, space):
+        raise ValueError(f"space tag {space} disagrees with maps on the "
+                         f"{inferred} space")
+    return space or inferred
+
+
 def cyclic_sequence(maps, space=None) -> MapSequence:
     maps = tuple(maps)
     if not maps:
         raise ValueError("cyclic sequence needs at least one map")
     return MapSequence(rule="cyclic", maps=maps,
-                       space=space if space is not None else _infer_space(maps))
+                       space=_checked_space(maps, space))
 
 
 def explicit_sequence(maps, tail="identity", space=None) -> MapSequence:
@@ -344,14 +359,14 @@ def explicit_sequence(maps, tail="identity", space=None) -> MapSequence:
     if tail not in ("hold", "identity"):
         raise ValueError(f"unknown tail rule: {tail!r}")
     return MapSequence(rule="explicit-list", maps=maps, tail=tail,
-                       space=space if space is not None else _infer_space(maps))
+                       space=_checked_space(maps, space))
 
 
 def block_sequence(generator_name: str, space=None) -> MapSequence:
     if generator_name not in BLOCK_GENERATORS:
         raise ValueError(f"unknown block generator: {generator_name!r}")
     return MapSequence(rule="block-structured", generator_name=generator_name,
-                       space=space)
+                       space=_checked_space((), space))
 
 
 def generated_system(family) -> MapSequence:

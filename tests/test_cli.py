@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nonauto.cli import main, parse_config, ConfigError
-from nonauto.registry import build
+from nonauto.registry import COVER_KINDS, RESOLUTION, build
 from nonauto.systems import cyclic_sequence, piecewise_linear, sequence_to_dict
 
 F1_KNOTS = [[0.0, 0.0], [0.25, 1.0], [1.0, 0.25]]
@@ -150,12 +150,31 @@ class TestExitCodes:
         {"deltas": [1e309]},
         {"system": "example31", "cover": [{"kind": "cylinder",
                                            "constraints": {"0": 1e400}}]},
+        {"system": {"rule": "cyclic", "space": "interval",
+                    "maps": [{"kind": "shift", "power": 1}]}},
+        {"system": {"rule": "cyclic", "space": "circle",
+                    "maps": [{"kind": "piecewise-linear", "knots": F1_KNOTS}]}},
+        {"system": {"rule": "cyclic", "space": "interval",
+                    "maps": [{"kind": "rotation", "offset": 0.3}]}},
+        {"system": {"rule": "block-structured", "space": "interval",
+                    "generator": "shift-blocks"}},
+        {"system": {"rule": "block-structured", "space": "interval",
+                    "generator": "rot-harmonic"}},
+        {"system": {"rule": "explicit-list", "space": "circle",
+                    "maps": [{"kind": "rotation", "offset": 0.3},
+                             {"kind": "piecewise-linear", "knots": F1_KNOTS}]}},
+        {"system": {"rule": "cyclic", "space": "torus",
+                    "maps": [{"kind": "identity"}]}},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
             "family-number", "cover-kind-other-space",
             "cylinder-on-interval", "dual-of-number", "ball-degenerate",
-            "count-infinite", "delta-infinite", "cylinder-value-infinite"])
+            "count-infinite", "delta-infinite", "cylinder-value-infinite",
+            "shift-tagged-interval", "knots-tagged-circle",
+            "rotation-tagged-interval", "shift-blocks-tagged-interval",
+            "rot-harmonic-tagged-interval", "mixed-maps-tagged-circle",
+            "identity-tagged-unknown"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}
@@ -213,7 +232,8 @@ class TestExitCodes:
             "modes": ["sensitive"], "delta": 0.5, "horizon": 10})
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "config error: symbolic systems must be built from shifts\n")
+            "config error: bad inline system: space tag symbolic disagrees "
+            "with maps on the circle space\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_check_name(self, capsys):
@@ -259,15 +279,16 @@ class TestProbeScript:
                             "--out", str(tmp_path / "script")]) == 0
         assert "identity: F-sensitive" in capsys.readouterr().out
         for name in names:
-            params = build(name).params
+            named = build(name)
             cfg = write_config(tmp_path / f"{name}.json", {
                 "system": name,
                 "modes": ["F-sensitive", "weakly-F-sensitive"],
                 "family": {"kind": "infinite", "min_count": 10,
                            "tail_fraction": 0.25},
-                "deltas": list(params.deltas),
-                "horizon": params.horizon,
-                "resolution": params.resolution,
+                "deltas": list(named.deltas),
+                "horizon": named.horizon,
+                "resolution": RESOLUTION,
+                "cover": COVER_KINDS[named.sequence.space],
             })
             ran = tmp_path / "run" / name
             assert main(["run", cfg, "--out", str(ran)]) == 0
@@ -301,6 +322,16 @@ class TestVerifyAndList:
         for name in ("example31", "example41_composition",
                      "rotations_harmonic", "identity"):
             assert name in out
+
+    def test_list_pins_parameter_lines(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        params = {lines[i].split()[0]: lines[i + 1].strip()
+                  for i in range(0, len(lines), 2)}
+        assert params["example31"] == (
+            "deltas=[0.5] horizon=2000 resolution=64 cover=cylinders")
+        assert params["identity"] == (
+            "deltas=[0.1] horizon=200 resolution=64 cover=interval-balls")
 
 
 class TestConfigParsing:

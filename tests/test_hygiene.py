@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used by the module importing it,
-and every module-level function and class of the package is referenced."""
+and every module-level function, class and assigned name of the package is
+referenced."""
 
 import ast
 from pathlib import Path
@@ -57,17 +58,33 @@ def referenced(tree: ast.Module, skip=range(0)) -> set:
     return out
 
 
+def defined_names(node: ast.stmt) -> list:
+    """Names a module-level statement defines: a function or class, or the
+    plain names an assignment binds, dunder names excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)
+            and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def dead_definitions(tree: ast.Module, others) -> list:
-    """Module-level functions and classes that nothing references outside
-    their own body, in ``tree`` or in any of the ``others``."""
+    """Module-level definitions and assignments that nothing references
+    outside their own statement, in ``tree`` or in any of the ``others``."""
     used = set().union(*(referenced(t) for t in others))
     dead = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            body = range(node.lineno, node.end_lineno + 1)
-            if node.name not in used | referenced(tree, body):
-                dead.append((node.lineno, node.name))
+        body = range(node.lineno, node.end_lineno + 1)
+        for name in defined_names(node):
+            if name not in used | referenced(tree, body):
+                dead.append((node.lineno, name))
     return dead
 
 
@@ -83,3 +100,10 @@ def test_scan_flags_a_dead_definition():
                      "\n\nclass C:\n    pass\n\n\ng()\n")
     other = ast.parse("import m\nm.C\n")
     assert dead_definitions(tree, [other]) == [(1, "f")]
+
+
+def test_scan_flags_a_dead_assignment():
+    tree = ast.parse("__all__ = []\nA = 1\nB: int = A\nC, (D, E) = 2, (A, 3)"
+                     "\nF = F + 1 if False else 0\nprint(E)\n")
+    other = ast.parse("import m\nm.C\n")
+    assert dead_definitions(tree, [other]) == [(3, "B"), (4, "D"), (5, "F")]

@@ -9,9 +9,10 @@ import pytest
 
 from nonauto import registry
 from nonauto.registry import (
+    COVER_KINDS,
+    RESOLUTION,
     ContinuityReport,
     NamedSystem,
-    ProbeParams,
     build,
     default_cover,
     map_from_pieces,
@@ -49,6 +50,21 @@ class TestRegistryShape:
             "identity",
         )
 
+    def test_spaces_pinned(self):
+        assert {name: build(name).sequence.space
+                for name in registry_names()} == {
+            "example31": SYMBOLIC,
+            "example41_f1": INTERVAL,
+            "example41_f2": INTERVAL,
+            "example41_composition": INTERVAL,
+            "example41_generated": INTERVAL,
+            "rotations_summable": CIRCLE,
+            "rotations_harmonic": CIRCLE,
+            "identity": INTERVAL,
+        }
+        assert COVER_KINDS == {INTERVAL: "interval-balls",
+                               CIRCLE: "circle-balls", SYMBOLIC: "cylinders"}
+
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             build("no-such-system")
@@ -58,19 +74,19 @@ class TestRegistryShape:
             named = build(name)
             assert named.name == name
             assert named.description
-            assert isinstance(named.params, ProbeParams)
-            assert named.params.horizon >= 100
-            assert all(d > 0 for d in named.params.deltas)
+            assert isinstance(named.deltas, tuple)
+            assert type(named.horizon) is int and named.horizon >= 100
+            assert all(d > 0 for d in named.deltas)
 
     def test_recommended_parameters_frozen(self):
-        e31 = build("example31").params
+        e31 = build("example31")
         assert e31.deltas == (0.5,)
         assert e31.horizon == 2000
-        assert e31.cover_kind == "cylinders"
-        comp = build("example41_composition").params
+        assert COVER_KINDS[e31.sequence.space] == "cylinders"
+        comp = build("example41_composition")
         assert comp.deltas == (0.2,)
         assert comp.horizon == 200
-        assert comp.resolution == 64
+        assert RESOLUTION == 64
 
 
 class TestPieceTables:
@@ -114,8 +130,8 @@ class TestPieceTables:
             name="bad",
             description="deliberately torn at 0.5",
             sequence=build("identity").sequence,
-            space=INTERVAL,
-            params=build("identity").params,
+            deltas=(0.1,),
+            horizon=200,
             piece_tables=(("torn", ((0.0, 0.5, 1.0, 0.0),
                                     (0.5, 1.0, 1.0, 0.25))),),
         )
@@ -216,7 +232,7 @@ class TestBlockSystems:
             # a full turn normalizes to offset zero
             assert mh.kind == "rotation" and mh.offset == (1.0 / n) % 1.0
         assert summable.space == CIRCLE
-        assert build("example31").space == SYMBOLIC
+        assert build("example31").sequence.space == SYMBOLIC
 
 
 class TestCovers:

@@ -227,9 +227,9 @@ class TestSymbolicTableAgainstPerCellDistance:
         # its recommended horizon and resolution, against the dot product
         # the integer-coded metric replaced
         named = registry.build("example31")
-        horizon, resolution = named.params.horizon, named.params.resolution
+        horizon, resolution = named.horizon, registry.RESOLUTION
         cells = 0
-        for region in registry.default_cover(named.params.cover_kind):
+        for region in registry.default_cover("cylinders"):
             sample = sample_region(region, resolution)
             scan = sensitivity._scan(named.sequence, sample, horizon,
                                      SYMBOLIC)

@@ -351,6 +351,65 @@ class TestBlocks:
         assert [map_at(fresh, n) for n in range(1, len(flat) + 1)] == flat
 
 
+class TestSpaceTags:
+    @pytest.mark.parametrize("build", [cyclic_sequence, explicit_sequence])
+    @pytest.mark.parametrize("m, tag, acts_on", [
+        (shift(1), INTERVAL, SYMBOLIC),
+        (F1, CIRCLE, INTERVAL),
+        (rotation(0.3), INTERVAL, CIRCLE),
+        (composition([identity(), shift(2)]), CIRCLE, SYMBOLIC),
+    ], ids=["shift-as-interval", "knots-as-circle", "rotation-as-interval",
+            "composed-shift-as-circle"])
+    def test_mismatched_tag_names_both_spaces(self, build, m, tag, acts_on):
+        with pytest.raises(ValueError, match=f"^space tag {tag} disagrees "
+                                             f"with maps on the {acts_on} "
+                                             f"space$"):
+            build([identity(), m], space=tag)
+
+    @pytest.mark.parametrize("tag", [INTERVAL, CIRCLE, SYMBOLIC])
+    def test_identity_takes_any_tag(self, tag):
+        assert cyclic_sequence([identity()], space=tag).space == tag
+        assert explicit_sequence([identity()] * 2, space=tag).space == tag
+
+    def test_mixed_maps_refused_even_when_tagged(self):
+        with pytest.raises(ValueError, match="^maps act on different spaces: "
+                                             "circle, interval$"):
+            explicit_sequence([rotation(0.3), F1], space=CIRCLE)
+
+    @pytest.mark.parametrize("build", [
+        lambda tag: cyclic_sequence([identity()], space=tag),
+        lambda tag: systems.block_sequence("shift-blocks", space=tag),
+    ], ids=["cyclic", "block"])
+    def test_unknown_tag_refused(self, build):
+        with pytest.raises(ValueError, match="^unknown space tag 'torus'$"):
+            build("torus")
+
+    def test_bad_generated_block_raises_when_reached(self):
+        systems.register_block_generator("unit-test-turns-symbolic",
+                                         turns_symbolic_in_third_block)
+        s = systems.block_sequence("unit-test-turns-symbolic", space=CIRCLE)
+        assert [map_at(s, n) for n in range(1, 5)] == [
+            rotation(r / 8) for r in (1, 1, 2, 2)]
+        for n in (6, 5):
+            with pytest.raises(ValueError, match="^space tag circle disagrees "
+                                                 "with maps on the symbolic "
+                                                 "space$"):
+                map_at(s, n)
+        assert map_at(s, 4) == rotation(2 / 8)
+        assert len(s._built) == 4
+
+    def test_untagged_block_of_mixed_maps_raises(self):
+        systems.register_block_generator(
+            "unit-test-mixed", lambda r: (rotation(0.5), F1))
+        s = systems.block_sequence("unit-test-mixed")
+        with pytest.raises(ValueError, match="^maps act on different spaces"):
+            map_at(s, 1)
+
+
+def turns_symbolic_in_third_block(r):
+    return (shift(1),) * 2 if r == 3 else (rotation(r / 8),) * 2
+
+
 def distinct_block(r):
     # block r has r + (r % 3) maps and no map repeats anywhere in the sequence
     return tuple(rotation(r / 64 + i / 4096) for i in range(r + r % 3))
@@ -528,14 +587,13 @@ def loop_shadow_bound_check(seq, f, x, n, k):
 
 
 class TestMemoisedCommutation:
-    # maps 1 and 2 commute with the reference rotation; map 3 is the first
-    # that does not
-    SEQ = explicit_sequence([rotation(0.125), rotation(0.375), F1, F2],
-                            tail="hold", space=CIRCLE)
+    # maps 1 and 2 commute with the reference map; map 3 is the first that
+    # does not
+    SEQ = explicit_sequence([F1, identity(), F2], tail="hold")
 
     def raised(self, check, n, k):
         with pytest.raises(CommutationError) as info:
-            check(self.SEQ, rotation(0.25), 0.1, n, k)
+            check(self.SEQ, F1, 0.1, n, k)
         err = info.value
         return err.index, err.x, err.gap, str(err)
 
@@ -551,9 +609,8 @@ class TestMemoisedCommutation:
         assert systems._commutation_failure.cache_info().hits > hits
 
     def test_commuting_prefix_passes(self):
-        rec = shadow_bound_check(self.SEQ, rotation(0.25), 0.1, 1, 1)
-        assert rec == loop_shadow_bound_check(self.SEQ, rotation(0.25), 0.1,
-                                              1, 1)
+        rec = shadow_bound_check(self.SEQ, F1, 0.1, 1, 1)
+        assert rec == loop_shadow_bound_check(self.SEQ, F1, 0.1, 1, 1)
 
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                      allow_nan=False),
