@@ -18,6 +18,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="probe-results",
                         help="root directory for per-system outputs")
     parser.add_argument("--systems", nargs="*", default=None,
+                        choices=registry_names(),
                         help="subset of systems to run (default: all)")
     args = parser.parse_args(argv)
 

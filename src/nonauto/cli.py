@@ -37,14 +37,7 @@ from .sensitivity import (
     sensitivity_probe,
     weak_sensitivity_probe,
 )
-from .spaces import (
-    CIRCLE,
-    INTERVAL,
-    MIN_COMMON_RADIUS,
-    SYMBOLIC,
-    cylinder_region,
-    metric_ball,
-)
+from .spaces import MIN_COMMON_RADIUS, SYMBOLIC, cylinder_region, metric_ball
 from .systems import MapSequence, map_at, net_shift_series, sequence_from_dict
 
 REPORT_SCHEMA = 1
@@ -97,8 +90,6 @@ def _parse_cover(spec, space):
         if kind == "ball":
             _require("center" in rd and "radius" in rd,
                      f"ball region {i} needs center and radius")
-            _require(space in (INTERVAL, CIRCLE),
-                     "ball regions need an interval or circle system")
         elif kind == "cylinder":
             _require(isinstance(rd.get("constraints"), dict),
                      f"cylinder region {i} needs a constraints object")
@@ -114,10 +105,6 @@ def _parse_cover(spec, space):
                     label=label)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad cover entry {i}: {exc}") from exc
-        if kind == "ball" and space == INTERVAL:
-            _require(region.center + region.radius >= 0.0
-                     and region.center - region.radius <= 1.0,
-                     f"ball region {i} does not meet the interval [0, 1]")
         regions.append(region)
     return tuple(regions)
 
@@ -156,7 +143,6 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     else:
         raise ConfigError("'system' must be a name or an inline object")
     space = sequence.space
-    _require(space is not None, "inline systems must carry a space tag")
 
     modes = raw.get("modes")
     _require(isinstance(modes, list) and modes,

@@ -33,7 +33,6 @@ import numpy as np
 from . import families, spaces
 from .families import FamilySpec, WindowedIndexSet, member, windowed
 from .spaces import (
-    INTERVAL,
     SYMBOLIC,
     FiniteSubset,
     Region,
@@ -172,8 +171,7 @@ class RegionScan:
         return families.from_mask(self.pair_series(i, j)[1:] > delta)
 
 
-def _scan_orbits(seq: MapSequence, sample, horizon: int,
-                 space) -> RegionScan:
+def _scan_orbits(seq: MapSequence, sample, horizon: int) -> RegionScan:
     # A point is a one-element subset. Pad every subset to one width by
     # repeating its first element: duplicates never change the Hausdorff
     # distance, and at width 1 it reduces to the point metric bitwise.
@@ -191,15 +189,14 @@ def _scan_orbits(seq: MapSequence, sample, horizon: int,
 
     def stored(a, b, stop=None):
         view = orbits[:, :stop]
-        return hausdorff_array(space, view[pi[a:b]], view[pj[a:b]])
+        return hausdorff_array(seq.space, view[pi[a:b]], view[pj[a:b]])
 
     return RegionScan(sample, horizon, pi, pj, stored)
 
 
 def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
+    # a symbolic sequence's maps are all shifts and identities
     shifts = net_shift_series(seq, horizon)
-    if shifts is None:
-        raise ValueError("symbolic sequences must be built from shifts")
     pi, pj = _pair_indices(len(sample))
     distinct = sorted(set(shifts))
     # distance between two shifted points depends only on the shift amount,
@@ -213,10 +210,10 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
                       cols=np.searchsorted(distinct, shifts), shifts=distinct)
 
 
-def _scan(seq: MapSequence, sample, horizon: int, space) -> RegionScan:
-    if space == SYMBOLIC:
+def _scan(seq: MapSequence, sample, horizon: int) -> RegionScan:
+    if seq.space == SYMBOLIC:
         return _scan_symbolic(seq, sample, horizon)
-    return _scan_orbits(seq, sample, horizon, space)
+    return _scan_orbits(seq, sample, horizon)
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -262,16 +259,18 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
     data (orbits or the pair × shift table, the summary, shared pair
     indices and sample), which is what makes keeping all of them affordable.
     """
-    sample = _region_sample(region, resolution)
-    if region.kind == "hausdorff-ball":
-        space = region.space.base
-    else:
-        space = seq.space or region.space
-    return _scan(seq, sample, horizon, space)
+    return _scan(seq, _region_sample(region, resolution), horizon)
 
 
 # ---------------------------------------------------------------------------
 # Public operations
+
+
+def _check_probe(delta, horizon) -> None:
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
 
 
 @dataclass(frozen=True)
@@ -287,10 +286,7 @@ class HitTimeSet:
 def hit_times(seq: MapSequence, region: Region, delta: float, horizon: int,
               resolution: int) -> HitTimeSet:
     """Times at which some sampled pair of the region separates past delta."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    _check_probe(delta, horizon)
     scan = region_scan(seq, region, horizon, resolution)
     times = scan.times(delta)
     witnesses = {}
@@ -304,14 +300,8 @@ def hit_times(seq: MapSequence, region: Region, delta: float, horizon: int,
 def pair_separation_times(seq: MapSequence, x, y, delta: float,
                           horizon: int) -> WindowedIndexSet:
     """{n <= horizon : d(prefix_n(x), prefix_n(y)) > delta}."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    space = seq.space
-    if space is None:
-        space = INTERVAL if isinstance(x, float) else SYMBOLIC
-    hits = _scan(seq, (x, y), horizon, space).hits(delta, 0, 1)
+    _check_probe(delta, horizon)
+    hits = _scan(seq, (x, y), horizon).hits(delta, 0, 1)
     return families.from_mask(hits[0])
 
 
@@ -409,6 +399,7 @@ def _region_label(region: Region, index: int) -> str:
 def _probe(mode, classify, seq, delta, fam, cover, horizon, resolution):
     """Classify each region's scan; the verdict fails at the first region
     ``classify(scan) -> (passed, times, witness)`` rejects."""
+    _check_probe(delta, horizon)
     cover = list(cover)
     if not cover:
         raise ValueError("cover must contain at least one region")

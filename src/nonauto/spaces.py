@@ -2,11 +2,11 @@
 
 Four kinds of points move through the rest of the package: floats on the
 unit interval, floats on the unit circle, two-sided binary sequences with a
-finite sampled window, and finite subsets of any of those. Every consumer
-goes through ``distance`` so the choice of metric lives here and nowhere
-else. A sequence point carries its window as two integer bit codes, so the
-sequence metric is exact integer arithmetic rounded once, and keeps no
-cache of its own.
+finite sampled window, and finite subsets of the interval or the circle.
+Every consumer goes through ``distance`` (``hausdorff`` for subsets) so the
+choice of metric lives here and nowhere else. A sequence point carries its
+window as two integer bit codes, so the sequence metric is exact integer
+arithmetic rounded once, and keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ MIN_COMMON_RADIUS = 1
 INTERVAL = "interval"
 CIRCLE = "circle"
 SYMBOLIC = "symbolic"
-
-
-@dataclass(frozen=True)
-class SubsetSpace:
-    """Finite subsets of a base space under the Hausdorff metric."""
-
-    base: object
 
 
 @dataclass(frozen=True)
@@ -220,8 +213,6 @@ def distance(space, a, b):
         return circle_distance(a, b)
     if space == SYMBOLIC:
         return dist_symbolic(a, b)
-    if isinstance(space, SubsetSpace):
-        return hausdorff(a, b)
     raise ValueError(f"unknown space: {space!r}")
 
 
@@ -241,8 +232,18 @@ class Region:
 
 
 def metric_ball(space, center, radius: float, label: str = "") -> Region:
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
+    """An open ball of the interval or the circle; an interval ball is
+    centered in [0, 1]."""
+    if space not in (INTERVAL, CIRCLE):
+        raise ValueError(f"metric balls need an interval or circle space, "
+                         f"not {space!r}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"ball radius must be positive and finite, "
+                         f"not {radius!r}")
+    if space == INTERVAL and not 0.0 <= center <= 1.0:
+        raise ValueError(f"ball center {center!r} lies outside [0, 1]")
+    if not abs(center) < np.inf:
+        raise ValueError(f"ball center {center!r} is not a finite number")
     return Region(kind="ball", space=space, center=center, radius=radius,
                   label=label)
 
@@ -261,9 +262,13 @@ def cylinder_region(constraints, margin: int = CYLINDER_MARGIN,
 
 
 def hausdorff_ball(center: FiniteSubset, radius: float, label: str = "") -> Region:
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
-    return Region(kind="hausdorff-ball", space=SubsetSpace(center.space),
+    """Subsets within ``radius`` of ``center``; the ball around each element
+    must be a metric ball of the subsets' space."""
+    if not center.elements:
+        raise ValueError("a Hausdorff ball needs a nonempty center")
+    for e in center.elements:
+        metric_ball(center.space, e, radius)
+    return Region(kind="hausdorff-ball", space=center.space,
                   center=center, radius=radius, label=label)
 
 
@@ -294,8 +299,6 @@ def _ball_values(space, center, radius: float, count: int) -> tuple:
     if space == INTERVAL:
         lo = max(0.0, center - radius)
         hi = min(1.0, center + radius)
-        if hi < lo:
-            raise ValueError("ball does not meet the interval")
         pts = grid_points(lo, hi, count)
     else:
         grid = grid_points(center - radius, center + radius, count)
@@ -341,8 +344,6 @@ def _sample_cylinder(region: Region, resolution: int):
 def _sample_hausdorff_ball(region: Region, resolution: int):
     center: FiniteSubset = region.center
     base = center.space
-    if base not in (INTERVAL, CIRCLE):
-        raise ValueError("subset sampling needs an interval or circle base")
     k = len(center.elements)
     per = max(2, resolution // k)
     subsets = {center.elements: center}
@@ -367,7 +368,7 @@ def sample_region(region: Region, resolution: int):
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if region.kind == "ball" and region.space in (INTERVAL, CIRCLE):
+    if region.kind == "ball":
         out = _ball_values(region.space, region.center, region.radius,
                            resolution)
     elif region.kind == "cylinder":

@@ -263,8 +263,10 @@ class MapSequence:
     The last two build each map once per sequence object: generator blocks
     are appended whole, iterates one composition at a time.
 
-    ``space`` is the one space every map acts on, checked when the sequence
-    is built and, for generated blocks, as each block is appended.
+    ``space`` is the one space every map acts on. The constructors always
+    set it: from a tag, from the maps, or from the first generator block.
+    It is checked when the sequence is built and, for generated blocks, as
+    each block is appended.
     """
 
     rule: str
@@ -292,7 +294,7 @@ def _grow(seq: MapSequence, built: _Built) -> None:
         if not block:
             raise ValueError(
                 f"generator {seq.generator_name!r} produced an empty block")
-        _checked_space(block, seq.space)
+        _checked_space(_infer_space(block), seq.space)
         built.extend(block)
         built.blocks += 1
     else:
@@ -333,15 +335,17 @@ def _infer_space(maps) -> object:
     return tag
 
 
-def _checked_space(maps, space) -> object:
-    """The maps' space; a given tag must agree (identities fit any tag)."""
-    if space not in (None, INTERVAL, CIRCLE, SYMBOLIC):
-        raise ValueError(f"unknown space tag {space!r}")
-    inferred = _infer_space(maps)
-    if space is not None and inferred not in (None, space):
-        raise ValueError(f"space tag {space} disagrees with maps on the "
-                         f"{inferred} space")
-    return space or inferred
+def _checked_space(acts_on, tag) -> object:
+    """The space of maps acting on ``acts_on``, where None means identities
+    only; a given tag must agree, and identities alone need one."""
+    if tag not in (None, INTERVAL, CIRCLE, SYMBOLIC):
+        raise ValueError(f"unknown space tag {tag!r}")
+    if tag is not None and acts_on not in (None, tag):
+        raise ValueError(f"space tag {tag} disagrees with maps on the "
+                         f"{acts_on} space")
+    if tag is None and acts_on is None:
+        raise ValueError("a sequence of identity maps needs a space tag")
+    return tag or acts_on
 
 
 def cyclic_sequence(maps, space=None) -> MapSequence:
@@ -349,7 +353,7 @@ def cyclic_sequence(maps, space=None) -> MapSequence:
     if not maps:
         raise ValueError("cyclic sequence needs at least one map")
     return MapSequence(rule="cyclic", maps=maps,
-                       space=_checked_space(maps, space))
+                       space=_checked_space(_infer_space(maps), space))
 
 
 def explicit_sequence(maps, tail="identity", space=None) -> MapSequence:
@@ -359,14 +363,17 @@ def explicit_sequence(maps, tail="identity", space=None) -> MapSequence:
     if tail not in ("hold", "identity"):
         raise ValueError(f"unknown tail rule: {tail!r}")
     return MapSequence(rule="explicit-list", maps=maps, tail=tail,
-                       space=_checked_space(maps, space))
+                       space=_checked_space(_infer_space(maps), space))
 
 
 def block_sequence(generator_name: str, space=None) -> MapSequence:
+    """Untagged, the sequence takes the space of its first block; every
+    later block is checked against it as it is built."""
     if generator_name not in BLOCK_GENERATORS:
         raise ValueError(f"unknown block generator: {generator_name!r}")
+    first = tuple(BLOCK_GENERATORS[generator_name](1))
     return MapSequence(rule="block-structured", generator_name=generator_name,
-                       space=_checked_space((), space))
+                       space=_checked_space(_infer_space(first), space))
 
 
 def generated_system(family) -> MapSequence:
@@ -522,9 +529,8 @@ def shadow_bound_check(seq: MapSequence, f: MapSpec, x, n: int,
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    space = seq.space or map_space(f) or CIRCLE
     for i in range(1, n + k + 1):
-        failure = _commutation_failure(space, f, map_at(seq, i))
+        failure = _commutation_failure(seq.space, f, map_at(seq, i))
         if failure is not None:
             raise CommutationError(i, *failure)
     mid = prefix_compose(seq, n, x)
@@ -532,7 +538,7 @@ def shadow_bound_check(seq: MapSequence, f: MapSpec, x, n: int,
     shadow = mid
     for _ in range(k):
         shadow = apply(f, shadow)
-    lhs = distance(space, true_pt, shadow)
+    lhs = distance(seq.space, true_pt, shadow)
     rhs = 0.0
     for i in range(n + 1, n + k + 1):
         rhs += sup_metric(map_at(seq, i), f)
@@ -604,9 +610,7 @@ def map_from_dict(d: dict) -> MapSpec:
 
 
 def sequence_to_dict(seq: MapSequence) -> dict:
-    out = {"rule": seq.rule}
-    if seq.space is not None:
-        out["space"] = seq.space
+    out = {"rule": seq.rule, "space": seq.space}
     if seq.rule in ("cyclic", "explicit-list"):
         out["maps"] = [map_to_dict(m) for m in seq.maps]
         if seq.rule == "explicit-list":
@@ -630,5 +634,10 @@ def sequence_from_dict(d: dict) -> MapSequence:
     if rule == "block-structured":
         return block_sequence(d["generator"], space=space)
     if rule == "kth-iterate":
-        return kth_iterate(sequence_from_dict(d["base"]), int(d["k"]))
+        base = sequence_from_dict(d["base"])
+        _checked_space(base.space, space)
+        # exact type: JSON true and false load as bool, a subclass of int
+        if type(d["k"]) is not int:
+            raise ValueError(f"k must be an integer, not {d['k']!r}")
+        return kth_iterate(base, d["k"])
     raise ValueError(f"unknown sequence rule: {rule!r}")

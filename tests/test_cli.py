@@ -20,6 +20,13 @@ def write_config(path, payload):
     return str(path)
 
 
+def kth_iterate_of_f1(k, **tag):
+    return {"rule": "kth-iterate", "k": k, **tag,
+            "base": {"rule": "cyclic",
+                     "maps": [{"kind": "piecewise-linear",
+                               "knots": F1_KNOTS}]}}
+
+
 def composition_config(tmp_path, **overrides):
     payload = {
         "system": "example41_composition",
@@ -165,6 +172,15 @@ class TestExitCodes:
                              {"kind": "piecewise-linear", "knots": F1_KNOTS}]}},
         {"system": {"rule": "cyclic", "space": "torus",
                     "maps": [{"kind": "identity"}]}},
+        {"system": {"rule": "cyclic", "maps": [{"kind": "identity"}]}},
+        {"system": kth_iterate_of_f1(2, space="circle")},
+        {"system": kth_iterate_of_f1(2.9)},
+        {"system": kth_iterate_of_f1(True)},
+        {"system": "example41_f1",
+         "cover": [{"center": -0.05, "radius": 0.1}]},
+        {"cover": [{"center": 1.05, "radius": 0.1}]},
+        {"cover": [{"center": 0.5, "radius": float("nan")}]},
+        {"system": "example31", "cover": [{"center": 0.5, "radius": 0.1}]},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
@@ -174,7 +190,10 @@ class TestExitCodes:
             "shift-tagged-interval", "knots-tagged-circle",
             "rotation-tagged-interval", "shift-blocks-tagged-interval",
             "rot-harmonic-tagged-interval", "mixed-maps-tagged-circle",
-            "identity-tagged-unknown"])
+            "identity-tagged-unknown", "identity-untagged",
+            "iterate-tagged-circle", "iterate-k-fraction", "iterate-k-bool",
+            "ball-below-interval", "ball-above-interval", "radius-nan",
+            "ball-on-symbolic"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}
@@ -298,6 +317,16 @@ class TestProbeScript:
             assert "report.json" in files
             for f in files:
                 assert (probed / f).read_bytes() == (ran / f).read_bytes()
+
+
+    def test_unknown_system_is_a_usage_error(self, tmp_path, capsys):
+        script = load_probe_script()
+        with pytest.raises(SystemExit) as info:
+            script.main(["--systems", "identity", "nosuch",
+                         "--out", str(tmp_path / "script")])
+        assert info.value.code == 2
+        assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+        assert not (tmp_path / "script").exists()
 
 
 class TestVerifyAndList:

@@ -1,6 +1,6 @@
 """Source hygiene: every imported name is used by the module importing it,
-and every module-level function, class and assigned name of the package is
-referenced."""
+every module-level function, class and assigned name of the package is
+referenced, and every parameter of a package function is read."""
 
 import ast
 from pathlib import Path
@@ -107,3 +107,39 @@ def test_scan_flags_a_dead_assignment():
                      "\nF = F + 1 if False else 0\nprint(E)\n")
     other = ast.parse("import m\nm.C\n")
     assert dead_definitions(tree, [other]) == [(3, "B"), (4, "D"), (5, "F")]
+
+
+def unread_parameters(tree: ast.Module) -> list:
+    """(line, name) of each parameter of a function or lambda that its body
+    never reads; ``self``, ``cls`` and names starting with _ are exempt."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(p.lineno, p.arg) for p in params
+                   if p.arg not in read | {"self", "cls"}
+                   and not p.arg.startswith("_")]
+    return sorted(unread)
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_parameters(path):
+    assert unread_parameters(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *c, d, _e, **g):\n    a = b\n    return d\n"
+                     "\n\nclass C:\n    def m(self, x, y=None):\n"
+                     "        return lambda z: x\n\n\n"
+                     "def h(cls, p):\n    def inner(q):\n        return p\n"
+                     "    return inner\n")
+    assert unread_parameters(tree) == [(1, "a"), (1, "c"), (1, "g"),
+                                       (7, "y"), (8, "z"), (12, "q")]

@@ -116,8 +116,9 @@ PAIR_SYSTEMS = {
     "interval": (cyclic_sequence([F1, F2]), INTERVAL),
     "circle": (cyclic_sequence([rotation(0.3), rotation(0.45)],
                                space=CIRCLE), CIRCLE),
-    # no space on the sequence: a float pair falls back to the interval
-    "untagged": (explicit_sequence([identity()]), INTERVAL),
+    "identity": (registry.build("identity").sequence, INTERVAL),
+    # untagged: the space comes from the first generator block
+    "untagged-block": (systems.block_sequence("rot-harmonic"), CIRCLE),
 }
 
 
@@ -134,6 +135,11 @@ class TestPairTimesAgainstOracle:
         assert got.horizon == horizon
         assert got.indices == naive_hit_times(seq, (x, y), delta, horizon,
                                               space)
+
+    def test_untagged_block_sequence_uses_its_own_metric(self):
+        # 0.05 and 0.95 lie 0.1 apart on the circle but 0.9 on the interval
+        seq = systems.block_sequence("rot-harmonic")
+        assert pair_separation_times(seq, 0.05, 0.95, 0.2, 5).indices == ()
 
 
 def naive_symbolic_distance(dx, dy, window):
@@ -203,7 +209,7 @@ class TestSymbolicTableAgainstPerCellDistance:
 
     @staticmethod
     def assert_rows_match_per_cell(seq, sample, horizon):
-        scan = sensitivity._scan(seq, sample, horizon, SYMBOLIC)
+        scan = sensitivity._scan(seq, sample, horizon)
         shifts = net_shift_series(seq, horizon)
         expect = [[dist_symbolic(sample[i].shifted(s), sample[j].shifted(s))
                    for s in shifts]
@@ -231,8 +237,7 @@ class TestSymbolicTableAgainstPerCellDistance:
         cells = 0
         for region in registry.default_cover("cylinders"):
             sample = sample_region(region, resolution)
-            scan = sensitivity._scan(named.sequence, sample, horizon,
-                                     SYMBOLIC)
+            scan = sensitivity._scan(named.sequence, sample, horizon)
             windows = {p.bits: np.array(p.bits, dtype=bool) for p in sample}
             expect = [[numpy_dot_distance(sample[i].shifted(s),
                                           sample[j].shifted(s), windows)
@@ -1004,3 +1009,16 @@ class TestScanMachinery:
             hit_times(named.sequence, region, 0.0, 10, resolution=8)
         with pytest.raises(ValueError):
             hit_times(named.sequence, region, 0.1, 0, resolution=8)
+        for probe in (sensitivity_probe, weak_sensitivity_probe):
+            for fam in (nonempty(), syndetic_family()):
+                for delta, horizon, message in [
+                        (0.0, 8, "delta"), (-1.0, 8, "delta"),
+                        (float("nan"), 8, "delta"), (0.1, 0, "horizon")]:
+                    with pytest.raises(ValueError, match=f"^{message} must "
+                                                         f"be positive$"):
+                        probe(named.sequence, delta, fam, [region], horizon,
+                              8)
+        for delta, horizon in [(0.0, 8), (-1.0, 8), (0.1, 0)]:
+            with pytest.raises(ValueError, match="must be positive$"):
+                pair_separation_times(named.sequence, 0.2, 0.7, delta,
+                                      horizon)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nonauto.spaces import (
     CIRCLE,
     DEDUP_TOL,
+    FiniteSubset,
     INTERVAL,
     SYMBOLIC,
     SymbolicPoint,
@@ -442,6 +443,35 @@ class TestRegionSampling:
         with pytest.raises(ValueError):
             metric_ball(INTERVAL, 0.5, 0.0)
 
+    @pytest.mark.parametrize("space, center, radius, message", [
+        (INTERVAL, 0.5, float("nan"), "ball radius must be positive"),
+        (CIRCLE, 0.5, -0.1, "ball radius must be positive"),
+        (CIRCLE, 0.5, float("inf"), "ball radius must be positive"),
+        (INTERVAL, -0.05, 0.1, r"ball center -0.05 lies outside \[0, 1\]"),
+        (INTERVAL, 1.05, 0.1, r"ball center 1.05 lies outside \[0, 1\]"),
+        (INTERVAL, float("nan"), 0.1, r"ball center nan lies outside"),
+        (CIRCLE, float("nan"), 0.1, "ball center nan is not a finite"),
+        (SYMBOLIC, 0.5, 0.1, "metric balls need an interval or circle "
+                             "space, not 'symbolic'"),
+    ], ids=["radius-nan", "radius-negative", "radius-infinite",
+            "below-interval", "above-interval", "interval-center-nan",
+            "circle-center-nan", "symbolic"])
+    def test_bad_balls_refused(self, space, center, radius, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            metric_ball(space, center, radius)
+
+    def test_hausdorff_ball_checks_each_elements_ball(self):
+        with pytest.raises(ValueError, match=r"^ball center 1.5 lies "
+                                             r"outside \[0, 1\]$"):
+            hausdorff_ball(finite_subset([0.2, 1.5], INTERVAL), 0.1)
+        with pytest.raises(ValueError, match="^ball radius must be positive"):
+            hausdorff_ball(finite_subset([0.2, 0.8], CIRCLE), 0.0)
+        with pytest.raises(ValueError, match="^a Hausdorff ball needs a "
+                                             "nonempty center$"):
+            hausdorff_ball(FiniteSubset((), INTERVAL), 0.1)
+        region = hausdorff_ball(finite_subset([0.2, 0.8], CIRCLE), 0.1)
+        assert region.space == CIRCLE
+
 
 # Oracles for ball sampling: the separate interval and circle samplers that
 # sample_region's single ball sampler replaced, kept verbatim.
@@ -499,14 +529,21 @@ class TestBallSamplerOracle:
     # the circle grid wraps its last node onto its first (the pop fires)
     @example(CIRCLE, 0.6, 1.0, 11)
     @example(CIRCLE, 0.35, 0.75, 16)
-    # clipped interval balls, and one that misses the interval
+    # clipped interval balls, and centers outside the interval, which
+    # metric_ball refuses whether or not the ball meets it
     @example(INTERVAL, 0.0, 0.2, 3)
     @example(INTERVAL, 1, 0.3, 4)
     @example(INTERVAL, 2.0, 0.5, 5)
+    @example(INTERVAL, -0.05, 0.1, 5)
     def test_sample_region_matches_separate_samplers(self, space, center,
                                                      radius, count):
         oracle = (separate_interval_ball if space == INTERVAL
                   else separate_circle_ball)
+        if space == INTERVAL and not 0.0 <= center <= 1.0:
+            with pytest.raises(ValueError, match="^ball center .* lies "
+                                                 "outside"):
+                metric_ball(space, center, radius)
+            return
         region = metric_ball(space, center, radius)
         assert (outcome(sample_region, region, count)
                 == outcome(oracle, center, radius, count))

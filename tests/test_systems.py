@@ -274,7 +274,10 @@ class TestSequences:
             assert map_at(s, n) is F2
 
     def test_generated_identity(self):
-        s = generated_system([identity()])
+        with pytest.raises(ValueError, match="^a sequence of identity maps "
+                                             "needs a space tag$"):
+            generated_system([identity()])
+        s = cyclic_sequence([identity()], space=INTERVAL)
         assert prefix_compose(s, 17, 0.42) == 0.42
 
     def test_explicit_tail_rules(self):
@@ -401,9 +404,49 @@ class TestSpaceTags:
     def test_untagged_block_of_mixed_maps_raises(self):
         systems.register_block_generator(
             "unit-test-mixed", lambda r: (rotation(0.5), F1))
-        s = systems.block_sequence("unit-test-mixed")
         with pytest.raises(ValueError, match="^maps act on different spaces"):
-            map_at(s, 1)
+            systems.block_sequence("unit-test-mixed")
+
+    @pytest.mark.parametrize("build", [
+        cyclic_sequence, explicit_sequence, generated_system,
+    ], ids=["cyclic", "explicit", "generated"])
+    def test_identities_alone_need_a_tag(self, build):
+        with pytest.raises(ValueError, match="^a sequence of identity maps "
+                                             "needs a space tag$"):
+            build([identity(), composition([identity(), identity()])])
+
+    def test_untagged_identity_block_needs_a_tag(self):
+        systems.register_block_generator("unit-test-identity-first",
+                                         shifts_after_first_block)
+        with pytest.raises(ValueError, match="^a sequence of identity maps "
+                                             "needs a space tag$"):
+            systems.block_sequence("unit-test-identity-first")
+        s = systems.block_sequence("unit-test-identity-first", space=SYMBOLIC)
+        assert map_at(s, 3) == shift(2)
+
+    @pytest.mark.parametrize("name, space", [
+        ("rot-harmonic", CIRCLE), ("rot-summable", CIRCLE),
+        ("shift-blocks", SYMBOLIC),
+    ])
+    def test_untagged_block_takes_its_first_blocks_space(self, name, space):
+        assert systems.block_sequence(name).space == space
+
+    def test_untagged_block_keeps_its_first_blocks_space(self):
+        # the third block is shifts: it may not turn a circle sequence
+        # symbolic, and raises where it is reached
+        systems.register_block_generator("unit-test-turns-symbolic",
+                                         turns_symbolic_in_third_block)
+        s = systems.block_sequence("unit-test-turns-symbolic")
+        assert s.space == CIRCLE
+        assert map_at(s, 4) == rotation(2 / 8)
+        with pytest.raises(ValueError, match="^space tag circle disagrees "
+                                             "with maps on the symbolic "
+                                             "space$"):
+            map_at(s, 5)
+
+
+def shifts_after_first_block(r):
+    return (identity(),) * 2 if r == 1 else (shift(r),)
 
 
 def turns_symbolic_in_third_block(r):
@@ -652,6 +695,7 @@ class TestSerialization:
             cyclic_sequence([F1, F2]),
             explicit_sequence([F1, identity()], tail="hold"),
             kth_iterate(cyclic_sequence([F1, F2]), 3),
+            systems.block_sequence("rot-harmonic"),
         ]
         for s in seqs:
             assert sequence_from_dict(sequence_to_dict(s)) == s
