@@ -30,17 +30,15 @@ from .registry import (
     default_cover,
     registry_names,
 )
-from .sensitivity import (
-    _region_label,
-    _region_sample,
-    region_scan,
-    sensitivity_probe,
-    weak_sensitivity_probe,
-)
-from .spaces import MIN_COMMON_RADIUS, SYMBOLIC, cylinder_region, metric_ball
-from .systems import MapSequence, map_at, net_shift_series, sequence_from_dict
+from .sensitivity import region_scan, sensitivity_probe, weak_sensitivity_probe
+from .spaces import SYMBOLIC, WINDOW_RADIUS, cylinder_region, metric_ball
+from .systems import MapSequence, sequence_from_dict
 
 REPORT_SCHEMA = 1
+
+# Largest memory a run's scans may keep, as ``parse_config`` estimates it
+# before it builds any; the shipped and built-in configs need under 70 MB.
+MAX_RUN_BYTES = 2 ** 30
 
 MODES = ("sensitive", "cofinite", "syndetic", "F-sensitive",
          "weakly-F-sensitive")
@@ -84,9 +82,10 @@ def _parse_cover(spec, space):
     for i, rd in enumerate(spec):
         _require(isinstance(rd, dict), f"cover entry {i} is not an object")
         kind = rd.get("kind", "ball")
-        label = rd.get("label", f"region-{i:02d}")
+        label = rd.get("label", "")
         _require(isinstance(label, str),
                  f"cover entry {i} label must be a string")
+        label = label or f"region-{i:02d}"
         if kind == "ball":
             _require("center" in rd and "radius" in rd,
                      f"ball region {i} needs center and radius")
@@ -109,20 +108,36 @@ def _parse_cover(spec, space):
     return tuple(regions)
 
 
-def _check_shift_window(sequence: MapSequence, horizon: int, samples) -> None:
-    """Refuse a symbolic run whose net shift drains a sampled window before
-    the horizon: a distance needs ``MIN_COMMON_RADIUS`` shared coordinates
-    on each side of the origin."""
-    shifts = net_shift_series(sequence, horizon)
-    radius = min(p.radius for sample in samples for p in sample)
-    limit = radius - MIN_COMMON_RADIUS
-    for n, s in enumerate(shifts):
-        _require(abs(s) <= limit,
-                 f"net shift {s} at time {n} drains the sampled window of "
-                 f"radius {radius}; use a horizon below {n}")
+def _run_bytes(sequence: MapSequence, cover, horizon: int,
+               resolution: int) -> int:
+    """About the bytes the run's scans keep, from its parameters alone.
+
+    A config region is a ball or a cylinder: a point region of at most
+    resolution + 1 points (a ball's grid and its centre; a cylinder's from
+    resolution 12 up).
+    """
+    n = resolution + 1
+    pairs = n * (n - 1) // 2
+    if sequence.space == SYMBOLIC:
+        # pair x shift table; a window that no shift drains sees at most
+        # this many distinct shifts
+        per_region = pairs * min(horizon + 1, 2 * WINDOW_RADIUS - 1) * 8
+    else:
+        per_region = (horizon + 1) * n * 8  # orbits
+    # the max series, two argmax rows and a symbolic time -> column map
+    per_region += 4 * (horizon + 1) * 8
+    total = len(cover) * per_region + 2 * pairs * 8  # pair indices
+    while sequence.rule == "kth-iterate":
+        # a k-th iterate builds k base maps per map
+        horizon *= sequence.k
+        total += horizon * 8
+        sequence = sequence.base
+    return total
 
 
 def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig:
+    """Check a raw config by building every scan its run reads: the probes
+    and ``write_outputs`` then find them cached."""
     _require(isinstance(raw, dict), "config root must be an object")
     _require("system" in raw, "config needs a 'system' entry")
 
@@ -137,7 +152,8 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     elif isinstance(system, dict):
         try:
             sequence = sequence_from_dict(system)
-        except (KeyError, TypeError, ValueError) as exc:
+        # float() of an integer too large for a float overflows
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline system: {exc}") from exc
         label = raw.get("label", "inline")
     else:
@@ -165,7 +181,7 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
              "every delta must be a number, not true or false")
     try:
         deltas = tuple(float(d) for d in deltas)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad delta: {exc}") from exc
     _require(all(d > 0 for d in deltas), "every delta must be positive")
     _require(all(math.isfinite(d) for d in deltas),
@@ -194,24 +210,24 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     cover_spec = raw.get("cover")
     cover = _parse_cover(COVER_KINDS[space] if cover_spec is None
                          else cover_spec, space)
-    _require(all(r.space == space for r in cover),
-             f"cover regions must lie in the system's {space} space")
-    # the probes read the same memoised samples and built maps, so this
-    # builds nothing extra; building the maps checks each generated block
+    files = {}
+    for r in cover:
+        path = _hits_name(r.label)
+        _require(path not in files, f"cover labels {files.get(path)!r} and "
+                                    f"{r.label!r} would both write {path}")
+        files[path] = r.label
+    size = _run_bytes(sequence, cover, horizon, resolution)
+    # an int past the float range would overflow the division
+    mb = size / 2 ** 20 if size < 2 ** 1000 else math.inf
+    _require(size <= MAX_RUN_BYTES,
+             f"the run's scans need about {mb:.4g} MB, over the limit of "
+             f"{MAX_RUN_BYTES / 2 ** 20:.4g} MB; lower the horizon, the "
+             f"resolution or the cover")
     try:
-        samples = [_region_sample(region, resolution) for region in cover]
-        map_at(sequence, horizon)
+        for region in cover:
+            region_scan(sequence, region, horizon, resolution)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if space == SYMBOLIC:
-        _check_shift_window(sequence, horizon, samples)
-    files = {}
-    for i, region in enumerate(cover):
-        name = _region_label(region, i)
-        path = _hits_name(name)
-        _require(path not in files, f"cover labels {files.get(path)!r} and "
-                                    f"{name!r} would both write {path}")
-        files[path] = name
 
     out_dir = out_override or raw.get("out", "out")
     return ExperimentConfig(label=label, sequence=sequence, family=family,
@@ -269,18 +285,16 @@ def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
     delta = cfg.deltas[0]
     scans = [region_scan(cfg.sequence, r, cfg.horizon, cfg.resolution)
              for r in cfg.cover]
-    for idx, (region, scan) in enumerate(zip(cfg.cover, scans)):
-        label = _region_label(region, idx)
+    for region, scan in zip(cfg.cover, scans):
         lines = ["n,max_separation,witness"]
         for n in scan.times(delta).indices:
             i, j, sep = scan.witness(n)
             lines.append(f"{n},{sep!r},{i}-{j}")
-        path = out / _hits_name(label)
+        path = out / _hits_name(region.label)
         _write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
 
-    labels = [_region_label(r, i) for i, r in enumerate(cfg.cover)]
-    rows = ["n\t" + "\t".join(labels)]
+    rows = ["n\t" + "\t".join(r.label for r in cfg.cover)]
     for n in range(cfg.horizon + 1):
         cells = [repr(float(scan.max_series[n])) for scan in scans]
         rows.append(f"{n}\t" + "\t".join(cells))
@@ -293,7 +307,9 @@ def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
 def _cmd_run(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError also covers bytes that are not UTF-8 and integers too
+    # long for int(), besides malformed JSON
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -15,10 +15,14 @@ sample-major, (samples, horizon + 1, width), so a block of pair rows
 gathers whole contiguous orbits. A symbolic scan shifts every sample point
 once per distinct shift and fills that shift's table column with one
 ``dist_symbolic`` per pair; its summary is taken per column and then read
-out at each time through the time -> column map.
+out at each time through the time -> column map. Before the fill it
+refuses shifts that drain a sampled window: a distance needs
+``MIN_COMMON_RADIUS`` shared coordinates on each side of the origin, and
+the message names the first time that leaves fewer.
 A scan to horizon h depends only on the first h maps, so ``region_scan``
 serves it as a prefix view of a longer scan of the same region and
-resolution, and counts only the scans it builds as misses.
+resolution, and counts only the scans it builds as misses. It refuses a
+region of another space than the sequence's.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ import numpy as np
 from . import families, spaces
 from .families import FamilySpec, WindowedIndexSet, member, windowed
 from .spaces import (
+    MIN_COMMON_RADIUS,
     SYMBOLIC,
     FiniteSubset,
     Region,
+    check_point,
     dist_symbolic,
     hausdorff_array,
     hausdorff_ball,
@@ -199,6 +205,14 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     shifts = net_shift_series(seq, horizon)
     pi, pj = _pair_indices(len(sample))
     distinct = sorted(set(shifts))
+    radius = min(p.radius for p in sample)
+    limit = radius - MIN_COMMON_RADIUS
+    # shifts ascend, so the largest in size is an extreme
+    if max(-distinct[0], distinct[-1]) > limit:
+        n = next(n for n, s in enumerate(shifts) if abs(s) > limit)
+        raise ValueError(f"net shift {shifts[n]} at time {n} drains the "
+                         f"sampled window of radius {radius}; use a horizon "
+                         f"below {n}")
     # distance between two shifted points depends only on the shift amount,
     # so one column per distinct shift covers the whole horizon
     table = np.empty((len(pi), len(distinct)), dtype=np.float64)
@@ -259,6 +273,10 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
     data (orbits or the pair × shift table, the summary, shared pair
     indices and sample), which is what makes keeping all of them affordable.
     """
+    if region.space != seq.space:
+        raise ValueError(f"region {region.label or region.kind} lies in the "
+                         f"{region.space} space, not the sequence's "
+                         f"{seq.space} space")
     return _scan(seq, _region_sample(region, resolution), horizon)
 
 
@@ -301,6 +319,8 @@ def pair_separation_times(seq: MapSequence, x, y, delta: float,
                           horizon: int) -> WindowedIndexSet:
     """{n <= horizon : d(prefix_n(x), prefix_n(y)) > delta}."""
     _check_probe(delta, horizon)
+    check_point(seq.space, x)
+    check_point(seq.space, y)
     hits = _scan(seq, (x, y), horizon).hits(delta, 0, 1)
     return families.from_mask(hits[0])
 

@@ -160,6 +160,15 @@ def element_sort_key(space, p):
     raise ValueError(f"no canonical order for elements of {space!r}")
 
 
+def check_point(space, p, what: str = "point") -> None:
+    """Refuse ``p`` as a point of the interval (outside [0, 1], NaN
+    included) or of the circle (not finite); ``what`` names it."""
+    if space == INTERVAL and not 0.0 <= p <= 1.0:
+        raise ValueError(f"{what} {p!r} lies outside [0, 1]")
+    if space == CIRCLE and not abs(p) < np.inf:
+        raise ValueError(f"{what} {p!r} is not a finite number")
+
+
 def finite_subset(elements, space) -> FiniteSubset:
     """Sort and deduplicate, so equal sets compare equal as tuples."""
     items = sorted(elements, key=lambda p: element_sort_key(space, p))
@@ -167,6 +176,7 @@ def finite_subset(elements, space) -> FiniteSubset:
         raise ValueError("a finite subset needs at least one element")
     kept = []
     for p in items:
+        check_point(space, p)
         if all(distance(space, p, q) > DEDUP_TOL for q in kept):
             kept.append(p)
     return FiniteSubset(tuple(kept), space)
@@ -240,10 +250,7 @@ def metric_ball(space, center, radius: float, label: str = "") -> Region:
     if not 0 < radius < np.inf:
         raise ValueError(f"ball radius must be positive and finite, "
                          f"not {radius!r}")
-    if space == INTERVAL and not 0.0 <= center <= 1.0:
-        raise ValueError(f"ball center {center!r} lies outside [0, 1]")
-    if not abs(center) < np.inf:
-        raise ValueError(f"ball center {center!r} is not a finite number")
+    check_point(space, center, "ball center")
     return Region(kind="ball", space=space, center=center, radius=radius,
                   label=label)
 

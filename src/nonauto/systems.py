@@ -18,6 +18,7 @@ bitwise equal points.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -70,6 +71,9 @@ def piecewise_linear(knots) -> MapSpec:
     pts = tuple((float(x), float(y)) for x, y in knots)
     if len(pts) < 2:
         raise ValueError("need at least two knots")
+    # NaN passes the ascending check below
+    if not all(math.isfinite(v) for knot in pts for v in knot):
+        raise ValueError("knots must be finite numbers")
     xs = [x for x, _ in pts]
     if xs[0] != 0.0 or xs[-1] != 1.0:
         raise ValueError("knots must start at x=0 and end at x=1")
@@ -81,6 +85,8 @@ def piecewise_linear(knots) -> MapSpec:
 
 
 def rotation(offset: float) -> MapSpec:
+    if not math.isfinite(offset):
+        raise ValueError(f"rotation offset {offset!r} is not a finite number")
     return MapSpec(kind="rotation", offset=float(offset) % 1.0)
 
 
@@ -179,21 +185,15 @@ def map_space(m: MapSpec):
     raise ValueError(f"unknown map kind: {m.kind!r}")
 
 
-def map_net_shift(m: MapSpec):
-    """Total coordinate shift if the map is built only of shifts, else None."""
+def map_net_shift(m: MapSpec) -> int:
+    """Total coordinate shift of a map built only of shifts and identities."""
     if m.kind == "identity":
         return 0
     if m.kind == "shift":
         return m.power
     if m.kind == "composition":
-        total = 0
-        for g in m.maps:
-            s = map_net_shift(g)
-            if s is None:
-                return None
-            total += s
-        return total
-    return None
+        return sum(map_net_shift(g) for g in m.maps)
+    raise ValueError(f"a {m.kind} map has no net shift")
 
 
 def _preimages(m: MapSpec, v: float):
@@ -294,7 +294,12 @@ def _grow(seq: MapSequence, built: _Built) -> None:
         if not block:
             raise ValueError(
                 f"generator {seq.generator_name!r} produced an empty block")
-        _checked_space(_infer_space(block), seq.space)
+        acts_on = _infer_space(block)
+        if acts_on not in (None, seq.space):
+            raise ValueError(
+                f"generator {seq.generator_name!r} block {built.blocks + 1} "
+                f"acts on the {acts_on} space, not the sequence's "
+                f"{seq.space} space")
         built.extend(block)
         built.blocks += 1
     else:
@@ -405,20 +410,15 @@ def orbit(seq: MapSequence, x, horizon: int) -> tuple:
     return tuple(out)
 
 
-def net_shift_series(seq: MapSequence, horizon: int):
-    """Cumulative shift after each prefix, or None if any map is not a shift.
+def net_shift_series(seq: MapSequence, horizon: int) -> list:
+    """Cumulative shift after each prefix of a sequence of shifts.
 
     Entry n (0-based list index n) is the net displacement of the length-n
     prefix. Symbolic scans use this to reduce orbits to origin arithmetic.
     """
     totals = [0]
-    total = 0
     for i in range(1, horizon + 1):
-        s = map_net_shift(map_at(seq, i))
-        if s is None:
-            return None
-        total += s
-        totals.append(total)
+        totals.append(totals[-1] + map_net_shift(map_at(seq, i)))
     return totals
 
 
@@ -594,14 +594,25 @@ def map_to_dict(m: MapSpec) -> dict:
     raise ValueError(f"unknown map kind: {m.kind!r}")
 
 
+def _int_field(d: dict, key: str) -> int:
+    # exact type: JSON true and false load as bool, a subclass of int
+    if type(d[key]) is not int:
+        raise ValueError(f"{key} must be an integer, not {d[key]!r}")
+    return d[key]
+
+
 def map_from_dict(d: dict) -> MapSpec:
+    if not isinstance(d, dict):
+        raise TypeError(f"a map must be an object, not {d!r}")
     kind = d.get("kind")
     if kind == "identity":
         return identity()
     if kind == "shift":
-        return shift(int(d["power"]))
+        return shift(_int_field(d, "power"))
     if kind == "rotation":
-        return rotation(float(d["offset"]))
+        if type(d["offset"]) not in (int, float):
+            raise ValueError(f"offset must be a number, not {d['offset']!r}")
+        return rotation(d["offset"])
     if kind == "piecewise-linear":
         return piecewise_linear(d["knots"])
     if kind == "composition":
@@ -624,6 +635,8 @@ def sequence_to_dict(seq: MapSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> MapSequence:
+    if not isinstance(d, dict):
+        raise TypeError(f"a sequence must be an object, not {d!r}")
     rule = d.get("rule")
     space = d.get("space")
     if rule == "cyclic":
@@ -636,8 +649,5 @@ def sequence_from_dict(d: dict) -> MapSequence:
     if rule == "kth-iterate":
         base = sequence_from_dict(d["base"])
         _checked_space(base.space, space)
-        # exact type: JSON true and false load as bool, a subclass of int
-        if type(d["k"]) is not int:
-            raise ValueError(f"k must be an integer, not {d['k']!r}")
-        return kth_iterate(base, d["k"])
+        return kth_iterate(base, _int_field(d, "k"))
     raise ValueError(f"unknown sequence rule: {rule!r}")

@@ -1,18 +1,38 @@
 """Command-line flows: config parsing, exit codes, output determinism."""
 
+import contextlib
+import copy
 import importlib.util
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonauto.cli import main, parse_config, ConfigError
-from nonauto.registry import COVER_KINDS, RESOLUTION, build
+from nonauto import cli
+from nonauto.cli import (
+    ConfigError,
+    main,
+    parse_config,
+    run_experiment,
+    write_outputs,
+)
+from nonauto.registry import COVER_KINDS, RESOLUTION, build, registry_names
+from nonauto.sensitivity import region_scan
 from nonauto.systems import cyclic_sequence, piecewise_linear, sequence_to_dict
 
 F1_KNOTS = [[0.0, 0.0], [0.25, 1.0], [1.0, 0.25]]
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+COUNT_AND_TAIL = {"kind": "infinite", "min_count": 10, "tail_fraction": 0.25}
+# small enough that no run drawn below takes long
+SMALL_BUDGET = 2 ** 20
 
 
 def write_config(path, payload):
@@ -25,6 +45,15 @@ def kth_iterate_of_f1(k, **tag):
             "base": {"rule": "cyclic",
                      "maps": [{"kind": "piecewise-linear",
                                "knots": F1_KNOTS}]}}
+
+
+def shift_system(power):
+    return {"rule": "cyclic", "space": "symbolic",
+            "maps": [{"kind": "shift", "power": power}]}
+
+
+def rotation_system(offset):
+    return {"rule": "cyclic", "maps": [{"kind": "rotation", "offset": offset}]}
 
 
 def composition_config(tmp_path, **overrides):
@@ -110,6 +139,18 @@ class TestExitCodes:
         assert main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        b"\xff\xfe{",
+        b'{"system": "identity", "horizon": 1' + b"0" * 5000 + b"}",
+    ], ids=["not-utf8", "integer-too-long"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys,
+                                               payload):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_system(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "system": "volcano", "modes": ["sensitive"], "delta": 0.1,
@@ -181,6 +222,17 @@ class TestExitCodes:
         {"cover": [{"center": 1.05, "radius": 0.1}]},
         {"cover": [{"center": 0.5, "radius": float("nan")}]},
         {"system": "example31", "cover": [{"center": 0.5, "radius": 0.1}]},
+        {"system": {"rule": "cyclic", "maps": "x"}},
+        {"system": {"rule": "cyclic", "maps": [5]}},
+        {"system": {"rule": "kth-iterate", "k": 2, "base": None}},
+        {"system": shift_system(float("inf"))},
+        {"system": {"rule": "cyclic", "maps": [{
+            "kind": "piecewise-linear",
+            "knots": [[0.0, 0.0], [float("nan"), 1.0], [1.0, 0.25]]}]}},
+        {"system": rotation_system(float("nan"))},
+        {"system": rotation_system(float("inf"))},
+        {"system": shift_system(1.9)},
+        {"system": shift_system(True)},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
@@ -193,7 +245,9 @@ class TestExitCodes:
             "identity-tagged-unknown", "identity-untagged",
             "iterate-tagged-circle", "iterate-k-fraction", "iterate-k-bool",
             "ball-below-interval", "ball-above-interval", "radius-nan",
-            "ball-on-symbolic"])
+            "ball-on-symbolic", "maps-text", "map-number", "iterate-base-null",
+            "power-infinite", "knot-nan", "offset-nan", "offset-infinite",
+            "power-fraction", "power-bool"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}
@@ -361,6 +415,148 @@ class TestVerifyAndList:
             "deltas=[0.5] horizon=2000 resolution=64 cover=cylinders")
         assert params["identity"] == (
             "deltas=[0.1] horizon=200 resolution=64 cover=interval-balls")
+
+
+def shipped_configs():
+    return [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+
+
+def builtin_configs():
+    """Each built-in as ``scripts/run_builtin_probes.py`` runs it, and
+    inline at its recommended parameters."""
+    out = []
+    for name in registry_names():
+        named = build(name)
+        raw = {"system": name, "modes": ["F-sensitive", "weakly-F-sensitive"],
+               "family": COUNT_AND_TAIL}
+        out.append(raw)
+        out.append({**raw, "system": sequence_to_dict(named.sequence),
+                    "label": name, "deltas": list(named.deltas),
+                    "horizon": named.horizon})
+    return out
+
+
+class TestBudget:
+    def test_over_budget_is_refused_before_any_scan(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "MAX_RUN_BYTES", SMALL_BUDGET)
+        misses = region_scan.cache_info().misses
+        cfg = composition_config(tmp_path, resolution=65)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the run's scans need about 1.75 MB, over the "
+            "limit of 1 MB; lower the horizon, the resolution or the "
+            "cover\n")
+        assert not (tmp_path / "out").exists()
+        assert region_scan.cache_info().misses == misses
+        cfg = composition_config(tmp_path, resolution=65, horizon=100)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("overrides", [
+        {"system": kth_iterate_of_f1(10 ** 30)},
+        {"resolution": 100000, "cover": [{"center": 0.5, "radius": 0.1}]},
+        {"horizon": 10 ** 400},
+    ], ids=["iterate-k-huge", "resolution-huge", "horizon-huge"])
+    def test_huge_runs_are_refused(self, overrides):
+        raw = {"system": "identity", "modes": ["sensitive"], "delta": 0.1,
+               "horizon": 20, **overrides}
+        with pytest.raises(ConfigError, match="^the run's scans need about "
+                                              r"\S+ MB, over the limit of "
+                                              "1024 MB;"):
+            parse_config(raw)
+
+    def test_shipped_and_builtin_configs_fit_with_room(self, monkeypatch):
+        # a zero limit refuses every run, and the message states its size
+        limit = cli.MAX_RUN_BYTES
+        monkeypatch.setattr(cli, "MAX_RUN_BYTES", 0)
+        for raw in shipped_configs() + builtin_configs():
+            with pytest.raises(ConfigError) as info:
+                parse_config(raw)
+            size = re.search(r"need about (\S+) MB", str(info.value))
+            assert float(size.group(1)) * 2 ** 20 < limit / 8, raw
+
+
+@pytest.fixture
+def empty_scan_cache():
+    region_scan.cache_clear()
+    yield
+    region_scan.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_scan_cache")
+@pytest.mark.parametrize("name", ["example31", "example41_composition",
+                                  "inline_two_balls"])
+def test_run_reads_only_the_scans_parse_built(tmp_path, name):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg = parse_config(raw, out_override=str(tmp_path / "out"))
+    assert region_scan.cache_info().misses == len(cfg.cover)
+    write_outputs(cfg, run_experiment(cfg))
+    assert region_scan.cache_info().misses == len(cfg.cover)
+
+
+# values a mutation writes, and keys it may add to any object
+MUTANT_VALUES = [
+    None, True, False, 0, -1, 1, 3, 10 ** 30, -10 ** 30, 0.5, -0.5, 1.9,
+    1e-300, float("nan"), float("inf"), float("-inf"), "", "x", [], [0.5],
+    {}, {"kind": "nope"}, "interval", "circle", "symbolic", "torus",
+    "identity", "cylinders", "circle-balls", "hold", "kth-iterate",
+    "block-structured", "shift-blocks", {"kind": "shift", "power": 1},
+    {"kind": "rotation", "offset": 0.3},
+    [{"kind": "cylinder", "constraints": {"0": 1}}],
+    [{"center": 0.5, "radius": 0.1}],
+]
+MUTANT_KEYS = [
+    "system", "modes", "family", "delta", "deltas", "horizon", "resolution",
+    "cover", "label", "rule", "space", "maps", "tail", "generator", "base",
+    "k", "kind", "power", "offset", "knots", "center", "radius",
+    "constraints", "min_count", "tail_fraction", "max_missing", "max_gap",
+    "of", "nonsense",
+]
+MUTANT_BASES = (shipped_configs() + builtin_configs()
+                + [{"system": kth_iterate_of_f1(2), "modes": ["syndetic"],
+                    "delta": 0.2, "horizon": 30}])
+
+
+def _slots(node):
+    """Every (container, key) a mutation may write or delete."""
+    if isinstance(node, dict):
+        yield from ((node, k) for k in MUTANT_KEYS)
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def mutated_configs(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(MUTANT_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        node, key = draw(st.sampled_from(list(_slots(raw))))
+        if draw(st.booleans()) and (key in node if isinstance(node, dict)
+                                    else key < len(node)):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+    return raw
+
+
+@given(mutated_configs())
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+def test_mutated_configs_end_without_a_traceback(raw):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "MAX_RUN_BYTES", SMALL_BUDGET), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = write_config(Path(tmp) / "c.json", raw)
+        out = Path(tmp) / "out"
+        code = main(["run", path, "--out", str(out)])
+        wrote = out.exists()
+    assert code in (0, 2, 3)
+    assert code == 0 or not wrote
 
 
 class TestConfigParsing:

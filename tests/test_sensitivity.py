@@ -136,6 +136,17 @@ class TestPairTimesAgainstOracle:
         assert got.indices == naive_hit_times(seq, (x, y), delta, horizon,
                                               space)
 
+    @pytest.mark.parametrize("system, x, y, message", [
+        ("identity", -0.5, 2.0, r"^point -0.5 lies outside \[0, 1\]$"),
+        ("example41_f1", 0.5, float("nan"), "^point nan lies outside"),
+        ("rotations_harmonic", 0.5, float("inf"),
+         "^point inf is not a finite number$"),
+    ], ids=["interval-outside", "interval-nan", "circle-infinite"])
+    def test_points_off_the_space_refused(self, system, x, y, message):
+        seq = registry.build(system).sequence
+        with pytest.raises(ValueError, match=message):
+            pair_separation_times(seq, x, y, 0.1, 3)
+
     def test_untagged_block_sequence_uses_its_own_metric(self):
         # 0.05 and 0.95 lie 0.1 apart on the circle but 0.9 on the interval
         seq = systems.block_sequence("rot-harmonic")
@@ -1001,6 +1012,38 @@ class TestScanMachinery:
         bound = rep.regions[0].truncation_bound
         assert bound is not None
         assert 0.0 < bound < 1e-12
+
+    @pytest.mark.parametrize("region", [
+        metric_ball(CIRCLE, 0.97, 0.05, label="arc"),
+        hausdorff_ball(finite_subset([0.2, 0.97], CIRCLE), 0.05,
+                       label="arcs"),
+        cylinder_region({0: 1}, label="cyl"),
+    ], ids=["circle-ball", "circle-hausdorff-ball", "cylinder"])
+    def test_region_of_another_space_refused(self, region):
+        # under the interval metric a circle ball once held, and a cylinder
+        # ended in a TypeError inside the map step
+        seq = registry.build("example41_composition").sequence
+        message = (f"^region {region.label} lies in the {region.space} "
+                   f"space, not the sequence's interval space$")
+        misses = region_scan.cache_info().misses
+        with pytest.raises(ValueError, match=message):
+            sensitivity_probe(seq, 0.2, nonempty(), [region], 50, 9)
+        with pytest.raises(ValueError, match=message):
+            region_scan(seq, region, 50, 9)
+        assert region_scan.cache_info().misses == misses
+
+    @pytest.mark.parametrize("power", [1, -1])
+    def test_drained_window_refused(self, power):
+        # cylinder samples have radius 64; one shared coordinate on each
+        # side is left at time 63
+        seq = cyclic_sequence([shift(power)])
+        cover = [cylinder_region({0: 1})]
+        with pytest.raises(ValueError, match=(
+                f"^net shift {64 * power} at time 64 drains the sampled "
+                f"window of radius 64; use a horizon below 64$")):
+            sensitivity_probe(seq, 0.5, nonempty(), cover, 100, 4)
+        rep = sensitivity_probe(seq, 0.5, nonempty(), cover, 63, 4)
+        assert rep.regions[0].truncation_bound == 1.0
 
     def test_invalid_probe_parameters(self):
         named = registry.build("identity")

@@ -281,6 +281,15 @@ class TestFiniteSubsets:
         with pytest.raises(ValueError):
             finite_subset([], INTERVAL)
 
+    @pytest.mark.parametrize("space, elements, message", [
+        (INTERVAL, [1.7, -3.0], r"^point -3.0 lies outside \[0, 1\]$"),
+        (INTERVAL, [0.5, float("nan")], "^point nan lies outside"),
+        (CIRCLE, [0.5, float("inf")], "^point inf is not a finite number$"),
+    ], ids=["interval-outside", "interval-nan", "circle-infinite"])
+    def test_points_off_the_space_rejected(self, space, elements, message):
+        with pytest.raises(ValueError, match=message):
+            finite_subset(elements, space)
+
     def test_pinned_hausdorff(self):
         a = finite_subset([0.0], INTERVAL)
         b = finite_subset([1.0], INTERVAL)
@@ -461,9 +470,10 @@ class TestRegionSampling:
             metric_ball(space, center, radius)
 
     def test_hausdorff_ball_checks_each_elements_ball(self):
+        # finite_subset refuses 1.5 itself, so build the subset directly
         with pytest.raises(ValueError, match=r"^ball center 1.5 lies "
                                              r"outside \[0, 1\]$"):
-            hausdorff_ball(finite_subset([0.2, 1.5], INTERVAL), 0.1)
+            hausdorff_ball(FiniteSubset((0.2, 1.5), INTERVAL), 0.1)
         with pytest.raises(ValueError, match="^ball radius must be positive"):
             hausdorff_ball(finite_subset([0.2, 0.8], CIRCLE), 0.0)
         with pytest.raises(ValueError, match="^a Hausdorff ball needs a "

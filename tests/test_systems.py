@@ -394,9 +394,7 @@ class TestSpaceTags:
         assert [map_at(s, n) for n in range(1, 5)] == [
             rotation(r / 8) for r in (1, 1, 2, 2)]
         for n in (6, 5):
-            with pytest.raises(ValueError, match="^space tag circle disagrees "
-                                                 "with maps on the symbolic "
-                                                 "space$"):
+            with pytest.raises(ValueError, match=THIRD_BLOCK_OFF_CIRCLE):
                 map_at(s, n)
         assert map_at(s, 4) == rotation(2 / 8)
         assert len(s._built) == 4
@@ -433,20 +431,23 @@ class TestSpaceTags:
 
     def test_untagged_block_keeps_its_first_blocks_space(self):
         # the third block is shifts: it may not turn a circle sequence
-        # symbolic, and raises where it is reached
+        # symbolic, and raises where it is reached, naming no tag
         systems.register_block_generator("unit-test-turns-symbolic",
                                          turns_symbolic_in_third_block)
         s = systems.block_sequence("unit-test-turns-symbolic")
         assert s.space == CIRCLE
         assert map_at(s, 4) == rotation(2 / 8)
-        with pytest.raises(ValueError, match="^space tag circle disagrees "
-                                             "with maps on the symbolic "
-                                             "space$"):
+        with pytest.raises(ValueError, match=THIRD_BLOCK_OFF_CIRCLE):
             map_at(s, 5)
 
 
 def shifts_after_first_block(r):
     return (identity(),) * 2 if r == 1 else (shift(r),)
+
+
+THIRD_BLOCK_OFF_CIRCLE = ("^generator 'unit-test-turns-symbolic' block 3 "
+                          "acts on the symbolic space, not the sequence's "
+                          "circle space$")
 
 
 def turns_symbolic_in_third_block(r):
@@ -513,7 +514,9 @@ class TestNetShift:
 
     def test_non_shift_disqualifies(self):
         s = cyclic_sequence([F1])
-        assert net_shift_series(s, 3) is None
+        with pytest.raises(ValueError, match="^a piecewise-linear map has no "
+                                             "net shift$"):
+            net_shift_series(s, 3)
 
     def test_composed_shift(self):
         assert map_net_shift(composition([shift(2), shift(-5)])) == -3
