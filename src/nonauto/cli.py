@@ -13,6 +13,7 @@ error, 3 unknown system.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import acceptance, families
+from . import acceptance, families, spaces
 from .families import FamilySpec, cofinite_family, nonempty, syndetic_family
 from .registry import (
     COVER_KINDS,
@@ -70,12 +71,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+@contextlib.contextmanager
+def _refused(prefix: str = "", errors=(KeyError, TypeError, ValueError)):
+    """Raise the block's ``errors`` as ConfigErrors led by ``prefix``."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(prefix + str(exc)) from exc
+
+
 def _parse_cover(spec, space):
     if isinstance(spec, str):
-        try:
+        with _refused():
             return tuple(default_cover(spec))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     _require(isinstance(spec, list) and spec,
              "cover must be a kind name or a nonempty list of regions")
     regions = []
@@ -94,17 +102,16 @@ def _parse_cover(spec, space):
                      f"cylinder region {i} needs a constraints object")
         else:
             raise ConfigError(f"unknown region kind {kind!r} in cover")
-        try:
+        with _refused(f"bad cover entry {i}: "):
             if kind == "ball":
-                region = metric_ball(space, float(rd["center"]),
-                                     float(rd["radius"]), label=label)
+                regions.append(metric_ball(
+                    space, spaces.number_value(rd["center"], "ball center"),
+                    spaces.number_value(rd["radius"], "ball radius"),
+                    label=label))
             else:
-                region = cylinder_region(
-                    {int(j): int(v) for j, v in rd["constraints"].items()},
-                    label=label)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad cover entry {i}: {exc}") from exc
-        regions.append(region)
+                regions.append(cylinder_region(
+                    {int(j): spaces.int_value(v, "cylinder value")
+                     for j, v in rd["constraints"].items()}, label=label))
     return tuple(regions)
 
 
@@ -140,6 +147,8 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
     and ``write_outputs`` then find them cached."""
     _require(isinstance(raw, dict), "config root must be an object")
     _require("system" in raw, "config needs a 'system' entry")
+    _require(all(isinstance(raw.get(k, ""), str) for k in ("label", "out")),
+             "'label' and 'out' must be strings")
 
     system = raw["system"]
     named = None
@@ -150,11 +159,8 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
             raise UnknownSystemError(exc.args[0]) from exc
         label, sequence = system, named.sequence
     elif isinstance(system, dict):
-        try:
+        with _refused("bad inline system: "):
             sequence = sequence_from_dict(system)
-        # float() of an integer too large for a float overflows
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline system: {exc}") from exc
         label = raw.get("label", "inline")
     else:
         raise ConfigError("'system' must be a name or an inline object")
@@ -176,36 +182,25 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
         deltas = list(named.deltas)
     else:
         raise ConfigError("config needs 'delta' or 'deltas'")
-    # JSON true and false load as bool, which float() would take
-    _require(not any(isinstance(d, bool) for d in deltas),
-             "every delta must be a number, not true or false")
-    try:
-        deltas = tuple(float(d) for d in deltas)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad delta: {exc}") from exc
+    with _refused("bad delta: "):
+        deltas = tuple(spaces.number_value(d, "delta") for d in deltas)
     _require(all(d > 0 for d in deltas), "every delta must be positive")
-    _require(all(math.isfinite(d) for d in deltas),
-             "every delta must be finite")
 
     family = None
     if "family" in raw:
-        try:
+        with _refused("bad family: "):
             family = families.family_from_dict(raw["family"])
-        # int() of a count that JSON read as infinity overflows
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad family: {exc}") from exc
     if any(m in ("F-sensitive", "weakly-F-sensitive") for m in modes):
         _require(family is not None,
                  "family-based modes need a 'family' entry")
 
-    horizon = raw.get("horizon", named.horizon if named else None)
-    # exact type: JSON true and false load as bool, a subclass of int
-    _require(type(horizon) is int and horizon >= 1,
-             "config needs an integer horizon >= 1")
-
-    resolution = raw.get("resolution", RESOLUTION)
-    _require(type(resolution) is int and resolution >= 2,
-             "resolution must be an integer >= 2")
+    with _refused():
+        horizon = spaces.int_value(
+            raw.get("horizon", named.horizon if named else None), "horizon")
+        resolution = spaces.int_value(raw.get("resolution", RESOLUTION),
+                                      "resolution")
+    _require(horizon >= 1, "horizon must be >= 1")
+    _require(resolution >= 2, "resolution must be >= 2")
 
     cover_spec = raw.get("cover")
     cover = _parse_cover(COVER_KINDS[space] if cover_spec is None
@@ -223,17 +218,15 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
              f"the run's scans need about {mb:.4g} MB, over the limit of "
              f"{MAX_RUN_BYTES / 2 ** 20:.4g} MB; lower the horizon, the "
              f"resolution or the cover")
-    try:
+    with _refused(errors=ValueError):
         for region in cover:
             region_scan(sequence, region, horizon, resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
-    out_dir = out_override or raw.get("out", "out")
     return ExperimentConfig(label=label, sequence=sequence, family=family,
                             deltas=deltas, horizon=horizon,
                             resolution=resolution, cover=cover,
-                            modes=tuple(modes), out_dir=str(out_dir))
+                            modes=tuple(modes),
+                            out_dir=out_override or raw.get("out", "out"))
 
 
 def _mode_family(mode: str, cfg: ExperimentConfig) -> FamilySpec:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spaces import int_value, number_value
+
 DEFAULT_MIN_COUNT = 10
 DEFAULT_TAIL_FRACTION = 0.25
 DEFAULT_MAX_MISSING = 20
@@ -203,13 +205,16 @@ def family_from_dict(d: dict) -> FamilySpec:
     if kind == "nonempty":
         return nonempty()
     if kind == "infinite":
-        return infinite_family(int(d.get("min_count", DEFAULT_MIN_COUNT)),
-                               float(d.get("tail_fraction",
-                                           DEFAULT_TAIL_FRACTION)))
+        return infinite_family(
+            int_value(d.get("min_count", DEFAULT_MIN_COUNT), "min_count"),
+            number_value(d.get("tail_fraction", DEFAULT_TAIL_FRACTION),
+                         "tail_fraction"))
     if kind == "cofinite":
-        return cofinite_family(int(d.get("max_missing", DEFAULT_MAX_MISSING)))
+        return cofinite_family(int_value(
+            d.get("max_missing", DEFAULT_MAX_MISSING), "max_missing"))
     if kind == "syndetic":
-        return syndetic_family(int(d.get("max_gap", DEFAULT_MAX_GAP)))
+        return syndetic_family(int_value(d.get("max_gap", DEFAULT_MAX_GAP),
+                                         "max_gap"))
     if kind == "dual":
         return dual(family_from_dict(d["of"]))
     raise ValueError(f"unknown family kind: {kind!r}")

@@ -12,6 +12,7 @@ arithmetic rounded once, and keeps no cache of its own.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -167,6 +168,21 @@ def check_point(space, p, what: str = "point") -> None:
         raise ValueError(f"{what} {p!r} lies outside [0, 1]")
     if space == CIRCLE and not abs(p) < np.inf:
         raise ValueError(f"{what} {p!r} is not a finite number")
+
+
+def int_value(v, what: str) -> int:
+    """``v`` if it is an int, never a bool, a string or a float; ``what``
+    names it. The value's owner checks its range."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
+def number_value(v, what: str) -> float:
+    """``float(v)`` for a finite int or float, never a bool or a string."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, not {v!r}")
+    return float(v)
 
 
 def finite_subset(elements, space) -> FiniteSubset:

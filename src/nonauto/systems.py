@@ -30,6 +30,8 @@ from .spaces import (
     circle_distance,
     distance,
     grid_points,
+    int_value,
+    number_value,
 )
 
 MAX_SHIFT = 32
@@ -594,13 +596,6 @@ def map_to_dict(m: MapSpec) -> dict:
     raise ValueError(f"unknown map kind: {m.kind!r}")
 
 
-def _int_field(d: dict, key: str) -> int:
-    # exact type: JSON true and false load as bool, a subclass of int
-    if type(d[key]) is not int:
-        raise ValueError(f"{key} must be an integer, not {d[key]!r}")
-    return d[key]
-
-
 def map_from_dict(d: dict) -> MapSpec:
     if not isinstance(d, dict):
         raise TypeError(f"a map must be an object, not {d!r}")
@@ -608,13 +603,12 @@ def map_from_dict(d: dict) -> MapSpec:
     if kind == "identity":
         return identity()
     if kind == "shift":
-        return shift(_int_field(d, "power"))
+        return shift(int_value(d["power"], "power"))
     if kind == "rotation":
-        if type(d["offset"]) not in (int, float):
-            raise ValueError(f"offset must be a number, not {d['offset']!r}")
-        return rotation(d["offset"])
+        return rotation(number_value(d["offset"], "offset"))
     if kind == "piecewise-linear":
-        return piecewise_linear(d["knots"])
+        return piecewise_linear([[number_value(v, "knot") for v in knot]
+                                 for knot in d["knots"]])
     if kind == "composition":
         return composition([map_from_dict(g) for g in d["maps"]])
     raise ValueError(f"unknown map kind: {kind!r}")
@@ -649,5 +643,5 @@ def sequence_from_dict(d: dict) -> MapSequence:
     if rule == "kth-iterate":
         base = sequence_from_dict(d["base"])
         _checked_space(base.space, space)
-        return kth_iterate(base, _int_field(d, "k"))
+        return kth_iterate(base, int_value(d["k"], "k"))
     raise ValueError(f"unknown sequence rule: {rule!r}")

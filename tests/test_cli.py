@@ -233,6 +233,27 @@ class TestExitCodes:
         {"system": rotation_system(float("inf"))},
         {"system": shift_system(1.9)},
         {"system": shift_system(True)},
+        {"cover": [{"center": "0.5", "radius": 0.1}]},
+        {"cover": [{"center": True, "radius": 0.1}]},
+        {"cover": [{"center": 0.5, "radius": "0.1"}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"0": 1.5}}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"1": True}}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"0": "1"}}]},
+        {"family": {"kind": "infinite", "min_count": 2.9}},
+        {"family": {"kind": "infinite", "tail_fraction": True}},
+        {"family": {"kind": "syndetic", "max_gap": 1.9}},
+        {"family": {"kind": "syndetic", "max_gap": "7"}},
+        {"label": 5},
+        {"out": None},
+        {"system": {"rule": "cyclic", "maps": [{
+            "kind": "piecewise-linear",
+            "knots": [[0.0, "0"], [0.25, 1.0], [1.0, 0.25]]}]}},
+        {"system": {"rule": "cyclic", "maps": [{
+            "kind": "piecewise-linear",
+            "knots": [[False, 0.0], [0.25, 1.0], [1.0, 0.25]]}]}},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
@@ -247,7 +268,11 @@ class TestExitCodes:
             "ball-below-interval", "ball-above-interval", "radius-nan",
             "ball-on-symbolic", "maps-text", "map-number", "iterate-base-null",
             "power-infinite", "knot-nan", "offset-nan", "offset-infinite",
-            "power-fraction", "power-bool"])
+            "power-fraction", "power-bool", "center-text", "center-bool",
+            "radius-text", "cylinder-value-fraction", "cylinder-value-bool",
+            "cylinder-value-text", "min-count-fraction", "tail-fraction-bool",
+            "max-gap-fraction", "max-gap-text", "top-label-number",
+            "out-null", "knot-text", "knot-bool"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}
@@ -496,8 +521,9 @@ def test_run_reads_only_the_scans_parse_built(tmp_path, name):
 
 # values a mutation writes, and keys it may add to any object
 MUTANT_VALUES = [
-    None, True, False, 0, -1, 1, 3, 10 ** 30, -10 ** 30, 0.5, -0.5, 1.9,
-    1e-300, float("nan"), float("inf"), float("-inf"), "", "x", [], [0.5],
+    None, True, False, 0, -1, 1, 3, 10 ** 30, -10 ** 30, 0.5, -0.5, 1.9, 2.0,
+    1e-300, float("nan"), float("inf"), float("-inf"), "", "x", "0.5", "1",
+    [], [0.5],
     {}, {"kind": "nope"}, "interval", "circle", "symbolic", "torus",
     "identity", "cylinders", "circle-balls", "hold", "kth-iterate",
     "block-structured", "shift-blocks", {"kind": "shift", "power": 1},
@@ -567,6 +593,14 @@ class TestConfigParsing:
         assert cfg.horizon == 200
         assert cfg.resolution == 64
         assert len(cfg.cover) == 16
+
+    def test_ints_read_as_floats_where_a_number_is_expected(self):
+        def config(one):
+            return parse_config({
+                "system": "identity", "modes": ["sensitive"], "delta": one,
+                "horizon": 20, "cover": [{"center": one, "radius": one}],
+                "family": {"kind": "infinite", "tail_fraction": one}})
+        assert repr(config(1)) == repr(config(1.0))
 
     def test_cover_kind_by_name(self):
         cfg = parse_config({"system": "example31", "modes": ["sensitive"],

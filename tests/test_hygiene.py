@@ -143,3 +143,50 @@ def test_scan_flags_an_unread_parameter():
                      "    return inner\n")
     assert unread_parameters(tree) == [(1, "a"), (1, "c"), (1, "g"),
                                        (7, "y"), (8, "z"), (12, "q")]
+
+
+# Functions that read a config's JSON values; they take a number through
+# spaces.int_value or spaces.number_value, because int() and float() turn
+# 1.9 into 1, "12" into 12 and true into 1.0.
+CONFIG_READERS = {"parse_config", "_parse_cover", "map_from_dict",
+                  "sequence_from_dict", "family_from_dict"}
+
+
+def config_casts(tree: ast.Module) -> list:
+    """(line, function) of each int() or float() call in a config reader
+    whose argument is a subscript or a ``.get(...)`` result."""
+    casts = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in CONFIG_READERS):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("int", "float") and node.args):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Subscript) or (
+                    isinstance(arg, ast.Call)
+                    and isinstance(arg.func, ast.Attribute)
+                    and arg.func.attr == "get"):
+                casts.append((node.lineno, fn.name))
+    return sorted(casts)
+
+
+def test_config_readers_cast_no_config_value():
+    trees = [ast.parse(p.read_text()) for p in PACKAGE]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert CONFIG_READERS <= defined
+    assert [c for tree in trees for c in config_casts(tree)] == []
+
+
+def test_scan_flags_a_config_cast():
+    tree = ast.parse("def family_from_dict(d):\n"
+                     "    a = int(d.get('max_gap', 64))\n"
+                     "    b = float(d['center'])\n"
+                     "    c = {int(j): int(v) for j, v in d.items()}\n"
+                     "    return len(d['maps']), a, b, c\n\n\n"
+                     "def other(d):\n    return int(d['k'])\n")
+    assert config_casts(tree) == [(2, "family_from_dict"),
+                                  (3, "family_from_dict")]

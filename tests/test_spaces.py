@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -24,8 +26,10 @@ from nonauto.spaces import (
     hausdorff,
     hausdorff_array,
     hausdorff_ball,
+    int_value,
     make_symbolic,
     metric_ball,
+    number_value,
     region_contains,
     sample_region,
     symbolic_truncation_bound,
@@ -569,3 +573,40 @@ class TestGrids:
         coarse = grid_points(0.1, 0.9, 8)
         fine = grid_points(0.1, 0.9, 15)
         assert set(coarse) <= set(fine)
+
+
+# Values json.loads can return, with the edges of exact types: bools (a
+# subclass of int), ints past the float range, non-finite floats, -0.0 and
+# strings that read as numbers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([10 ** 400, -10 ** 400, int(sys.float_info.max),
+                       int(sys.float_info.max) + 1, 2 ** 1024])
+    | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.builds(str, st.integers() | st.floats()) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=4)
+
+
+class TestConfigReaders:
+    @given(JSON_VALUES)
+    @settings(derandomize=True, max_examples=200, database=None)
+    def test_readers_take_exact_finite_types_only(self, v):
+        try:
+            got = int_value(v, "count")
+        except ValueError as exc:
+            assert type(v) is not int
+            assert str(exc).startswith("count must be an integer, not ")
+        else:
+            assert type(v) is int and got is v
+        finite = (type(v) is int and abs(v) <= int(sys.float_info.max)
+                  or type(v) is float and math.isfinite(v))
+        try:
+            got = number_value(v, "delta")
+        except ValueError as exc:
+            assert not finite
+            assert str(exc).startswith("delta must be a finite number, not ")
+        else:
+            assert finite and type(got) is float
+            assert repr(got) == repr(float(v))
