@@ -348,8 +348,8 @@ def _curated_suite(h=200):
 
 HEREDITARY_SEED = 20260816
 HEREDITARY_ROWS = 10 ** 5
-# rows per hereditary block: a block's getrandbits int, its bytes and the
-# gathered draws take about 19 kB a row, so 100 rows keep it near 2 MB
+# rows per hereditary block: its randbytes int and bytes, bool rows and
+# member_rows' temporaries take about 3.5 kB a row, 350 kB a block
 HEREDITARY_CHUNK = 100
 HEREDITARY_WIDTH = 200
 # masks per family-classifiers oracle block: its windows and member_rows'
@@ -360,45 +360,18 @@ ORACLE_BLOCK = 4096
 def _hereditary_rows(rng, rows, chunk):
     """Yield (small, big) bool blocks of at most ``chunk`` rows each.
 
-    The rows are exactly what this per-call loop draws from ``rng``::
-
-        small = [rng.random() < 0.5 for _ in range(200)]
-        big = [b or rng.random() < 0.05 for b in small]
-
-    but the stream is taken in bulk. ``random()`` reads two 32-bit words
-    w0, w1 and returns ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, and
-    ``getrandbits(64 * k)`` hands out the words of k such calls, the first
-    in the lowest bits. A row reads 200 draws for ``small`` and then one
-    draw per False bit for ``big``, so the next row starts 400 - popcount
-    draws later. Draws left over at the end of a block carry into the next.
+    A row is 400 little-endian 16-bit words of ``rng.randbytes``: bit j of
+    ``small`` is set when word j is below 2**15 (probability 1/2), and
+    ``big`` adds it when word 200 + j is below 3277 (about 0.05). Blocks
+    read whole 32-bit words in order, so the rows do not depend on ``chunk``.
     """
     width = HEREDITARY_WIDTH
-    cols = np.arange(width)
-    pairs = np.empty((0, 2), dtype="<u4")
-    done = 0
-    while done < rows:
+    for done in range(0, rows, chunk):
         r = min(chunk, rows - done)
-        need = 2 * width * r - len(pairs)
-        if need > 0:
-            fresh = rng.getrandbits(64 * need).to_bytes(8 * need, "little")
-            pairs = np.concatenate(
-                (pairs, np.frombuffer(fresh, dtype="<u4").reshape(need, 2)))
-        half = pairs[:, 0] < 2 ** 31            # random() < 0.5, exactly
-        ones = np.concatenate(([0], np.cumsum(half, dtype=np.int32)))
-        starts = np.empty(r, dtype=np.intp)
-        s = 0
-        for i in range(r):
-            starts[i] = s
-            s += 2 * width - int(ones[s + width] - ones[s])
-        small = half.take(starts[:, None] + cols)
-        # the k-th False bit of a row (k = 0, 1, ...) reads draw start+200+k
-        k = np.cumsum(~small, axis=1) - 1
-        p = pairs.take(starts[:, None] + width + k, axis=0)
-        u = ((p[..., 0] >> 5) * 67108864.0 + (p[..., 1] >> 6)) * (
-            1.0 / 9007199254740992.0)
-        yield small, small | (u < 0.05)
-        pairs = pairs[s:]
-        done += r
+        words = np.frombuffer(rng.randbytes(4 * width * r),
+                              dtype="<u2").reshape(r, 2, width)
+        small = words[:, 0] < 2 ** 15
+        yield small, small | (words[:, 1] < 3277)
 
 
 def _check_family_classifiers():
@@ -411,9 +384,9 @@ def _check_family_classifiers():
     and suffix bits, runs of absent times. The classifiers under test see
     the masks as bool windows, ``ORACLE_BLOCK`` masks at a time; the dual's
     row is checked against the negated predicate of the complement, which
-    is the subset at the mirrored mask. The hereditary pairs come from
-    ``random.Random(20260816)`` in bulk (``_hereditary_rows``): the same
-    stream and the same draws as one ``random()`` call per bit.
+    is the subset at the mirrored mask. The hereditary pairs are 16-bit
+    words of ``random.Random(20260816)`` (``_hereditary_rows``), drawn
+    ``HEREDITARY_CHUNK`` rows at a time at about 3.5 kB a row.
     """
     h = 16
     masks = np.arange(2 ** h)

@@ -109,9 +109,14 @@ def _parse_cover(spec, space):
                     spaces.number_value(rd["radius"], "ball radius"),
                     label=label))
             else:
-                regions.append(cylinder_region(
-                    {int(j): spaces.int_value(v, "cylinder value")
-                     for j, v in rd["constraints"].items()}, label=label))
+                keys = rd["constraints"]
+                constraints = {int(j): spaces.int_value(v, "cylinder value")
+                               for j, v in keys.items()}
+                # int() also reads "+0", "-0", " 1 " and non-ASCII digits,
+                # so two keys could name one coordinate
+                _require(set(map(str, constraints)) == set(keys),
+                         "cylinder keys must be integers written plainly")
+                regions.append(cylinder_region(constraints, label=label))
     return tuple(regions)
 
 

@@ -445,24 +445,21 @@ def _rotation_offset(m: MapSpec):
     return None
 
 
-def sup_metric(f: MapSpec, g: MapSpec, resolution: int = 256) -> float:
-    """Largest pointwise distance over a grid that includes both maps'
-    breakpoints, hence exact for piecewise-linear maps and rotations."""
-    if resolution < 100:
-        raise ValueError("sup_metric needs resolution >= 100")
+def sup_metric(f: MapSpec, g: MapSpec) -> float:
+    """Largest pointwise distance between two maps, exact for
+    piecewise-linear maps and rotations: |f - g| of continuous
+    piecewise-linear interval maps peaks at a breakpoint of f or g, and
+    maps built of rotations are apart by a constant displacement."""
     space = _infer_space((f, g))
     if space is None:
         return 0.0
     if space == SYMBOLIC:
-        raise ValueError("no finite grid is faithful on the sequence space")
+        raise ValueError("no finite point set is exact on the sequence space")
     of, og = _rotation_offset(f), _rotation_offset(g)
     if of is not None and og is not None:
-        # constant displacement field: every grid sees the true supremum
         return circle_distance(of, og)
-    grid = set(grid_points(0.0, 1.0, resolution))
-    grid.update(breakpoints(f))
-    grid.update(breakpoints(g))
-    return max(distance(space, apply(f, x), apply(g, x)) for x in sorted(grid))
+    points = set(breakpoints(f)) | set(breakpoints(g))
+    return max(distance(space, apply(f, x), apply(g, x)) for x in points)
 
 
 @dataclass(frozen=True)
@@ -473,7 +470,7 @@ class PerturbationReport:
 
 
 def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,
-             resolution: int = 256, tolerance: float = 1e-6) -> PerturbationReport:
+             tolerance: float = 1e-6) -> PerturbationReport:
     """Partial sums of sup_metric(f_i, f); convergence is flagged when the
     second half of the sum contributes less than the tolerance."""
     if n_terms < 1:
@@ -481,7 +478,7 @@ def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,
     sums = []
     total = 0.0
     for i in range(1, n_terms + 1):
-        total += sup_metric(map_at(seq, i), f, resolution)
+        total += sup_metric(map_at(seq, i), f)
         sums.append(total)
     converged = n_terms >= 2 and (sums[-1] - sums[n_terms // 2 - 1]) < tolerance
     return PerturbationReport(partial_sums=tuple(sums), converged=converged,

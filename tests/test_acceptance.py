@@ -6,12 +6,11 @@ line here means the stated expectation was computed and not met, with the
 observed numbers in the assertion message.
 """
 
-import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,56 +89,42 @@ def test_metric_suite_takes_the_same_draws(monkeypatch):
 
 
 def per_call_rows(rng, rows):
-    # the hereditary draws as one random() call per bit
+    # the hereditary rows read one row per randbytes call, one 16-bit word
+    # per bit: 200 words for small, then 200 for the bits big may add
     small, big = [], []
     for _ in range(rows):
-        bits = [rng.random() < 0.5 for _ in range(200)]
+        data = rng.randbytes(4 * 200)
+        words = [int.from_bytes(data[i:i + 2], "little")
+                 for i in range(0, len(data), 2)]
+        bits = [w < 2 ** 15 for w in words[:200]]
         small.append(bits)
-        big.append([b or rng.random() < 0.05 for b in bits])
+        big.append([b or w < 3277 for b, w in zip(bits, words[200:])])
     return np.array(small, dtype=bool), np.array(big, dtype=bool)
 
 
 class WordStream:
-    """Hands out given 32-bit words as ``random.Random`` would: bulk through
-    ``getrandbits`` (first word lowest), one draw per ``random()`` call."""
+    """Hands out given 16-bit words through ``randbytes``, first word first,
+    as ``random.Random`` hands out its stream in reads of whole 32-bit
+    words."""
 
     def __init__(self, words):
-        self.words = words
+        self.data = np.array(words, dtype="<u2").tobytes()
         self.pos = 0
 
-    def take(self, n):
-        out = self.words[self.pos:self.pos + n]
+    def randbytes(self, n):
+        assert n % 4 == 0
+        out = self.data[self.pos:self.pos + n]
         assert len(out) == n, "word stream exhausted"
         self.pos += n
         return out
 
-    def getrandbits(self, k):
-        assert k % 64 == 0
-        return int.from_bytes(
-            np.array(self.take(k // 32), dtype="<u4").tobytes(), "little")
-
-    def random(self):
-        w0, w1 = self.take(2)
-        return ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
-
 
 def edge_words(rng, count):
-    # the draws just below and above 0.05, as a * 2**26 + b over 2**53
-    cut = math.floor(Fraction(0.05) * 2 ** 53)
-    near = [cut - 1, cut, cut + 1, cut + 2]
-    words = []
-    while len(words) < count:
-        kind = rng.randrange(4)
-        if kind == 0:
-            w0 = rng.choice([2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1])
-            words += [w0, rng.getrandbits(32)]
-        elif kind == 1:
-            x = rng.choice(near)
-            words += [(x >> 26) << 5 | rng.getrandbits(5),
-                      (x & (2 ** 26 - 1)) << 6 | rng.getrandbits(6)]
-        else:
-            words += [rng.getrandbits(32), rng.getrandbits(32)]
-    return words[:count]
+    # words on either side of the cuts 2**15 and 3277, which a uniform
+    # stream hits once in 2**15 words, mixed with uniform words
+    edges = [2 ** 15 - 1, 2 ** 15, 3276, 3277]
+    return [rng.choice(edges) if rng.random() < 0.5 else rng.getrandbits(16)
+            for _ in range(count)]
 
 
 def bulk_rows(rng, rows, chunk):
@@ -147,7 +132,9 @@ def bulk_rows(rng, rows, chunk):
     assert [len(s) for s, _ in blocks] == [min(chunk, rows - a)
                                            for a in range(0, rows, chunk)]
     for s, b in blocks:
-        assert s.dtype == b.dtype == bool and s.shape == b.shape
+        assert s.dtype == b.dtype == bool
+        assert s.shape == b.shape == (len(s), acceptance.HEREDITARY_WIDTH)
+        assert np.all(b[s])
     return (np.concatenate([s for s, _ in blocks]),
             np.concatenate([b for _, b in blocks]))
 
@@ -159,9 +146,9 @@ class TestHereditaryDraws:
     def reference(self):
         return per_call_rows(random.Random(20260816), self.ROWS)
 
-    # 333 splits the rows into seven blocks, the last one short, so the
-    # unused draws carry across six block boundaries, and 500 leaves a last
-    # block of 101 rows; the shipped block size is always among those tested
+    # 333 splits the rows into seven blocks, the last one short, and 500
+    # leaves a last block of 101 rows; the shipped block size is always
+    # among those tested
     @pytest.mark.parametrize("chunk", list(dict.fromkeys(
         [333, 1000, 1, 4096, 500, acceptance.HEREDITARY_CHUNK])))
     def test_bulk_rows_equal_per_call_loop(self, reference, chunk):
@@ -183,22 +170,37 @@ class TestHereditaryDraws:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_edge_words(self, seed):
-        # words where a draw sits on either side of 0.5 or of 0.05, which
-        # a uniform stream almost never hits; rows 3 + 3 + 1 carry twice
+        # rows 3 + 3 + 1, half their words on a cut or next to it
         rows = 7
-        words = edge_words(random.Random(seed), 2 * 400 * rows)
+        words = edge_words(random.Random(seed), 2 * 200 * rows)
         small, big = bulk_rows(WordStream(words), rows, 3)
         want_small, want_big = per_call_rows(WordStream(words), rows)
         assert np.array_equal(small, want_small)
         assert np.array_equal(big, want_big)
 
     def test_word_stream_replays_random(self):
-        rng = random.Random(7)
-        n = 10 ** 4
-        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
-                              dtype="<u4").tolist()
-        stream, real = WordStream(words), random.Random(7)
-        assert all(stream.random() == real.random() for _ in range(n))
+        # reads of whole 32-bit words join up: one long read of the stream
+        # equals the short reads that make it up
+        sizes = [4, 800, 12, 8000, 400]
+        data = random.Random(7).randbytes(sum(sizes))
+        stream = WordStream(np.frombuffer(data, dtype="<u2").tolist())
+        real = random.Random(7)
+        for n in sizes:
+            assert stream.randbytes(n) == real.randbytes(n)
+
+    def test_rates_at_the_check_seed(self):
+        # small is set with probability 1/2 and big adds a bit with
+        # probability 3277 / 2**16, about 0.05, wherever small is clear
+        bits = ones = added = 0
+        for small, big in _hereditary_rows(
+                random.Random(acceptance.HEREDITARY_SEED),
+                acceptance.HEREDITARY_ROWS, acceptance.HEREDITARY_CHUNK):
+            bits += small.size
+            ones += int(np.count_nonzero(small))
+            added += int(np.count_nonzero(big & ~small))
+        assert bits == 10 ** 5 * 200
+        assert abs(ones / bits - 0.5) < 0.005
+        assert abs(added / (bits - ones) - 0.05) < 0.002
 
     def test_check_draws_from_fresh_seeded_stream(self, monkeypatch):
         seen = []
@@ -257,6 +259,22 @@ class TestFamilyClassifiersOracle:
         assert details.startswith(
             f"exhaustive window 16: {6 * len(flipped)} classifier mismatches "
             "over 65536 subsets;")
+
+    def test_non_hereditary_rule_is_caught(self, monkeypatch):
+        # "an even number of hits" is not hereditary upward: one more hit
+        # turns a yes into a no
+        real = acceptance.member_rows
+
+        def parity(fam, rows):
+            if rows.shape[1] == acceptance.HEREDITARY_WIDTH:
+                return np.count_nonzero(rows, axis=1) % 2 == 0
+            return real(fam, rows)
+
+        monkeypatch.setattr(acceptance, "member_rows", parity)
+        ok, details = acceptance._check_family_classifiers()
+        assert not ok
+        violations = re.search(r"hereditary violations (\d+) over", details)
+        assert int(violations[1]) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,14 @@ class TestExitCodes:
         {"system": {"rule": "cyclic", "maps": [{
             "kind": "piecewise-linear",
             "knots": [[False, 0.0], [0.25, 1.0], [1.0, 0.25]]}]}},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"0": 1, "+0": 0}}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {" 1 ": 1}}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"\u0663": 1}}]},
+        {"system": "example31", "cover": [{"kind": "cylinder",
+                                           "constraints": {"-0": 1}}]},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
@@ -272,7 +280,9 @@ class TestExitCodes:
             "radius-text", "cylinder-value-fraction", "cylinder-value-bool",
             "cylinder-value-text", "min-count-fraction", "tail-fraction-bool",
             "max-gap-fraction", "max-gap-text", "top-label-number",
-            "out-null", "knot-text", "knot-bool"])
+            "out-null", "knot-text", "knot-bool", "cylinder-key-plus-zero",
+            "cylinder-key-blanks", "cylinder-key-arabic-digit",
+            "cylinder-key-minus-zero"])
     def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}

@@ -162,21 +162,36 @@ def knot_tables(draw):
     return tuple(zip(xs, ys))
 
 
-pwl_maps = knot_tables().map(
-    lambda k: MapSpec(kind="piecewise-linear", knots=k))
+@st.composite
+def unit_knot_tables(draw):
+    # knots on a 1/1024 lattice with values in [0, 1], as piecewise_linear
+    # requires: every point of [0, 1] has an image and no slope overflows
+    inner = draw(st.lists(st.integers(min_value=1, max_value=1023),
+                          max_size=5, unique=True))
+    xs = [0.0, *(k / 1024 for k in sorted(inner)), 1.0]
+    ys = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=len(xs), max_size=len(xs)))
+    return tuple(zip(xs, ys))
+
+
+def pwl_maps(tables):
+    return tables.map(lambda k: MapSpec(kind="piecewise-linear", knots=k))
+
+
+def compositions_of(leaves):
+    # nested compositions are built directly: ``composition`` flattens them
+    return st.recursive(
+        st.one_of(st.just(identity()), leaves),
+        lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+            lambda ms: MapSpec(kind="composition", maps=tuple(ms))),
+        max_leaves=6)
+
+
 rotations = st.floats(min_value=-2.0, max_value=2.0,
                       allow_nan=False).map(rotation)
-# nested compositions are built directly: ``composition`` flattens them
-interval_maps = st.recursive(
-    st.one_of(st.just(identity()), pwl_maps),
-    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
-        lambda ms: MapSpec(kind="composition", maps=tuple(ms))),
-    max_leaves=6)
-circle_maps = st.recursive(
-    st.one_of(st.just(identity()), rotations),
-    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
-        lambda ms: MapSpec(kind="composition", maps=tuple(ms))),
-    max_leaves=6)
+interval_maps = compositions_of(pwl_maps(knot_tables()))
+circle_maps = compositions_of(rotations)
+unit_interval_maps = compositions_of(pwl_maps(unit_knot_tables()))
 # points on and just past the [0, 1] guard of the piecewise-linear maps
 guard_point = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, CLAMP_TOL, -CLAMP_TOL, 1.0 + CLAMP_TOL,
@@ -534,9 +549,26 @@ class TestSupMetric:
         assert sup_metric(rotation(0.25), identity()) == 0.25
         assert sup_metric(rotation(2.0 ** -7), identity()) == 2.0 ** -7
 
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            sup_metric(F1, F2, resolution=10)
+    def test_one_map_written_two_ways(self):
+        # every breakpoint evaluates equal; between them the two forms may
+        # round apart by an ulp, which is not a distance between the maps
+        assert sup_metric(composition([F1, F2]), PRINTED_TWO_STEP) == 0.0
+
+    @given(unit_interval_maps, unit_interval_maps)
+    @settings(deadline=None)
+    @example(F1, identity())
+    @example(F1, F2)
+    def test_breakpoints_match_dense_grid(self, f, g):
+        # the oracle reads a 256-point grid of [0, 1] as well as both maps'
+        # breakpoints, so it can only read more; where |f - g| is flat on a
+        # piece it may read an ulp of rounding more, and 2**-40 leaves room
+        # for that rounding through compositions of slopes up to 2**10
+        grid = (set(grid_points(0.0, 1.0, 256)) | set(breakpoints(f))
+                | set(breakpoints(g)))
+        dense = max(distance(INTERVAL, apply(f, x), apply(g, x))
+                    for x in grid)
+        got = sup_metric(f, g)
+        assert got <= dense <= got + 2 ** -40
 
     @given(st.sampled_from([F1, F2, PRINTED_TWO_STEP]),
            st.sampled_from([F1, F2, PRINTED_TWO_STEP]),
