@@ -45,12 +45,13 @@ from .sensitivity import (
 from .spaces import (
     CIRCLE,
     INTERVAL,
+    WINDOW_RADIUS,
+    SymbolicPoint,
     distance,
     dist_symbolic,
     finite_subset,
     grid_points,
     hausdorff_array,
-    make_symbolic,
 )
 from .systems import (
     apply,
@@ -346,73 +347,67 @@ def _curated_suite(h=200):
             geometric]
 
 
-HEREDITARY_SEED = 20260816
-HEREDITARY_ROWS = 10 ** 5
-# rows per hereditary block: its randbytes int and bytes, bool rows and
-# member_rows' temporaries take about 3.5 kB a row, 350 kB a block
-HEREDITARY_CHUNK = 100
-HEREDITARY_WIDTH = 200
 # masks per family-classifiers oracle block: its windows and member_rows'
 # gap temporaries take about 170 bytes a mask, so 4096 keep it under 1 MB
 ORACLE_BLOCK = 4096
 
 
-def _hereditary_rows(rng, rows, chunk):
-    """Yield (small, big) bool blocks of at most ``chunk`` rows each.
+def _verdict_rows(fams, h):
+    """``member_rows`` of each family on every subset of [1, h], as one
+    bool row per family over the masks 0 .. 2**h - 1 (bit j of a mask is
+    time j + 1), ``ORACLE_BLOCK`` masks at a time."""
+    masks = np.arange(2 ** h)
+    rows = np.empty((len(fams), 2 ** h), dtype=bool)
+    for a in range(0, 2 ** h, ORACLE_BLOCK):
+        block = slice(a, a + ORACLE_BLOCK)
+        windows = ((masks[block, None] >> np.arange(h)) & 1).astype(bool)
+        for row, fam in zip(rows, fams):
+            row[block] = member_rows(fam, windows)
+    return rows
 
-    A row is 400 little-endian 16-bit words of ``rng.randbytes``: bit j of
-    ``small`` is set when word j is below 2**15 (probability 1/2), and
-    ``big`` adds it when word 200 + j is below 3277 (about 0.05). Blocks
-    read whole 32-bit words in order, so the rows do not depend on ``chunk``.
-    """
-    width = HEREDITARY_WIDTH
-    for done in range(0, rows, chunk):
-        r = min(chunk, rows - done)
-        words = np.frombuffer(rng.randbytes(4 * width * r),
-                              dtype="<u2").reshape(r, 2, width)
-        small = words[:, 0] < 2 ** 15
-        yield small, small | (words[:, 1] < 3277)
+
+def _hereditary_violations(rows):
+    """(violations, pairs) over every covering pair (m, m | 1 << b) with bit
+    b clear in m, in every row of ``_verdict_rows``: a violation accepts m
+    and refuses m | 1 << b. Each pair small <= big is a chain of covering
+    pairs, so no violation means every row is hereditary upwards."""
+    h = rows.shape[1].bit_length() - 1
+    violations = pairs = 0
+    for b in range(h):
+        # axis 2 of the view is bit b: clear at index 0, set at index 1
+        split = rows.reshape(len(rows), -1, 2, 1 << b)
+        violations += int(np.count_nonzero(split[:, :, 0] & ~split[:, :, 1]))
+        pairs += split[:, :, 0].size
+    return violations, pairs
 
 
 def _check_family_classifiers():
     """Windowed classifiers agree with direct predicate evaluation on every
-    subset of a short window, stay hereditary upwards on sampled pairs, and
-    the intersection-closure probe splits as expected.
+    subset of a short window, stay hereditary upwards on every covering
+    pair of those subsets, and the intersection-closure probe splits as
+    expected.
 
     The direct predicates are evaluated once, on all 2**16 masks as
     integers (``_mask_*``), from each predicate's own terms: counts, tail
     and suffix bits, runs of absent times. The classifiers under test see
-    the masks as bool windows, ``ORACLE_BLOCK`` masks at a time; the dual's
-    row is checked against the negated predicate of the complement, which
-    is the subset at the mirrored mask. The hereditary pairs are 16-bit
-    words of ``random.Random(20260816)`` (``_hereditary_rows``), drawn
-    ``HEREDITARY_CHUNK`` rows at a time at about 3.5 kB a row.
+    the masks as bool windows (``_verdict_rows``); the dual's row is
+    checked against the negated predicate of the complement, which is the
+    subset at the mirrored mask. The same rows then meet the hereditary
+    test, 6 x 16 x 2**15 covering pairs.
     """
     h = 16
     masks = np.arange(2 ** h)
     truth = [(infinite_family(4, 0.25), _mask_infinite(masks, h, 4, 0.25)),
              (cofinite_family(3), _mask_cofinite(masks, h, 3)),
              (syndetic_family(3), _mask_syndetic(masks, h, 3))]
-    checks = []
+    fams, wants = [], []
     for fam, want in truth:
         # the complement of mask m is mask (2**h - 1) - m: want read backwards
-        checks += [(fam, want), (dual(fam), ~want[::-1])]
-    mismatches = 0
-    for a in range(0, 2 ** h, ORACLE_BLOCK):
-        block = slice(a, a + ORACLE_BLOCK)
-        windows = ((masks[block, None] >> np.arange(h)) & 1).astype(bool)
-        for fam, want in checks:
-            mismatches += int(np.count_nonzero(
-                member_rows(fam, windows) != want[block]))
-
-    hered_fams = [infinite_family(), cofinite_family(), syndetic_family(),
-                  dual(infinite_family())]
-    hered_violations = 0
-    for small, big in _hereditary_rows(random.Random(HEREDITARY_SEED),
-                                       HEREDITARY_ROWS, HEREDITARY_CHUNK):
-        for fam in hered_fams:
-            hered_violations += int(np.count_nonzero(
-                member_rows(fam, small) & ~member_rows(fam, big)))
+        fams += [fam, dual(fam)]
+        wants += [want, ~want[::-1]]
+    rows = _verdict_rows(fams, h)
+    mismatches = int(np.count_nonzero(rows != np.array(wants)))
+    hered_violations, pairs = _hereditary_violations(rows)
 
     suite = _curated_suite()
     fd_inf = filterdual_probe(infinite_family(10, 0.25), suite)
@@ -425,8 +420,8 @@ def _check_family_classifiers():
     ok = mismatches == 0 and hered_violations == 0 and fd_ok
     details = (f"exhaustive window 16: {mismatches} classifier mismatches "
                f"over {2 ** h} subsets; hereditary violations "
-               f"{hered_violations} over 100000 pairs; intersection closure "
-               f"passed={fd_inf.passed} for count-and-tail, "
+               f"{hered_violations} over {pairs} covering pairs; intersection "
+               f"closure passed={fd_inf.passed} for count-and-tail, "
                f"counterexamples={len(fd_cof.counterexamples)} for cofinite")
     return ok, details
 
@@ -486,6 +481,31 @@ def _mutual_cover(space, a, b, eps):
 
 
 SUBSET_WIDTH = 4
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _words(rng, count, dtype):
+    """``count`` words of numpy ``dtype`` read from ``rng.randbytes``."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(rng.randbytes(count * dtype.itemsize), dtype)
+
+
+def _units(rng, count):
+    """``count`` floats in [0, 1) on the 2**-53 grid: the top 53 bits of
+    64-bit words."""
+    return (_words(rng, count, "<u8") >> 11) * 2.0 ** -53
+
+
+def _symbolic_point(code, span, radius=WINDOW_RADIUS):
+    """``make_symbolic`` of the coordinates -span .. span set in the int
+    ``code`` (bit i is coordinate i - span) at window ``radius``."""
+    pad = radius - span
+    # the code's digits, coordinate -span first: bin() of the code under a
+    # guard bit, read backwards down to the guard; as a binary number that
+    # is the mirrored code rev
+    low = bin(code | 2 << 2 * span)[:2:-1]
+    bits = ("0" * pad + low + "0" * pad).encode().translate(_DIGITS)
+    return SymbolicPoint(tuple(bits), radius, code << pad, int(low, 2) << pad)
 
 
 def _check_metric_suite():
@@ -495,56 +515,53 @@ def _check_metric_suite():
     Every axiom and the covering test run on arrays: interval and circle
     triples through the array form of ``distance``, subsets of 1 to 4
     elements padded to width 4 (by repeating their first element) through
-    ``hausdorff_array``.
-    Symbolic distances stay scalar ``dist_symbolic`` calls, stored as each
-    triple is drawn. The draws from ``random.Random(5150)`` are the same,
-    in the same order, as drawing each triple as objects.
+    ``hausdorff_array``. Symbolic distances stay scalar ``dist_symbolic``
+    calls on points built triple by triple from their support codes.
+    Every number is a fixed-width word of one ``random.Random(5150)``
+    stream, read in order: unit triples, support codes, subset sizes and
+    elements, covering radii, then the window test's codes and widths.
     """
     rng = random.Random(5150)
     n = GRID_POINTS
     bad = {}
 
-    x, y, z = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3).T
+    x, y, z = _units(rng, 3 * n).reshape(3, n)
     for space in (INTERVAL, CIRCLE):
         bad[space] = _axiom_failures(
             *_triple_distances(partial(distance, space), x, y, z))
 
-    def sym_point():
-        support = {rng.randint(-12, 12): 1
-                   for _ in range(rng.randint(0, 10))}
-        return make_symbolic(support)
-
+    # supports over coordinates -12 .. 12, 25 bits; -8 .. 8 for the window
+    codes = (_words(rng, 3 * n, "<u4") & (2 ** 25 - 1)).reshape(n, 3)
     sym = np.empty((5, n))
     for t in range(n):
-        sym[:, t] = _triple_distances(dist_symbolic, sym_point(), sym_point(),
-                                      sym_point())
+        # a row at a time: a list of every code would hold 1.6 MB of ints
+        sym[:, t] = _triple_distances(dist_symbolic, *(
+            _symbolic_point(c, 12) for c in codes[t].tolist()))
     bad["symbolic"] = _axiom_failures(*sym)
 
-    subsets = np.empty((3, n, SUBSET_WIDTH))
-    for t in range(n):
-        for row in subsets[:, t]:
-            k = rng.randint(1, SUBSET_WIDTH)
-            elems = finite_subset([rng.random() for _ in range(k)],
-                                  INTERVAL).elements
-            row[:] = elems + elems[:1] * (SUBSET_WIDTH - len(elems))
+    sizes = 1 + (_words(rng, 3 * n, "u1") & 3).reshape(3, n, 1)
+    subsets = _units(rng, 3 * n * SUBSET_WIDTH).reshape(3, n, SUBSET_WIDTH)
+    np.copyto(subsets, subsets[..., :1],
+              where=np.arange(SUBSET_WIDTH) >= sizes)
     dists = _triple_distances(partial(hausdorff_array, INTERVAL), *subsets)
     bad["subsets"] = _axiom_failures(*dists)
 
-    eps = np.array([rng.random() for _ in range(n)])
+    eps = _units(rng, n)
     cover_breaks = int(np.count_nonzero(
         (dists[0] <= eps)
         != _mutual_cover(INTERVAL, subsets[0], subsets[1], eps)))
 
+    pair_codes = _words(rng, 2 * n, "<u4") & (2 ** 17 - 1)
+    steps = _words(rng, 2 * n, "<u2").reshape(2, n)
+    widths = 10 + steps[0] % 31
+    wides = widths + 1 + steps[1] % 24
     window_breaks = 0
-    for _ in range(n):
-        support_x = {rng.randint(-8, 8): 1 for _ in range(rng.randint(0, 6))}
-        support_y = {rng.randint(-8, 8): 1 for _ in range(rng.randint(0, 6))}
-        w = rng.randint(10, 40)
-        wide = w + rng.randint(1, 24)
-        d_small = dist_symbolic(make_symbolic(support_x, radius=w),
-                                make_symbolic(support_y, radius=w))
-        d_wide = dist_symbolic(make_symbolic(support_x, radius=wide),
-                               make_symbolic(support_y, radius=wide))
+    for cx, cy, w, wide in zip(*pair_codes.reshape(n, 2).T.tolist(),
+                               widths.tolist(), wides.tolist()):
+        d_small = dist_symbolic(_symbolic_point(cx, 8, w),
+                                _symbolic_point(cy, 8, w))
+        d_wide = dist_symbolic(_symbolic_point(cx, 8, wide),
+                               _symbolic_point(cy, 8, wide))
         if abs(d_small - d_wide) > 2.0 ** (1 - w):
             window_breaks += 1
 

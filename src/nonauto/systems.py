@@ -83,6 +83,10 @@ def piecewise_linear(knots) -> MapSpec:
         raise ValueError("knot x values must strictly ascend")
     if any(not (0.0 <= y <= 1.0) for _, y in pts):
         raise ValueError("knot values must lie in [0,1]")
+    # a run too short for its rise makes an infinite slope, which steps to nan
+    for a, b in zip(pts, pts[1:]):
+        if not math.isfinite((b[1] - a[1]) / (b[0] - a[0])):
+            raise ValueError(f"knots {a} and {b} make a slope that overflows")
     return MapSpec(kind="piecewise-linear", knots=pts)
 
 

@@ -6,26 +6,40 @@ line here means the stated expectation was computed and not met, with the
 observed numbers in the assertion message.
 """
 
+import ast
 import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonauto import acceptance
-from nonauto.acceptance import CRITERION_KEYS, _hereditary_rows, run_all
+from nonauto.acceptance import CRITERION_KEYS, run_all
+from nonauto.families import (
+    cofinite_family,
+    dual,
+    infinite_family,
+    member,
+    member_rows,
+    syndetic_family,
+    windowed,
+)
 from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
+    WINDOW_RADIUS,
     distance,
     finite_subset,
     hausdorff,
     hausdorff_array,
+    make_symbolic,
 )
 
 _RESULTS = None
@@ -49,14 +63,13 @@ def test_every_check_is_covered():
     assert len(CRITERION_KEYS) == 10
 
 
-# The details text the brute-force checks print, as computed by the
-# one-draw-per-call and two-oracle-pass versions of the checks and by the
-# metric suite that built its symbolic triples as one list.
+# The details text the brute-force checks print.
 PINNED_DETAILS = {
     "family-classifiers": (
         "exhaustive window 16: 0 classifier mismatches over 65536 subsets; "
-        "hereditary violations 0 over 100000 pairs; intersection closure "
-        "passed=True for count-and-tail, counterexamples=1 for cofinite"),
+        "hereditary violations 0 over 3145728 covering pairs; intersection "
+        "closure passed=True for count-and-tail, counterexamples=1 for "
+        "cofinite"),
     "perturbation-bound": (
         "0 bound failures over 1000 sampled (x, n, k); summable tail "
         "S_1000=1.0 converged=True; harmonic converged=False"),
@@ -72,157 +85,177 @@ def test_details_text_pinned(key):
     assert results()[key].details == PINNED_DETAILS[key]
 
 
-def test_metric_suite_takes_the_same_draws(monkeypatch):
-    # streaming the symbolic triples must leave random.Random(5150) where
-    # the list-built triples left it: the next draw is pinned
+class Recording(random.Random):
+    """A ``random.Random`` that keeps every instance and every randbytes
+    read, as (bytes asked, bytes given)."""
+
     made = []
 
-    class Recording(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
-
-    monkeypatch.setattr(acceptance.random, "Random", Recording)
-    assert acceptance._check_metric_suite()[0]
-    assert len(made) == 1
-    assert made[0].random() == 0.14303450423396746
-
-
-def per_call_rows(rng, rows):
-    # the hereditary rows read one row per randbytes call, one 16-bit word
-    # per bit: 200 words for small, then 200 for the bits big may add
-    small, big = [], []
-    for _ in range(rows):
-        data = rng.randbytes(4 * 200)
-        words = [int.from_bytes(data[i:i + 2], "little")
-                 for i in range(0, len(data), 2)]
-        bits = [w < 2 ** 15 for w in words[:200]]
-        small.append(bits)
-        big.append([b or w < 3277 for b, w in zip(bits, words[200:])])
-    return np.array(small, dtype=bool), np.array(big, dtype=bool)
-
-
-class WordStream:
-    """Hands out given 16-bit words through ``randbytes``, first word first,
-    as ``random.Random`` hands out its stream in reads of whole 32-bit
-    words."""
-
-    def __init__(self, words):
-        self.data = np.array(words, dtype="<u2").tobytes()
-        self.pos = 0
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.seed = seed
+        self.reads = []
+        self.made.append(self)
 
     def randbytes(self, n):
-        assert n % 4 == 0
-        out = self.data[self.pos:self.pos + n]
-        assert len(out) == n, "word stream exhausted"
-        self.pos += n
+        out = super().randbytes(n)
+        self.reads.append((n, out))
         return out
 
 
-def edge_words(rng, count):
-    # words on either side of the cuts 2**15 and 3277, which a uniform
-    # stream hits once in 2**15 words, mixed with uniform words
-    edges = [2 ** 15 - 1, 2 ** 15, 3276, 3277]
-    return [rng.choice(edges) if rng.random() < 0.5 else rng.getrandbits(16)
-            for _ in range(count)]
+@pytest.fixture
+def recording(monkeypatch):
+    monkeypatch.setattr(acceptance.random, "Random", Recording)
+    monkeypatch.setattr(Recording, "made", [])
+    return Recording.made
 
 
-def bulk_rows(rng, rows, chunk):
-    blocks = list(_hereditary_rows(rng, rows, chunk))
-    assert [len(s) for s, _ in blocks] == [min(chunk, rows - a)
-                                           for a in range(0, rows, chunk)]
-    for s, b in blocks:
-        assert s.dtype == b.dtype == bool
-        assert s.shape == b.shape == (len(s), acceptance.HEREDITARY_WIDTH)
-        assert np.all(b[s])
-    return (np.concatenate([s for s, _ in blocks]),
-            np.concatenate([b for _, b in blocks]))
+def spied_metric_suite(keep_points=False):
+    """Run metric-suite recording its random.Random instances, every unit
+    array, the (code, span, radius) of every point it builds, with the
+    point itself if ``keep_points``, and its padded subset arrays."""
+    run = SimpleNamespace(made=[], units=[], points=[], subsets={})
+    real_units = acceptance._units
+    real_point = acceptance._symbolic_point
+    real_hausdorff = acceptance.hausdorff_array
+
+    def spy_units(rng, count):
+        run.units.append(real_units(rng, count))
+        return run.units[-1]
+
+    def spy_point(code, span, radius=WINDOW_RADIUS):
+        point = real_point(code, span, radius)
+        run.points.append((code, span, radius)
+                          + ((point,) if keep_points else ()))
+        return point
+
+    def spy_hausdorff(space, a, b):
+        run.subsets.update({id(a): a, id(b): b})
+        return real_hausdorff(space, a, b)
+
+    with mock.patch.object(acceptance.random, "Random", Recording), \
+            mock.patch.object(Recording, "made", run.made), \
+            mock.patch.multiple(acceptance, _units=spy_units,
+                                _symbolic_point=spy_point,
+                                hausdorff_array=spy_hausdorff):
+        run.ok, run.details = acceptance._check_metric_suite()
+    run.subsets = list(run.subsets.values())
+    return run
+
+
+@pytest.fixture(scope="module")
+def suite_run():
+    # one recorded run at the check's own size, shared by the draw tests
+    run = spied_metric_suite()
+    [rng] = run.made
+    run.next_draw = rng.random()
+    return run
+
+
+def test_metric_suite_takes_the_same_draws(suite_run):
+    # the words read leave random.Random(5150) at a pinned position: the
+    # 1,550,000 bytes of the check's reads, and the next draw
+    assert suite_run.ok
+    [rng] = suite_run.made
+    assert sum(n for n, _ in rng.reads) == 1_550_000
+    assert suite_run.next_draw == 0.4030424971473383
+
+
+def row_of(fam, mask, h):
+    # the per-call reference: one member() per subset, built as indices
+    return member(fam, windowed([j + 1 for j in range(h) if mask >> j & 1],
+                                h))
+
+
+def check_families():
+    # the six rules of family-classifiers: three rules and their duals
+    fams = [infinite_family(4, 0.25), cofinite_family(3), syndetic_family(3)]
+    return [g for f in fams for g in (f, dual(f))]
+
+
+# the default-parameter rules at width 200, each with the row its
+# near-threshold rows start from: every one of them accepts some rows 0 to
+# 20 flips away from it and rejects others
+EDGE_CASES = [(infinite_family(), False), (dual(infinite_family()), True),
+              (cofinite_family(), True), (dual(cofinite_family()), False),
+              (syndetic_family(), False), (dual(syndetic_family()), True)]
 
 
 class TestHereditaryDraws:
-    ROWS = 2101
+    """The rows the hereditary test reads: verdict rows built a block of
+    masks at a time against one ``member`` call per mask, and width-200
+    rows drawn at each default rule's threshold."""
 
     @pytest.fixture(scope="class")
-    def reference(self):
-        return per_call_rows(random.Random(20260816), self.ROWS)
+    def per_call_rows(self):
+        return [[row_of(f, m, 10) for m in range(2 ** 10)]
+                for f in check_families()]
 
-    # 333 splits the rows into seven blocks, the last one short, and 500
-    # leaves a last block of 101 rows; the shipped block size is always
-    # among those tested
+    # 333 splits the 1024 masks into four blocks, the last one short, and
+    # 4096 takes them in one; the shipped block size is always among those
     @pytest.mark.parametrize("chunk", list(dict.fromkeys(
-        [333, 1000, 1, 4096, 500, acceptance.HEREDITARY_CHUNK])))
-    def test_bulk_rows_equal_per_call_loop(self, reference, chunk):
-        small, big = bulk_rows(random.Random(20260816), self.ROWS, chunk)
-        want_small, want_big = reference
-        assert np.array_equal(small, want_small)
-        assert np.array_equal(big, want_big)
-        assert not np.array_equal(small, big)
+        [333, 1000, 1, 4096, 500, 100, acceptance.ORACLE_BLOCK])))
+    def test_bulk_rows_equal_per_call_loop(self, monkeypatch, per_call_rows,
+                                           chunk):
+        monkeypatch.setattr(acceptance, "ORACLE_BLOCK", chunk)
+        rows = acceptance._verdict_rows(check_families(), 10)
+        assert rows.shape == (6, 2 ** 10)
+        assert rows.tolist() == per_call_rows
 
     @given(st.integers(min_value=0, max_value=2 ** 64),
-           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=7),
            st.integers(min_value=1, max_value=17))
     @settings(max_examples=40, deadline=None)
-    def test_any_seed_and_chunk(self, seed, rows, chunk):
-        small, big = bulk_rows(random.Random(seed), rows, chunk)
-        want_small, want_big = per_call_rows(random.Random(seed), rows)
-        assert np.array_equal(small, want_small)
-        assert np.array_equal(big, want_big)
+    def test_any_seed_and_chunk(self, seed, h, chunk):
+        # rules at any parameters, the window's edges included
+        rng = random.Random(seed)
+        fams = [infinite_family(rng.randint(1, h + 1),
+                                rng.choice([0.1, 0.25, 1 / 3, 0.5, 1.0])),
+                cofinite_family(rng.randint(1, h + 1)),
+                syndetic_family(rng.randint(1, h + 1))]
+        fams += [dual(f) for f in fams]
+        with mock.patch.object(acceptance, "ORACLE_BLOCK", chunk):
+            rows = acceptance._verdict_rows(fams, h)
+        assert rows.tolist() == [[row_of(f, m, h) for m in range(2 ** h)]
+                                 for f in fams]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_edge_words(self, seed):
-        # rows 3 + 3 + 1, half their words on a cut or next to it
-        rows = 7
-        words = edge_words(random.Random(seed), 2 * 200 * rows)
-        small, big = bulk_rows(WordStream(words), rows, 3)
-        want_small, want_big = per_call_rows(WordStream(words), rows)
-        assert np.array_equal(small, want_small)
-        assert np.array_equal(big, want_big)
-
-    def test_word_stream_replays_random(self):
-        # reads of whole 32-bit words join up: one long read of the stream
-        # equals the short reads that make it up
-        sizes = [4, 800, 12, 8000, 400]
-        data = random.Random(7).randbytes(sum(sizes))
-        stream = WordStream(np.frombuffer(data, dtype="<u2").tolist())
-        real = random.Random(7)
-        for n in sizes:
-            assert stream.randbytes(n) == real.randbytes(n)
-
-    def test_rates_at_the_check_seed(self):
-        # small is set with probability 1/2 and big adds a bit with
-        # probability 3277 / 2**16, about 0.05, wherever small is clear
-        bits = ones = added = 0
-        for small, big in _hereditary_rows(
-                random.Random(acceptance.HEREDITARY_SEED),
-                acceptance.HEREDITARY_ROWS, acceptance.HEREDITARY_CHUNK):
-            bits += small.size
-            ones += int(np.count_nonzero(small))
-            added += int(np.count_nonzero(big & ~small))
-        assert bits == 10 ** 5 * 200
-        assert abs(ones / bits - 0.5) < 0.005
-        assert abs(added / (bits - ones) - 0.05) < 0.002
-
-    def test_check_draws_from_fresh_seeded_stream(self, monkeypatch):
-        seen = []
-
-        def spy(rng, rows, chunk):
-            seen.append((type(rng), rng.getstate(), rows))
-            return iter(())
-
-        monkeypatch.setattr(acceptance, "_hereditary_rows", spy)
-        acceptance._check_family_classifiers()
-        assert seen == [(random.Random,
-                         random.Random(20260816).getstate(), 10 ** 5)]
+    @pytest.mark.parametrize("case", range(len(EDGE_CASES)))
+    @given(st.integers(min_value=0, max_value=2 ** 64))
+    @settings(max_examples=15, deadline=None)
+    def test_edge_words(self, case, seed):
+        # 32 binary words of 200 times, each 0 to 20 flips from the case's
+        # start row, then all 200 covering supersets of each: adding one
+        # time never turns a yes into a no, and the rows get both verdicts
+        fam, start = EDGE_CASES[case]
+        rng = random.Random(seed)
+        small = np.full((32, 200), start)
+        for row in small:
+            row[rng.sample(range(200), rng.randint(0, 20))] = not start
+        big = small[:, None, :] | np.eye(200, dtype=bool)
+        was = member_rows(fam, small)
+        now = member_rows(fam, big.reshape(-1, 200)).reshape(32, 200)
+        assert 0 < np.count_nonzero(was) < 32
+        assert not np.any(was[:, None] & ~now)
 
     def test_check_does_not_import_numpy_random(self):
         # numpy.random adds about 6 MB to the peak of verify
         code = ("import sys\n"
                 "from nonauto.cli import main\n"
-                "code = main(['verify', '--only', 'family-classifiers'])\n"
-                "print('numpy.random' in sys.modules, code)\n")
+                "codes = [main(['verify', '--only', key]) for key in\n"
+                "         ('family-classifiers', 'metric-suite')]\n"
+                "print('numpy.random' in sys.modules, codes)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.splitlines()[-1] == "False 0"
+        assert out.splitlines()[-1] == "False [0, 0]"
+
+
+def covering_violations_loop(rows):
+    # every (m, m | 1 << b) with bit b clear in m, one pair at a time
+    h = len(rows[0]).bit_length() - 1
+    pairs = [(m, m | 1 << b) for b in range(h) for m in range(2 ** h)
+             if not m >> b & 1]
+    return (sum(row[m] and not row[up] for row in rows for m, up in pairs),
+            len(rows) * len(pairs))
 
 
 class TestFamilyClassifiersOracle:
@@ -252,29 +285,51 @@ class TestFamilyClassifiersOracle:
             return got
 
         monkeypatch.setattr(acceptance, "member_rows", wrong)
-        monkeypatch.setattr(acceptance, "_hereditary_rows",
-                            lambda rng, rows, chunk: iter(()))
         ok, details = acceptance._check_family_classifiers()
         assert not ok
         assert details.startswith(
             f"exhaustive window 16: {6 * len(flipped)} classifier mismatches "
             "over 65536 subsets;")
 
+    def test_every_row_splits_its_masks(self, monkeypatch):
+        # the hereditary test has power only on rows that accept some masks
+        # and refuse others; these are the six rows' acceptance counts
+        seen = []
+        real = acceptance._hereditary_violations
+
+        def spy(rows):
+            seen.append(rows.copy())
+            return real(rows)
+
+        monkeypatch.setattr(acceptance, "_hereditary_violations", spy)
+        assert acceptance._check_family_classifiers()[0]
+        [rows] = seen
+        assert np.count_nonzero(rows, axis=1).tolist() == [
+            61042, 4494, 378, 65158, 23072, 42464]
+
+    @given(st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=3), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_covering_pairs_equal_the_loop(self, h, count, rng):
+        # rows of any verdicts, most of them not hereditary
+        rows = [[rng.random() < 0.5 for _ in range(2 ** h)]
+                for _ in range(count)]
+        got = acceptance._hereditary_violations(np.array(rows))
+        assert got == covering_violations_loop(rows)
+        assert got[1] == count * h * 2 ** (h - 1)
+
     def test_non_hereditary_rule_is_caught(self, monkeypatch):
         # "an even number of hits" is not hereditary upward: one more hit
-        # turns a yes into a no
-        real = acceptance.member_rows
-
+        # turns a yes into a no, on each of the 2**14 even masks with bit b
+        # clear, for each of 16 bits and six rows
         def parity(fam, rows):
-            if rows.shape[1] == acceptance.HEREDITARY_WIDTH:
-                return np.count_nonzero(rows, axis=1) % 2 == 0
-            return real(fam, rows)
+            return np.count_nonzero(rows, axis=1) % 2 == 0
 
         monkeypatch.setattr(acceptance, "member_rows", parity)
         ok, details = acceptance._check_family_classifiers()
         assert not ok
         violations = re.search(r"hereditary violations (\d+) over", details)
-        assert int(violations[1]) > 0
+        assert int(violations[1]) == 6 * 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +543,145 @@ class TestMetricSuiteArrays:
                 != acceptance._mutual_cover(INTERVAL, rows_a, rows_b, eps))
             assert got == want
             assert (want == 0) == want_zero
+
+
+def axiom_counts(details):
+    # the per-space dict and the two break counts of metric-suite's details
+    found = re.fullmatch(r"axiom failures per space (\{.*\}); covering "
+                         r"equivalence breaks (\d+); window enlargement "
+                         r"breaks (\d+); \d+ samples each", details)
+    return ast.literal_eval(found[1]), int(found[2]), int(found[3])
+
+
+class TestMetricSuiteDraws:
+    """metric-suite's words: points built from their codes, the shapes,
+    ranges and rates of what the check draws at seed 5150, the reads
+    themselves, and broken metrics the draws still catch."""
+
+    @given(st.integers(min_value=1, max_value=12),
+           st.one_of(st.sampled_from([12, 64]),
+                     st.integers(min_value=1, max_value=100)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_code_points_equal_make_symbolic(self, span, radius, rng):
+        assume(radius >= span)
+        code = rng.getrandbits(2 * span + 1)
+        got = acceptance._symbolic_point(code, span, radius)
+        want = make_symbolic({i - span: 1 for i in range(2 * span + 1)
+                              if code >> i & 1}, radius=radius)
+        assert (got.bits, got.origin, got.fwd, got.rev) == (
+            want.bits, want.origin, want.fwd, want.rev)
+        assert got == want and hash(got) == hash(want)
+
+    def test_rates_at_the_check_seed(self, suite_run):
+        units, points, subsets = (suite_run.units, suite_run.points,
+                                  suite_run.subsets)
+        # triples, subset elements, covering radii: on the 2**-53 grid
+        assert [len(u) for u in units] == [30000, 120000, 10000]
+        for u in units:
+            assert np.all((0.0 <= u) & (u < 1.0))
+            assert np.all(u * 2.0 ** 53 == np.floor(u * 2.0 ** 53))
+            assert abs(u.mean() - 0.5) < 0.01
+        # triple points: 25-bit codes at radius 64, each bit set half the
+        # time; window pairs: 17-bit codes, each at w then at wide
+        assert len(points) == 70000
+        codes, spans, radii = map(np.array, zip(*points[:30000]))
+        assert set(spans) == {12} and set(radii) == {64}
+        assert codes.max() < 2 ** 25
+        rates = ((codes[:, None] >> np.arange(25)) & 1).mean(axis=0)
+        assert np.all(abs(rates - 0.5) < 0.015)
+        codes, spans, radii = (np.array(v).reshape(-1, 4)
+                               for v in zip(*points[30000:]))
+        assert set(spans.ravel()) == {8} and codes.max() < 2 ** 17
+        assert np.all(codes[:, :2] == codes[:, 2:])
+        assert np.all(radii[:, 0] == radii[:, 1])
+        assert np.all(radii[:, 2] == radii[:, 3])
+        assert set(radii[:, 0]) == set(range(10, 41))
+        assert set(radii[:, 2] - radii[:, 0]) == set(range(1, 25))
+        rates = ((codes[:, :2, None] >> np.arange(17)) & 1).mean(axis=(0, 1))
+        assert np.all(abs(rates - 0.5) < 0.02)
+        # three (10000, 4) subset arrays: k distinct elements padded with
+        # the first, k from 1 to 4 about a quarter of the time each
+        assert [s.shape for s in subsets] == [(10000, 4)] * 3
+        for rows in subsets:
+            sizes = np.array([len(set(row)) for row in rows.tolist()])
+            assert all(np.all(row[k:] == row[0])
+                       for row, k in zip(rows, sizes))
+            shares = np.bincount(sizes, minlength=5)[1:] / len(rows)
+            assert np.all(abs(shares - 0.25) < 0.02)
+
+    def test_peak_memory_above_start(self):
+        # the check runs after every scan of verify is cached, so its own
+        # peak adds to verify's: points are built triple by triple, where
+        # a list of its 30,000 radius-64 points would take about 31 MB
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert acceptance._check_metric_suite()[0]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    def test_word_stream_replays_random(self, suite_run):
+        # whole 32-bit words per read, so the reads join up into one
+        [rng] = suite_run.made
+        assert all(n % 4 == 0 for n, _ in rng.reads)
+        assert b"".join(out for _, out in rng.reads) == random.Random(
+            5150).randbytes(sum(n for n, _ in rng.reads))
+
+    def test_check_draws_from_fresh_seeded_stream(self, recording,
+                                                  suite_run):
+        # family-classifiers is exhaustive and draws nothing
+        assert acceptance._check_family_classifiers()[0]
+        assert recording == []
+        assert [r.seed for r in suite_run.made] == [5150]
+
+    # the broken metrics run at 1,000 samples each: every break is counted
+    # against a scalar loop over the same points, so the size only sets
+    # the counts
+
+    @pytest.mark.parametrize("name", ["asymmetric", "window-scaled"])
+    def test_broken_dist_symbolic_is_caught(self, monkeypatch, name):
+        # the triples for the axioms, the (x, y) pairs at w and at wide for
+        # the window test
+        real = acceptance.dist_symbolic
+        if name == "asymmetric":
+            def broken(x, y):
+                return real(x, y) + 1e-3 * (x.fwd > y.fwd)
+        else:
+            def broken(x, y):
+                return real(x, y) * x.radius / 64
+        monkeypatch.setattr(acceptance, "GRID_POINTS", 1000)
+        monkeypatch.setattr(acceptance, "dist_symbolic", broken)
+        run = spied_metric_suite(keep_points=True)
+        pts = [p[3] for p in run.points]
+        triples = [pts[i:i + 3] for i in range(0, 3000, 3)]
+        window = sum(
+            abs(broken(xw, yw) - broken(xv, yv)) > 2.0 ** (1 - xw.radius)
+            for xw, yw, xv, yv in zip(*[iter(pts[3000:])] * 4))
+        bad, cover, windows = axiom_counts(run.details)
+        assert not run.ok
+        assert bad["symbolic"] == axiom_failures_loop(broken, triples)
+        assert windows == window
+        assert (bad["symbolic"] > 0, windows > 0) == (
+            name == "asymmetric", name == "window-scaled")
+        assert bad["interval"] == bad["circle"] == bad["subsets"] == cover == 0
+
+    def test_broken_hausdorff_is_caught(self, monkeypatch):
+        # one direction of the Hausdorff distance only: not symmetric, and
+        # below the covering radius where the other direction is not
+        def forward(space, p, q):
+            return distance(space, p[..., :, None],
+                            q[..., None, :]).min(-1).max(-1)
+
+        monkeypatch.setattr(acceptance, "GRID_POINTS", 1000)
+        monkeypatch.setattr(acceptance, "hausdorff_array", forward)
+        run = spied_metric_suite()
+        x, y, z = run.subsets
+        bad, cover, windows = axiom_counts(run.details)
+        assert not run.ok
+        assert bad["subsets"] == axiom_failures_loop(
+            lambda p, q: forward(INTERVAL, p, q), zip(x, y, z)) > 0
+        assert cover > 0
+        assert bad["symbolic"] == windows == 0

@@ -132,6 +132,11 @@ class TestRunCommand:
         assert len(lines) == 12  # header + times 0..10
 
 
+# bad values refused by what their message names, not by a later symptom: an
+# overflowing slope would otherwise surface as the nan point it steps to
+NAMED_IN_ERROR = {"knot-slope-overflow": "(1e-310, 1.0)"}
+
+
 class TestExitCodes:
     def test_malformed_json_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -262,6 +267,9 @@ class TestExitCodes:
                                            "constraints": {"\u0663": 1}}]},
         {"system": "example31", "cover": [{"kind": "cylinder",
                                            "constraints": {"-0": 1}}]},
+        {"system": {"rule": "cyclic", "maps": [{
+            "kind": "piecewise-linear",
+            "knots": [[0.0, 0.0], [1e-310, 1.0], [1.0, 0.0]]}]}},
     ], ids=["delta-text", "delta-null", "negative-radius", "cylinder-key",
             "horizon-bool", "resolution-bool", "ball-off-interval",
             "label-number", "delta-bool", "deltas-bool", "cover-kind-unknown",
@@ -282,13 +290,16 @@ class TestExitCodes:
             "max-gap-fraction", "max-gap-text", "top-label-number",
             "out-null", "knot-text", "knot-bool", "cylinder-key-plus-zero",
             "cylinder-key-blanks", "cylinder-key-arabic-digit",
-            "cylinder-key-minus-zero"])
-    def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides):
+            "cylinder-key-minus-zero", "knot-slope-overflow"])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, overrides,
+                                          request):
         payload = {"system": "identity", "modes": ["sensitive"],
                    "delta": 0.1, "horizon": 20, **overrides}
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert NAMED_IN_ERROR.get(request.node.callspec.id, "") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("labels", [("a b", "a_b"), ("x", "x"),
