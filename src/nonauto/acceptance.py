@@ -46,12 +46,12 @@ from .spaces import (
     CIRCLE,
     INTERVAL,
     WINDOW_RADIUS,
-    SymbolicPoint,
     distance,
     dist_symbolic,
     finite_subset,
     grid_points,
     hausdorff_array,
+    symbolic_from_code,
 )
 from .systems import (
     apply,
@@ -481,7 +481,6 @@ def _mutual_cover(space, a, b, eps):
 
 
 SUBSET_WIDTH = 4
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _words(rng, count, dtype):
@@ -494,18 +493,6 @@ def _units(rng, count):
     """``count`` floats in [0, 1) on the 2**-53 grid: the top 53 bits of
     64-bit words."""
     return (_words(rng, count, "<u8") >> 11) * 2.0 ** -53
-
-
-def _symbolic_point(code, span, radius=WINDOW_RADIUS):
-    """``make_symbolic`` of the coordinates -span .. span set in the int
-    ``code`` (bit i is coordinate i - span) at window ``radius``."""
-    pad = radius - span
-    # the code's digits, coordinate -span first: bin() of the code under a
-    # guard bit, read backwards down to the guard; as a binary number that
-    # is the mirrored code rev
-    low = bin(code | 2 << 2 * span)[:2:-1]
-    bits = ("0" * pad + low + "0" * pad).encode().translate(_DIGITS)
-    return SymbolicPoint(tuple(bits), radius, code << pad, int(low, 2) << pad)
 
 
 def _check_metric_suite():
@@ -536,7 +523,8 @@ def _check_metric_suite():
     for t in range(n):
         # a row at a time: a list of every code would hold 1.6 MB of ints
         sym[:, t] = _triple_distances(dist_symbolic, *(
-            _symbolic_point(c, 12) for c in codes[t].tolist()))
+            symbolic_from_code(c << (WINDOW_RADIUS - 12), WINDOW_RADIUS)
+            for c in codes[t].tolist()))
     bad["symbolic"] = _axiom_failures(*sym)
 
     sizes = 1 + (_words(rng, 3 * n, "u1") & 3).reshape(3, n, 1)
@@ -558,10 +546,10 @@ def _check_metric_suite():
     window_breaks = 0
     for cx, cy, w, wide in zip(*pair_codes.reshape(n, 2).T.tolist(),
                                widths.tolist(), wides.tolist()):
-        d_small = dist_symbolic(_symbolic_point(cx, 8, w),
-                                _symbolic_point(cy, 8, w))
-        d_wide = dist_symbolic(_symbolic_point(cx, 8, wide),
-                               _symbolic_point(cy, 8, wide))
+        d_small = dist_symbolic(symbolic_from_code(cx << (w - 8), w),
+                                symbolic_from_code(cy << (w - 8), w))
+        d_wide = dist_symbolic(symbolic_from_code(cx << (wide - 8), wide),
+                               symbolic_from_code(cy << (wide - 8), wide))
         if abs(d_small - d_wide) > 2.0 ** (1 - w):
             window_breaks += 1
 

@@ -125,12 +125,9 @@ class RegionScan:
     def _truncation_bound(self):
         if self.shifts is None:
             return None
-        # both points of a pair shift together, so the narrowest window seen
-        # is the narrowest sample point moved by the largest displacement;
-        # shifts ascend, so it is an extreme, the negative one on a tie
-        largest = max(self.shifts[self.cols.min()],
-                      self.shifts[self.cols.max()], key=abs)
-        narrowest = min(self.sample, key=lambda p: p.radius).shifted(largest)
+        # shifts ascend, so the columns read span the shifts between these
+        narrowest = _narrowest(self.sample, (self.shifts[self.cols.min()],
+                                             self.shifts[self.cols.max()]))
         return symbolic_truncation_bound(narrowest, narrowest)
 
     def prefix(self, horizon: int) -> RegionScan:
@@ -200,18 +197,27 @@ def _scan_orbits(seq: MapSequence, sample, horizon: int) -> RegionScan:
     return RegionScan(sample, horizon, pi, pj, stored)
 
 
+def _narrowest(sample, shifts):
+    """The sample point with the narrowest window under any of the
+    ascending ``shifts``, so shifted. A window's radius min(origin + s,
+    size - 1 - origin - s) is concave in the shift s, so one of the two
+    extreme shifts attains the narrowest."""
+    return min((p.shifted(s) for s in (shifts[0], shifts[-1])
+                for p in sample), key=lambda q: q.radius)
+
+
 def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     # a symbolic sequence's maps are all shifts and identities
     shifts = net_shift_series(seq, horizon)
     pi, pj = _pair_indices(len(sample))
     distinct = sorted(set(shifts))
-    radius = min(p.radius for p in sample)
-    limit = radius - MIN_COMMON_RADIUS
-    # shifts ascend, so the largest in size is an extreme
-    if max(-distinct[0], distinct[-1]) > limit:
-        n = next(n for n, s in enumerate(shifts) if abs(s) > limit)
+    if _narrowest(sample, distinct).radius < MIN_COMMON_RADIUS:
+        n = next(n for n, s in enumerate(shifts)
+                 if _narrowest(sample, [s]).radius < MIN_COMMON_RADIUS)
+        # the drained side was abs(shift) wider before the shift
+        width = _narrowest(sample, [shifts[n]]).radius + abs(shifts[n])
         raise ValueError(f"net shift {shifts[n]} at time {n} drains the "
-                         f"sampled window of radius {radius}; use a horizon "
+                         f"sampled window of radius {width}; use a horizon "
                          f"below {n}")
     # distance between two shifted points depends only on the shift amount,
     # so one column per distinct shift covers the whole horizon

@@ -37,37 +37,46 @@ CIRCLE = "circle"
 SYMBOLIC = "symbolic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicPoint:
-    """A two-sided binary sequence sampled on a finite window.
+    """A two-sided binary sequence sampled on a finite window of ``size``
+    coordinates ``-origin .. size-1-origin``; anything outside it reads as 0.
 
-    ``bits`` stores coordinates ``-origin .. len(bits)-1-origin``; anything
-    outside the stored window reads as 0. Shifting moves the origin, not the
-    bits, so iteration is O(1) and points from a common orbit share storage.
-    ``fwd`` has bit k set when ``bits[k]`` is 1, and ``rev`` holds the same
-    bits in reverse order. ``make_symbolic`` builds both once and every
-    shift shares them, so distances are integer shifts and masks; they take
-    no part in equality, hashing or repr.
+    Bit k of ``fwd`` is coordinate k - origin, and ``rev`` holds the same
+    bits mirrored. Build one with ``symbolic_from_code``. Shifting moves the
+    origin, not the codes, so iteration is O(1) and points from a common
+    orbit share them. ``rev`` takes no part in equality, hashing or repr.
     """
 
-    bits: tuple
-    origin: int
-    fwd: int = field(compare=False, repr=False)
+    fwd: int
     rev: int = field(compare=False, repr=False)
+    origin: int
+    size: int
 
     def coord(self, j: int) -> int:
         k = self.origin + j
-        if 0 <= k < len(self.bits):
-            return self.bits[k]
-        return 0
+        return (self.fwd >> k) & 1 if 0 <= k < self.size else 0
 
     def shifted(self, k: int) -> "SymbolicPoint":
         # shifted(1).coord(j) == coord(j+1): the left shift.
-        return SymbolicPoint(self.bits, self.origin + k, self.fwd, self.rev)
+        return SymbolicPoint(self.fwd, self.rev, self.origin + k, self.size)
 
     @property
     def radius(self) -> int:
-        return min(self.origin, len(self.bits) - 1 - self.origin)
+        return min(self.origin, self.size - 1 - self.origin)
+
+
+def symbolic_from_code(code: int, radius: int) -> SymbolicPoint:
+    """The sequence point whose window ``-radius .. radius`` holds ``code``,
+    bit k at coordinate k - radius; its mirror ``rev`` is built once here."""
+    # numpy integers would wrap in the shifts of the metric
+    code, radius = operator.index(code), operator.index(radius)
+    if radius < MIN_COMMON_RADIUS:
+        raise ValueError(f"radius must be at least {MIN_COMMON_RADIUS}")
+    size = 2 * radius + 1
+    if code >> size:
+        raise ValueError(f"code {code} does not fit radius {radius}")
+    return SymbolicPoint(code, int(f"{code:0{size}b}"[::-1], 2), radius, size)
 
 
 def make_symbolic(assignments: dict | None = None, radius: int = WINDOW_RADIUS,
@@ -83,21 +92,16 @@ def make_symbolic(assignments: dict | None = None, radius: int = WINDOW_RADIUS,
         raise ValueError("fill must be 0 or 1")
     # numpy integers would wrap in the shifts below
     radius = operator.index(radius)
-    size = 2 * radius + 1
-    bits = [fill] * size
-    # bit k of fwd (of rev) is coordinate k - radius (radius - k)
-    fwd = rev = (1 << size) - 1 if fill else 0
+    code = (1 << 2 * radius + 1) - 1 if fill else 0
     for j, v in (assignments or {}).items():
         j = operator.index(j)
         if abs(j) > radius:
             raise ValueError(f"coordinate {j} outside window radius {radius}")
         if v not in (0, 1):
             raise ValueError(f"coordinate value must be 0 or 1, got {v!r}")
-        bits[radius + j] = v
         if v != fill:
-            fwd ^= 1 << (radius + j)
-            rev ^= 1 << (radius - j)
-    return SymbolicPoint(tuple(bits), radius, fwd, rev)
+            code ^= 1 << (radius + j)
+    return symbolic_from_code(code, radius)
 
 
 def dist_interval(a, b):
@@ -127,7 +131,7 @@ def dist_symbolic(x: SymbolicPoint, y: SymbolicPoint) -> float:
     coordinate i - w (j < 0); bit i of ``right`` is coordinate w - i.
     """
     ox, oy = x.origin, y.origin
-    ex, ey = len(x.bits) - 1 - ox, len(y.bits) - 1 - oy
+    ex, ey = x.size - 1 - ox, y.size - 1 - oy
     w = min(ox, ex, oy, ey)
     if w < MIN_COMMON_RADIUS:
         raise ValueError("points have drifted past their sampled windows")
@@ -156,8 +160,11 @@ def element_sort_key(space, p):
     if space in (INTERVAL, CIRCLE):
         return (p,)
     if space == SYMBOLIC:
-        # coordinates -radius .. radius, as coord() would read them
-        return p.bits[p.origin - p.radius:p.origin + p.radius + 1]
+        # coordinates -r .. r as digits, -r first, as coord() would read
+        # them: bit i of rev >> (size-1-origin-r) is coordinate r - i
+        r, width = p.radius, 2 * p.radius + 1
+        window = (p.rev >> (p.size - 1 - p.origin - r)) & ((1 << width) - 1)
+        return f"{window:0{width}b}"
     raise ValueError(f"no canonical order for elements of {space!r}")
 
 
@@ -357,10 +364,7 @@ def _sample_cylinder(region: Region, resolution: int):
         for j in free:
             points.append(make_symbolic({**pinned, j: 1}))
         points.append(make_symbolic({**pinned, **{j: 1 for j in free}}))
-    seen = {}
-    for p in points:
-        seen.setdefault((p.bits, p.origin), p)
-    return tuple(sorted(seen.values(),
+    return tuple(sorted(dict.fromkeys(points),
                         key=lambda p: element_sort_key(SYMBOLIC, p)))
 
 

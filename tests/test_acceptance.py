@@ -34,7 +34,6 @@ from nonauto.families import (
 from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
-    WINDOW_RADIUS,
     distance,
     finite_subset,
     hausdorff,
@@ -112,21 +111,20 @@ def recording(monkeypatch):
 
 def spied_metric_suite(keep_points=False):
     """Run metric-suite recording its random.Random instances, every unit
-    array, the (code, span, radius) of every point it builds, with the
-    point itself if ``keep_points``, and its padded subset arrays."""
+    array, the (code, radius) of every point it builds, with the point
+    itself if ``keep_points``, and its padded subset arrays."""
     run = SimpleNamespace(made=[], units=[], points=[], subsets={})
     real_units = acceptance._units
-    real_point = acceptance._symbolic_point
+    real_point = acceptance.symbolic_from_code
     real_hausdorff = acceptance.hausdorff_array
 
     def spy_units(rng, count):
         run.units.append(real_units(rng, count))
         return run.units[-1]
 
-    def spy_point(code, span, radius=WINDOW_RADIUS):
-        point = real_point(code, span, radius)
-        run.points.append((code, span, radius)
-                          + ((point,) if keep_points else ()))
+    def spy_point(code, radius):
+        point = real_point(code, radius)
+        run.points.append((code, radius) + ((point,) if keep_points else ()))
         return point
 
     def spy_hausdorff(space, a, b):
@@ -136,7 +134,7 @@ def spied_metric_suite(keep_points=False):
     with mock.patch.object(acceptance.random, "Random", Recording), \
             mock.patch.object(Recording, "made", run.made), \
             mock.patch.multiple(acceptance, _units=spy_units,
-                                _symbolic_point=spy_point,
+                                symbolic_from_code=spy_point,
                                 hausdorff_array=spy_hausdorff):
         run.ok, run.details = acceptance._check_metric_suite()
     run.subsets = list(run.subsets.values())
@@ -564,14 +562,18 @@ class TestMetricSuiteDraws:
            st.randoms(use_true_random=False))
     @settings(max_examples=200)
     def test_code_points_equal_make_symbolic(self, span, radius, rng):
+        # the check's points: a support code with bit i at coordinate
+        # i - span, moved up to the window's coordinate -span
         assume(radius >= span)
         code = rng.getrandbits(2 * span + 1)
-        got = acceptance._symbolic_point(code, span, radius)
-        want = make_symbolic({i - span: 1 for i in range(2 * span + 1)
-                              if code >> i & 1}, radius=radius)
-        assert (got.bits, got.origin, got.fwd, got.rev) == (
-            want.bits, want.origin, want.fwd, want.rev)
+        ones = {i - span: 1 for i in range(2 * span + 1) if code >> i & 1}
+        got = acceptance.symbolic_from_code(code << (radius - span), radius)
+        want = make_symbolic(ones, radius=radius)
+        assert (got.origin, got.size, got.fwd, got.rev) == (
+            want.origin, want.size, want.fwd, want.rev)
         assert got == want and hash(got) == hash(want)
+        assert [got.coord(j) for j in range(-radius - 1, radius + 2)] == [
+            ones.get(j, 0) for j in range(-radius - 1, radius + 2)]
 
     def test_rates_at_the_check_seed(self, suite_run):
         units, points, subsets = (suite_run.units, suite_run.points,
@@ -582,17 +584,22 @@ class TestMetricSuiteDraws:
             assert np.all((0.0 <= u) & (u < 1.0))
             assert np.all(u * 2.0 ** 53 == np.floor(u * 2.0 ** 53))
             assert abs(u.mean() - 0.5) < 0.01
-        # triple points: 25-bit codes at radius 64, each bit set half the
-        # time; window pairs: 17-bit codes, each at w then at wide
+        # triple points: 25-bit supports over coordinates -12 .. 12 at
+        # radius 64, each bit set half the time; window pairs: 17-bit
+        # supports over -8 .. 8, each at w then at wide
         assert len(points) == 70000
-        codes, spans, radii = map(np.array, zip(*points[:30000]))
-        assert set(spans) == {12} and set(radii) == {64}
+        supports = [(c >> (r - span), c % (1 << (r - span)), r)
+                    for span, part in ((12, points[:30000]),
+                                       (8, points[30000:]))
+                    for c, r in part]
+        codes, below, radii = map(np.array, zip(*supports[:30000]))
+        assert set(radii) == {64} and not below.any()
         assert codes.max() < 2 ** 25
         rates = ((codes[:, None] >> np.arange(25)) & 1).mean(axis=0)
         assert np.all(abs(rates - 0.5) < 0.015)
-        codes, spans, radii = (np.array(v).reshape(-1, 4)
-                               for v in zip(*points[30000:]))
-        assert set(spans.ravel()) == {8} and codes.max() < 2 ** 17
+        codes, below, radii = (np.array(v).reshape(-1, 4)
+                               for v in zip(*supports[30000:]))
+        assert not below.any() and codes.max() < 2 ** 17
         assert np.all(codes[:, :2] == codes[:, 2:])
         assert np.all(radii[:, 0] == radii[:, 1])
         assert np.all(radii[:, 2] == radii[:, 3])
@@ -655,7 +662,7 @@ class TestMetricSuiteDraws:
         monkeypatch.setattr(acceptance, "GRID_POINTS", 1000)
         monkeypatch.setattr(acceptance, "dist_symbolic", broken)
         run = spied_metric_suite(keep_points=True)
-        pts = [p[3] for p in run.points]
+        pts = [p[2] for p in run.points]
         triples = [pts[i:i + 3] for i in range(0, 3000, 3)]
         window = sum(
             abs(broken(xw, yw) - broken(xv, yv)) > 2.0 ** (1 - xw.radius)

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used by the module importing it,
 every module-level function, class and assigned name of the package is
-referenced, and every parameter of a package function is read."""
+referenced, every parameter of a package function is read, and only
+``spaces`` builds a ``SymbolicPoint`` directly."""
 
 import ast
 from pathlib import Path
@@ -190,3 +191,29 @@ def test_scan_flags_a_config_cast():
                      "def other(d):\n    return int(d['k'])\n")
     assert config_casts(tree) == [(2, "family_from_dict"),
                                   (3, "family_from_dict")]
+
+
+def point_constructions(tree: ast.Module) -> list:
+    """Lines that call ``SymbolicPoint(...)``, by name or as an attribute:
+    everywhere else a sequence point comes from ``symbolic_from_code``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "SymbolicPoint" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None)))
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE
+                                  if p.name != "spaces.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_sequence_points_built_only_in_spaces(path):
+    assert point_constructions(ast.parse(path.read_text())) == []
+
+
+def test_scan_flags_a_point_construction():
+    tree = ast.parse("from . import spaces\n"
+                     "from .spaces import SymbolicPoint\n"
+                     "p = SymbolicPoint(5, 5, 1, 3)\n"
+                     "q = spaces.SymbolicPoint(0, 0, 1, 3)\n"
+                     "r = spaces.symbolic_from_code(5, 1)\n"
+                     "print(SymbolicPoint, p.shifted(1))\n")
+    assert point_constructions(tree) == [3, 4]

@@ -203,14 +203,14 @@ def dot_weights(w):
     return 0.5 ** np.abs(np.arange(-w, w + 1)).astype(np.float64)
 
 
-def numpy_dot_distance(x, y, windows):
-    """The sequence metric as a numpy dot product of the unequal-coordinate
-    mask with the weights 2**-|j|; ``windows`` maps each point's bits to
-    its bool array."""
-    ox, oy = x.origin, y.origin
-    w = min(ox, len(x.bits) - 1 - ox, oy, len(y.bits) - 1 - oy)
-    differ = (windows[x.bits][ox - w:ox + w + 1]
-              != windows[y.bits][oy - w:oy + w + 1])
+def numpy_dot_distance(x, y, shift, windows):
+    """The sequence metric between ``x`` and ``y`` shifted by ``shift``, as
+    a numpy dot product of the unequal-coordinate mask with the weights
+    2**-|j|; ``windows`` maps each point to the bool array of its whole
+    window, read coordinate by coordinate."""
+    (ox, bx), (oy, by) = ((p.origin + shift, windows[p]) for p in (x, y))
+    w = min(ox, len(bx) - 1 - ox, oy, len(by) - 1 - oy)
+    differ = bx[ox - w:ox + w + 1] != by[oy - w:oy + w + 1]
     return float(differ @ dot_weights(w))
 
 
@@ -249,9 +249,9 @@ class TestSymbolicTableAgainstPerCellDistance:
         for region in registry.default_cover("cylinders"):
             sample = sample_region(region, resolution)
             scan = sensitivity._scan(named.sequence, sample, horizon)
-            windows = {p.bits: np.array(p.bits, dtype=bool) for p in sample}
-            expect = [[numpy_dot_distance(sample[i].shifted(s),
-                                          sample[j].shifted(s), windows)
+            windows = {p: np.array([p.coord(j) for j in range(
+                -p.origin, p.size - p.origin)], dtype=bool) for p in sample}
+            expect = [[numpy_dot_distance(sample[i], sample[j], s, windows)
                        for s in scan.shifts]
                       for i, j in zip(scan.pi.tolist(), scan.pj.tolist())]
             assert bits_of(scan.stored(0, len(scan.pi))) == bits_of(expect)
@@ -1044,6 +1044,35 @@ class TestScanMachinery:
             sensitivity_probe(seq, 0.5, nonempty(), cover, 100, 4)
         rep = sensitivity_probe(seq, 0.5, nonempty(), cover, 63, 4)
         assert rep.regions[0].truncation_bound == 1.0
+
+    def test_off_centre_window_drains_only_where_it_does(self):
+        # x is centred at radius 6 and y sits 16 coordinates left of its
+        # centre, leaving it 4 on the left and 36 on the right; a shift s
+        # leaves the narrower of min(6 + s, 6 - s) and min(4 + s, 36 - s)
+        x = make_symbolic({0: 1}, radius=6)
+        y = make_symbolic({}, radius=20).shifted(-16)
+        seq = cyclic_sequence([shift(1)])
+        assert [dist_symbolic(x.shifted(s), y.shifted(s))
+                for s in range(5)] == [1.0, 0.5, 0.25, 0.125, 0.0]
+        got = pair_separation_times(seq, x, y, 0.1, 5)
+        assert got.indices == (1, 2, 3)
+        # 2 ** (1 - w) for the narrowest window w of either point
+        scan = sensitivity._scan(seq, (x, y), 5)
+        assert scan.truncation_bound == 2.0 ** (1 - 1)
+        assert scan.prefix(4).truncation_bound == 2.0 ** (1 - 2)
+        assert scan.prefix(2).truncation_bound == 2.0 ** (1 - 4)
+        with pytest.raises(ValueError, match=(
+                "^net shift 6 at time 6 drains the sampled window of "
+                "radius 6; use a horizon below 6$")):
+            pair_separation_times(seq, x, y, 0.1, 6)
+        # backwards y's left side drains first; at shift -3 one
+        # coordinate is left there, and x's flip lies outside it
+        back = cyclic_sequence([shift(-1)])
+        assert pair_separation_times(back, x, y, 0.1, 3).indices == (1, 2)
+        with pytest.raises(ValueError, match=(
+                "^net shift -4 at time 4 drains the sampled window of "
+                "radius 4; use a horizon below 4$")):
+            pair_separation_times(back, x, y, 0.1, 4)
 
     def test_invalid_probe_parameters(self):
         named = registry.build("identity")

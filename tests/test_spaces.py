@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +14,6 @@ from nonauto.spaces import (
     FiniteSubset,
     INTERVAL,
     SYMBOLIC,
-    SymbolicPoint,
     circle_distance,
     cylinder_region,
     dist_interval,
@@ -32,6 +31,7 @@ from nonauto.spaces import (
     number_value,
     region_contains,
     sample_region,
+    symbolic_from_code,
     symbolic_truncation_bound,
 )
 
@@ -111,6 +111,20 @@ sparse_bits = st.dictionaries(st.integers(min_value=-8, max_value=8),
                               st.sampled_from([0, 1]), max_size=12)
 
 
+def assigned(bits, radius, fill=0, shift=0):
+    """Coordinate j of ``make_symbolic(bits, radius, fill).shifted(shift)``,
+    read from the assignments themselves."""
+    def read(j):
+        k = j + shift
+        return bits.get(k, fill) if abs(k) <= radius else 0
+    return read
+
+
+def window_array(read, w):
+    """Coordinates -w .. w of ``read`` as a float64 array."""
+    return np.array([read(j) for j in range(-w, w + 1)], dtype=np.float64)
+
+
 @st.composite
 def window_point(draw):
     """A sequence point of radius 1-64, sparse over a fill or dense, shifted
@@ -169,7 +183,9 @@ class TestSymbolicMetric:
     def test_axioms(self, ax, ay, az):
         x, y, z = (make_symbolic(a) for a in (ax, ay, az))
         assert dist_symbolic(x, y) == dist_symbolic(y, x)
-        assert (dist_symbolic(x, y) == 0.0) == (x.bits == y.bits)
+        # equal windows: the same coordinates assigned 1
+        ones_x, ones_y = ({j for j, v in a.items() if v} for a in (ax, ay))
+        assert (dist_symbolic(x, y) == 0.0) == (ones_x == ones_y)
         assert dist_symbolic(x, z) <= dist_symbolic(x, y) + dist_symbolic(y, z) + 1e-12
 
     @given(st.lists(st.tuples(st.integers(8, 30), sparse_bits,
@@ -180,9 +196,9 @@ class TestSymbolicMetric:
         # and ``abs`` was taken in place
         x, y = (make_symbolic(bits, radius=r, fill=fill).shifted(s)
                 for r, bits, s in points)
-        w = min(x.radius, y.radius)
-        bx = np.asarray(x.bits, dtype=np.float64)[x.origin - w:x.origin + w + 1]
-        by = np.asarray(y.bits, dtype=np.float64)[y.origin - w:y.origin + w + 1]
+        w = min(r - abs(s) for r, _, s in points)
+        bx, by = (window_array(assigned(bits, r, fill, s), w)
+                  for r, bits, s in points)
         expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
         assert dist_symbolic(x, y).hex() == expect.hex()
 
@@ -219,43 +235,48 @@ class TestSymbolicMetric:
         assert dist_symbolic(p, zero) == 2.0 ** -40 + 0.125
 
     def test_window_arrays_follow_the_points(self):
-        # every point has its own bits tuple and is dropped on the next
-        # pass, so freed ids come back; each distance must read the
-        # window codes of the points it is given
+        # every point has its own codes and is dropped on the next pass, so
+        # freed ids come back; each distance must read the window codes of
+        # the points it is given
         y = make_symbolic({0: 1, -3: 1}, radius=20)
         for i in range(6000):
-            x = make_symbolic({i % 41 - 20: 1, (7 * i) % 41 - 20: 1},
-                              radius=20).shifted(i % 5 - 2)
-            w = min(x.radius, y.radius)
-            bx = np.asarray(x.bits, dtype=np.float64)[x.origin - w:
-                                                       x.origin + w + 1]
-            by = np.asarray(y.bits, dtype=np.float64)[y.origin - w:
-                                                       y.origin + w + 1]
+            ones = {i % 41 - 20: 1, (7 * i) % 41 - 20: 1}
+            x = make_symbolic(ones, radius=20).shifted(i % 5 - 2)
+            w = 20 - abs(i % 5 - 2)
+            bx = window_array(assigned(ones, 20, shift=i % 5 - 2), w)
+            by = window_array(assigned({0: 1, -3: 1}, 20), w)
             expect = float(np.abs(bx - by) @ (0.5 ** np.abs(np.arange(-w, w + 1))))
             assert dist_symbolic(x, y) == expect, i
 
     def test_window_is_shared_and_read_only(self):
-        p = make_symbolic({0: 1, 3: 1, -12: 1}, radius=12, fill=1)
+        ones = {0: 1, 3: 1, -12: 1}
+        p = make_symbolic(ones, radius=12, fill=1)
         q = p.shifted(2).shifted(-5)
         assert q.fwd is p.fwd and q.rev is p.rev
-        # bit k of fwd is bits[k]; rev holds the same bits reversed
-        size = len(p.bits)
-        for k in range(size):
-            assert (p.fwd >> k) & 1 == p.bits[k] == (p.rev >> (size - 1 - k)) & 1
-        assert p.fwd >> size == p.rev >> size == 0
-        # and bits[k] is what coord() reads, from any shift
+        assert (p.origin, p.size, q.origin, q.size) == (12, 25, 9, 25)
+        # bit k of fwd is coordinate k - 12; rev holds the same bits
+        # reversed; nothing lies past the window
+        read = assigned(ones, 12, fill=1)
+        for k in range(25):
+            assert (p.fwd >> k) & 1 == read(k - 12) == (p.rev >> (24 - k)) & 1
+        assert p.fwd >> 25 == p.rev >> 25 == 0
+        # and that bit is what coord() reads, from any shift
         for j in range(-q.radius, q.radius + 1):
             assert (q.fwd >> (q.origin + j)) & 1 == q.coord(j)
         with pytest.raises(FrozenInstanceError):
             q.fwd = 0
-        # the codes take no part in equality, hashing or repr
-        twin = make_symbolic({0: 1, 3: 1, -12: 1}, radius=12, fill=1)
+        assert not hasattr(p, "__dict__")
+        # rev takes no part in equality, hashing or repr; fwd, the origin
+        # and the length do
+        twin = make_symbolic(ones, radius=12, fill=1)
         assert twin.fwd is not p.fwd
         assert twin == p and hash(twin) == hash(p)
-        other = SymbolicPoint(p.bits, p.origin, 0, 0)
+        other = replace(p, rev=0)
         assert other == p and hash(other) == hash(p)
         assert repr(other) == repr(p)
-        assert "fwd" not in repr(p) and "rev" not in repr(p)
+        assert "rev" not in repr(p)
+        assert replace(p, fwd=p.fwd ^ 1) != p
+        assert replace(p, size=27) != p and q != p
 
     def test_sort_key_equals_coordinate_reads(self):
         # shifted points of unequal radius: the key is coordinates
@@ -265,7 +286,8 @@ class TestSymbolicMetric:
                 make_symbolic({5: 1}, radius=64)]
         points = [p.shifted(k) for p in base for k in (-6, -1, 0, 2, 5)]
         for p in points:
-            want = tuple(p.coord(j) for j in range(-p.radius, p.radius + 1))
+            want = "".join(str(p.coord(j))
+                           for j in range(-p.radius, p.radius + 1))
             assert element_sort_key(SYMBOLIC, p) == want
         assert len({p.radius for p in points}) > 5
 
@@ -274,6 +296,104 @@ class TestSymbolicMetric:
         assert x.shifted(2).coord(0) == 1
         assert x.shifted(2).coord(2) == 0
         assert x.shifted(-1).coord(3) == 1
+
+
+@st.composite
+def coded_point(draw, max_radius=12, max_shift=14):
+    """(radius, assignments, fill, shift) of a sequence point: assignments
+    inside the window, and a shift that may carry the origin past either
+    edge, or that keeps one shared coordinate each side if ``max_shift``
+    is None."""
+    r = draw(st.integers(1, max_radius))
+    bits = draw(st.dictionaries(st.integers(-r, r), st.integers(0, 1),
+                                max_size=2 * r + 1))
+    limit = r - 1 if max_shift is None else max_shift
+    return (r, bits, draw(st.integers(0, 1)),
+            draw(st.integers(-limit, limit)))
+
+
+def built(r, bits, fill, s):
+    return make_symbolic(bits, radius=r, fill=fill).shifted(s)
+
+
+class TestSymbolicCodes:
+    """A sequence point is its two window codes, origin and length; every
+    oracle here reads the test's own assignments."""
+
+    @given(coded_point())
+    @settings(max_examples=300)
+    def test_coordinates_are_the_assignments(self, drawn):
+        r, bits, fill, s = drawn
+        p, read = built(*drawn), assigned(bits, r, fill, s)
+        for j in range(-r - abs(s) - 3, r + abs(s) + 4):
+            assert p.coord(j) == read(j), j
+
+    @given(coded_point())
+    def test_rev_mirrors_fwd(self, drawn):
+        r, bits, fill, s = drawn
+        p, read = built(*drawn), assigned(bits, r, fill)
+        size = 2 * r + 1
+        for k in range(size):
+            assert (p.fwd >> k) & 1 == read(k - r)
+            assert (p.rev >> (size - 1 - k)) & 1 == read(k - r)
+        assert p.fwd >> size == p.rev >> size == 0
+
+    @given(coded_point())
+    def test_code_point_equals_make_symbolic(self, drawn):
+        r, bits, fill, s = drawn
+        read = assigned(bits, r, fill)
+        code = sum(read(j) << (r + j) for j in range(-r, r + 1))
+        got = symbolic_from_code(code, r).shifted(s)
+        want = built(*drawn)
+        assert got == want and hash(got) == hash(want)
+        assert (got.fwd, got.rev) == (want.fwd, want.rev)
+        for j in range(-r - abs(s) - 1, r + abs(s) + 2):
+            assert got.coord(j) == want.coord(j)
+
+    @given(coded_point(max_radius=3, max_shift=2),
+           coded_point(max_radius=3, max_shift=2))
+    # an explicit fill value is the same window as no assignment; equal
+    # contents at another origin or length are another point
+    @example((2, {0: 0, 2: 1}, 0, 0), (2, {2: 1}, 0, 0))
+    @example((2, {1: 1}, 1, 0), (2, {}, 1, 0))
+    @example((2, {}, 0, 0), (3, {}, 0, -1))
+    @example((3, {}, 0, 1), (3, {}, 0, 0))
+    @settings(max_examples=300)
+    def test_equal_iff_origin_length_and_window_agree(self, a, b):
+        def facts(r, bits, fill, s):
+            read = assigned(bits, r, fill)
+            return r + s, 2 * r + 1, [read(j) for j in range(-r, r + 1)]
+        x, y = built(*a), built(*b)
+        assert (x == y) == (facts(*a) == facts(*b))
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @given(st.lists(coded_point(max_radius=5, max_shift=None), min_size=2,
+                    max_size=12))
+    @settings(max_examples=200)
+    def test_sort_key_orders_as_coordinate_tuples(self, drawn):
+        points = [built(*d) for d in drawn]
+
+        def reads(p):
+            return tuple(p.coord(j) for j in range(-p.radius, p.radius + 1))
+        by_key = sorted(range(len(points)),
+                        key=lambda i: element_sort_key(SYMBOLIC, points[i]))
+        by_reads = sorted(range(len(points)), key=lambda i: reads(points[i]))
+        assert by_key == by_reads
+
+    def test_numpy_integers_become_ints(self):
+        p = symbolic_from_code(np.int64(5), np.int64(2))
+        assert type(p.fwd) is type(p.rev) is type(p.origin) is int
+        assert (p.fwd, p.rev, p.origin, p.size) == (5, 20, 2, 5)
+
+    @pytest.mark.parametrize("code, radius, message", [
+        (32, 2, "^code 32 does not fit radius 2$"),
+        (-1, 2, "^code -1 does not fit radius 2$"),
+        (0, 0, "^radius must be at least 1$"),
+    ])
+    def test_code_outside_the_window_refused(self, code, radius, message):
+        with pytest.raises(ValueError, match=message):
+            symbolic_from_code(code, radius)
 
 
 class TestFiniteSubsets:
@@ -426,7 +546,7 @@ class TestRegionSampling:
         region = cylinder_region({-1: 1, 0: 0})
         got = sample_region(region, 16)
         assert all(p.coord(-1) == 1 and p.coord(0) == 0 for p in got)
-        assert make_symbolic({-1: 1}).bits in {p.bits for p in got}
+        assert make_symbolic({-1: 1}) in got
         # single flip at each free coordinate up to the margin
         for j in range(1, region.margin + 1):
             assert any(p.coord(j) == 1 for p in got)
