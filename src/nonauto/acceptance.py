@@ -531,7 +531,9 @@ def _check_metric_suite():
     subsets = _units(rng, 3 * n * SUBSET_WIDTH).reshape(3, n, SUBSET_WIDTH)
     np.copyto(subsets, subsets[..., :1],
               where=np.arange(SUBSET_WIDTH) >= sizes)
-    dists = _triple_distances(partial(hausdorff_array, INTERVAL), *subsets)
+    # hausdorff_array takes the element axis first
+    dists = _triple_distances(partial(hausdorff_array, INTERVAL),
+                              *subsets.transpose(0, 2, 1))
     bad["subsets"] = _axiom_failures(*dists)
 
     eps = _units(rng, n)

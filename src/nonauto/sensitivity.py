@@ -11,9 +11,13 @@ every delta and every probe mode. Orbit points are produced by each map's
 compiled scalar ``step`` (``systems.MapSpec.step``); numpy only ever
 touches distances, so equal prefixes yield bitwise equal separations across
 probes (the embedding checks rely on this). Numeric orbits are stored
-sample-major, (samples, horizon + 1, width), so a block of pair rows
-gathers whole contiguous orbits. A symbolic scan shifts every sample point
-once per distinct shift and fills that shift's table column with one
+element-major, (width, samples, horizon + 1), so a block of pair rows
+gathers contiguous orbits from each element's plane. A scan's summary is
+each time's largest pair distance and its first pair in (i, j) order: a
+width-1 interval scan takes it in O(samples) per time from running maxima
+and minima of its orbits, every other scan walks its pair rows
+``BLOCK_ROWS`` at a time. A symbolic scan shifts every sample point once
+per distinct shift and fills that shift's table column with one
 ``dist_symbolic`` per pair; its summary is taken per column and then read
 out at each time through the time -> column map. Before the fill it
 refuses shifts that drain a sampled window: a distance needs
@@ -37,12 +41,15 @@ import numpy as np
 from . import families, spaces
 from .families import FamilySpec, WindowedIndexSet, member, windowed
 from .spaces import (
+    INTERVAL,
     MIN_COMMON_RADIUS,
     SYMBOLIC,
     FiniteSubset,
     Region,
     check_point,
+    dist_interval,
     dist_symbolic,
+    distance,
     hausdorff_array,
     hausdorff_ball,
     region_contains,
@@ -82,6 +89,44 @@ def _region_sample(region: Region, resolution: int) -> tuple:
     return sample
 
 
+def _block_summary(stored, pi, pj):
+    """Each stored column's maximum and its first pair in (i, j) order,
+    ``BLOCK_ROWS`` pair rows at a time: a later block wins a column only
+    with a strictly larger value, as ``np.argmax`` over the table would."""
+    top, best = -np.inf, 0
+    for a in range(0, len(pi), BLOCK_ROWS):
+        dists = stored(a, a + BLOCK_ROWS)
+        arg = np.argmax(dists, axis=0)
+        peak = np.take_along_axis(dists, arg[None], axis=0)[0]
+        best = np.where(peak > top, a + arg, best)
+        top = np.maximum(peak, top)
+    return top, pi[best], pj[best]
+
+
+def _interval_summary(points):
+    """``_block_summary`` of the pair distances of interval ``points``,
+    shaped (samples, times), in O(samples) per time.
+
+    Correctly rounded subtraction is monotone, so no later point lies
+    farther from row i than the largest or the smallest of the later rows:
+    that is row i's best pair distance, bit for bit. The witness is the
+    first row whose best is the column's maximum, with its first later
+    row at exactly that distance: the first tying pair in (i, j) order.
+    """
+    later = points[:0:-1]
+    highest = np.maximum.accumulate(later, axis=0)[::-1]
+    lowest = np.minimum.accumulate(later, axis=0)[::-1]
+    head = points[:-1]
+    best = np.maximum(dist_interval(head, highest),
+                      dist_interval(head, lowest))
+    first = np.argmax(best, axis=0)
+    times = np.arange(points.shape[1])
+    top = best[first, times]
+    after = np.arange(len(points))[:, None] > first
+    at_top = dist_interval(points[first, times], points) == top
+    return top, first, np.argmax(at_top & after, axis=0)
+
+
 class RegionScan:
     """Per-region orbit data: max pairwise separation at each time, the
     achieving pair, and pair separation rows on demand.
@@ -93,33 +138,26 @@ class RegionScan:
     ``max_series[n]`` is the largest sampled pair distance at time n; index
     0 holds the initial spread. Delta enters only when slicing.
 
-    The summary takes max and argmax over the stored columns, then indexes
-    them by time: a time reads exactly its column, so this equals the
-    summary of the expanded table. It walks ``BLOCK_ROWS`` rows at a time,
-    never the whole table; a later block wins a column only with a strictly
-    larger value, so ties keep the first pair, as ``np.argmax`` does.
-    ``shifts`` holds a symbolic scan's shift per column; a scan with one
-    column per time reads only times below ``stop`` in ``stored(a, b, stop)``.
+    ``summary`` holds each stored column's maximum and its first pair in
+    (i, j) order: ``_interval_summary`` for a width-1 interval scan, and
+    for circle-point, Hausdorff and symbolic scans ``_block_summary`` of
+    the stored rows. It is indexed by time: a time reads exactly its
+    column, so this equals the summary of the expanded table. ``shifts``
+    holds a symbolic scan's shift per column; a scan with one column per
+    time reads only times below ``stop`` in ``stored(a, b, stop)``.
     """
 
     def __init__(self, sample, horizon, pi, pj, stored, cols=None,
-                 shifts=None):
+                 shifts=None, summary=None):
         self.sample = sample
         self.horizon = horizon
         self.pi, self.pj = pi, pj
         self.stored = stored
         self.cols, self.shifts = cols, shifts
-        top, best = -np.inf, 0
-        for a in range(0, len(pi), BLOCK_ROWS):
-            dists = stored(a, a + BLOCK_ROWS)
-            arg = np.argmax(dists, axis=0)
-            peak = np.take_along_axis(dists, arg[None], axis=0)[0]
-            best = np.where(peak > top, a + arg, best)
-            top = np.maximum(peak, top)
-        best = self._at_times(best)
+        top, best_i, best_j = summary or _block_summary(stored, pi, pj)
         self.max_series = self._at_times(top)
-        self.argmax_i = pi[best]
-        self.argmax_j = pj[best]
+        self.argmax_i = self._at_times(best_i)
+        self.argmax_j = self._at_times(best_j)
         self.truncation_bound = self._truncation_bound()
 
     def _truncation_bound(self):
@@ -177,24 +215,38 @@ class RegionScan:
 def _scan_orbits(seq: MapSequence, sample, horizon: int) -> RegionScan:
     # A point is a one-element subset. Pad every subset to one width by
     # repeating its first element: duplicates never change the Hausdorff
-    # distance, and at width 1 it reduces to the point metric bitwise.
+    # distance.
     elements = [s.elements if isinstance(s, FiniteSubset) else (s,)
                 for s in sample]
     width = max(len(e) for e in elements)
-    # sample-major, so a pair row gathers two contiguous orbits and comes
-    # out as (pairs, times) with no transpose
-    orbits = np.empty((len(sample), horizon + 1, width), dtype=np.float64)
+    planes = np.empty((width, len(sample), horizon + 1), dtype=np.float64)
     for c, elems in enumerate(elements):
         elems = elems + (elems[0],) * (width - len(elems))
         for e, x in enumerate(elems):
-            orbits[c, :, e] = orbit(seq, x, horizon)
-    pi, pj = _pair_indices(len(sample))
+            planes[e, c] = orbit(seq, x, horizon)
+    return _planes_scan(seq.space, sample, planes)
+
+
+def _planes_scan(space, sample, planes: np.ndarray) -> RegionScan:
+    """The scan of numeric orbits stored element-major: plane e, shaped
+    (samples, horizon + 1), holds element e of every sample's orbit, and a
+    block of pair rows gathers contiguous (pairs, times) arrays from each
+    plane."""
+    pi, pj = _pair_indices(planes.shape[1])
+    summary, metric = None, partial(hausdorff_array, space)
+    if len(planes) == 1:
+        # points: the metric itself, on one plane
+        planes, metric = planes[0], partial(distance, space)
+        if space == INTERVAL:
+            summary = _interval_summary(planes)
 
     def stored(a, b, stop=None):
-        view = orbits[:, :stop]
-        return hausdorff_array(seq.space, view[pi[a:b]], view[pj[a:b]])
+        view = planes[..., :stop]
+        return metric(np.take(view, pi[a:b], axis=-2),
+                      np.take(view, pj[a:b], axis=-2))
 
-    return RegionScan(sample, horizon, pi, pj, stored)
+    return RegionScan(sample, planes.shape[-1] - 1, pi, pj, stored,
+                      summary=summary)
 
 
 def _narrowest(sample, shifts):

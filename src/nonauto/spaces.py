@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -170,11 +169,15 @@ def element_sort_key(space, p):
 
 def check_point(space, p, what: str = "point") -> None:
     """Refuse ``p`` as a point of the interval (outside [0, 1], NaN
-    included) or of the circle (not finite); ``what`` names it."""
+    included), of the circle (not finite) or of the sequence space (a
+    window shifted past ``MIN_COMMON_RADIUS``); ``what`` names it."""
     if space == INTERVAL and not 0.0 <= p <= 1.0:
         raise ValueError(f"{what} {p!r} lies outside [0, 1]")
     if space == CIRCLE and not abs(p) < np.inf:
         raise ValueError(f"{what} {p!r} is not a finite number")
+    if space == SYMBOLIC and p.radius < MIN_COMMON_RADIUS:
+        raise ValueError(f"{what} {p!r} has drained its window: radius "
+                         f"{p.radius} is below {MIN_COMMON_RADIUS}")
 
 
 def int_value(v, what: str) -> int:
@@ -205,28 +208,32 @@ def finite_subset(elements, space) -> FiniteSubset:
     return FiniteSubset(tuple(kept), space)
 
 
-def hausdorff_array(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hausdorff distance between element arrays along the trailing axis.
+def hausdorff_array(space, a, b) -> np.ndarray:
+    """Hausdorff distance between element arrays along the leading axis.
 
-    ``a`` and ``b`` hold interval or circle elements, shaped (..., m) and
-    (..., k); leading axes broadcast. Repeated elements never change the
-    value, so ragged subsets can be padded with a copy of any element.
+    ``a`` and ``b`` hold interval or circle elements, shaped (m, ...) and
+    (k, ...): element e of every subset is the slice ``a[e]``, and the
+    trailing axes broadcast. Repeated elements never change the value, so
+    ragged subsets can be padded with a copy of any element.
     """
-    if a.shape[-1] == b.shape[-1] == 1:
-        # points: skip the cross table, whose reductions would add several
-        # full-size temporaries to every point scan
-        return distance(space, a[..., 0], b[..., 0])
-    cross = distance(space, a[..., :, None], b[..., None, :])
-    m, k = cross.shape[-2:]
-    # fold over the element slices, since numpy reductions over a trailing
-    # axis of length 2-4 are slow; min/max are exact in any order
-    forward = reduce(np.maximum, (
-        reduce(np.minimum, (cross[..., i, j] for j in range(k)))
-        for i in range(m)))
-    backward = reduce(np.maximum, (
-        reduce(np.minimum, (cross[..., i, j] for i in range(m)))
-        for j in range(k)))
-    return np.maximum(forward, backward)
+    # each element pair's distance folds into the running minimum of its
+    # row (forward) and of its column (backward), in place, so at most
+    # k + 2 distance arrays are alive at once; min/max are exact in any
+    # order
+    forward, backward = None, [None] * len(b)
+    for x in a:
+        near = None
+        for j, y in enumerate(b):
+            d = distance(space, x, y)
+            near = (np.array(d) if near is None
+                    else np.minimum(near, d, out=near))
+            backward[j] = (np.asarray(d) if backward[j] is None
+                           else np.minimum(backward[j], d, out=backward[j]))
+        forward = (near if forward is None
+                   else np.maximum(forward, near, out=forward))
+    for far in backward:
+        np.maximum(forward, far, out=forward)
+    return forward
 
 
 def hausdorff(a: FiniteSubset, b: FiniteSubset) -> float:
@@ -234,8 +241,7 @@ def hausdorff(a: FiniteSubset, b: FiniteSubset) -> float:
         raise ValueError("subsets live in different spaces")
     if a.space not in (INTERVAL, CIRCLE):
         raise ValueError("Hausdorff distance needs an interval or circle base")
-    return float(hausdorff_array(a.space, np.array(a.elements),
-                                 np.array(b.elements)))
+    return float(hausdorff_array(a.space, a.elements, b.elements))
 
 
 def distance(space, a, b):

@@ -137,7 +137,8 @@ def spied_metric_suite(keep_points=False):
                                 symbolic_from_code=spy_point,
                                 hausdorff_array=spy_hausdorff):
         run.ok, run.details = acceptance._check_metric_suite()
-    run.subsets = list(run.subsets.values())
+    # hausdorff_array takes (elements, subsets); keep (subsets, elements)
+    run.subsets = [s.T for s in run.subsets.values()]
     return run
 
 
@@ -501,7 +502,7 @@ class TestMetricSuiteArrays:
     def test_padded_hausdorff_equals_scalar_bitwise(self):
         a, rows_a = self.padded_subsets(1, 2000)
         b, rows_b = self.padded_subsets(2, 2000)
-        got = hausdorff_array(INTERVAL, rows_a, rows_b)
+        got = hausdorff_array(INTERVAL, rows_a.T, rows_b.T)
         assert bits_of(got) == bits_of([hausdorff(p, q)
                                          for p, q in zip(a, b)])
 
@@ -529,7 +530,7 @@ class TestMetricSuiteArrays:
             return np.abs(p[..., :, None] - q[..., None, :]).min(-1).max(-1)
 
         for d_array, want_zero in [
-                (lambda p, q: hausdorff_array(INTERVAL, p, q),
+                (lambda p, q: hausdorff_array(INTERVAL, p.T, q.T),
                  True),
                 (forward, False)]:
             want = sum(
@@ -679,8 +680,8 @@ class TestMetricSuiteDraws:
         # one direction of the Hausdorff distance only: not symmetric, and
         # below the covering radius where the other direction is not
         def forward(space, p, q):
-            return distance(space, p[..., :, None],
-                            q[..., None, :]).min(-1).max(-1)
+            # element axis first, as hausdorff_array takes it
+            return distance(space, p[:, None], q[None]).min(1).max(0)
 
         monkeypatch.setattr(acceptance, "GRID_POINTS", 1000)
         monkeypatch.setattr(acceptance, "hausdorff_array", forward)

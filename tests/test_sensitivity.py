@@ -47,6 +47,7 @@ from nonauto.spaces import (
     dist_symbolic,
     distance,
     finite_subset,
+    hausdorff,
     hausdorff_ball,
     make_symbolic,
     metric_ball,
@@ -146,6 +147,17 @@ class TestPairTimesAgainstOracle:
         seq = registry.build(system).sequence
         with pytest.raises(ValueError, match=message):
             pair_separation_times(seq, x, y, 0.1, 3)
+
+    def test_drained_sequence_point_refused(self):
+        # the point's own window is spent, whatever the horizon: the message
+        # names the point, not the horizon
+        seq = cyclic_sequence([shift(1)])
+        drained = make_symbolic({}, radius=3).shifted(5)
+        with pytest.raises(ValueError, match=(
+                r"^point SymbolicPoint\(fwd=0, origin=8, size=7\) has "
+                r"drained its window: radius -2 is below 1$")):
+            pair_separation_times(seq, drained, make_symbolic({}, radius=3),
+                                  0.1, 4)
 
     def test_untagged_block_sequence_uses_its_own_metric(self):
         # 0.05 and 0.95 lie 0.1 apart on the circle but 0.9 on the interval
@@ -790,6 +802,20 @@ class TestPrefixScans:
         assert bits_of(between.max_series) == bits_of(longer.max_series[:41])
 
 
+@st.composite
+def interval_orbits(draw):
+    """A (samples, times) array of interval points from a few drawn floats,
+    their float neighbours and the eighths, so that distinct exact gaps
+    round to tied distances."""
+    samples, times = draw(st.integers(2, 70)), draw(st.integers(1, 9))
+    drawn = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    pool = [k / 8 for k in range(9)] + drawn + [
+        float(np.nextafter(x, side)) for x in drawn for side in (0.0, 1.0)]
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        0, len(pool), (samples, times))
+    return np.array(pool)[picks]
+
+
 class TestScanMachinery:
     def test_scan_cache_returns_same_object(self):
         named = registry.build("example41_composition")
@@ -964,6 +990,53 @@ class TestScanMachinery:
             assert stored.shape[1] == len(distinct)
             self.assert_summary_is_full_argmax(scan, stored[:, cols])
 
+    @given(interval_orbits())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_summary_equals_full_argmax(self, points):
+        # a width-1 interval scan takes its summary in O(samples) per time
+        scan = sensitivity._planes_scan(INTERVAL, None, points[None])
+        assert scan.horizon == points.shape[1] - 1
+        self.assert_summary_is_full_argmax(scan)
+
+    def test_interval_summary_keeps_the_first_tying_pair(self):
+        # each column's maximum 1.0 is tied by pairs (1, 2), (1, 5),
+        # (2, 4) and (4, 5); a later column ties (0, 3) with (2, 3)
+        points = np.array([[0.5, 0.0], [0.0, 0.5], [1.0, 0.0],
+                           [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]])
+        scan = sensitivity._planes_scan(INTERVAL, None, points[None])
+        self.assert_summary_is_full_argmax(scan)
+        assert scan.max_series.tolist() == [1.0, 1.0]
+        assert scan.argmax_i.tolist() == [1, 0]
+        assert scan.argmax_j.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("space, elements", [
+        (INTERVAL, [0.2, 0.7]),
+        (INTERVAL, [0.1, 0.45, 0.8]),
+        (CIRCLE, [0.05, 0.6]),
+        (CIRCLE, [0.05, 0.4, 0.9]),
+    ], ids=["interval-2", "interval-3", "circle-2", "circle-3"])
+    def test_hausdorff_rows_equal_scalar_hausdorff(self, space, elements):
+        name = ("example41_composition" if space == INTERVAL
+                else "rotations_harmonic")
+        seq = registry.build(name).sequence
+        center = finite_subset(elements, space)
+        scan = region_scan(seq, hausdorff_ball(center, 0.05), 30, 9)
+        assert max(len(s) for s in scan.sample) == len(elements)
+        moved = [list(zip(*(orbit(seq, x, 30) for x in s.elements)))
+                 for s in scan.sample]
+        pairs = [(moved[i][n], moved[j][n])
+                 for i, j in zip(scan.pi.tolist(), scan.pj.tolist())
+                 for n in range(31)]
+        got = bits_of(scan.rows(0, len(scan.pi)).ravel())
+        assert got == bits_of([hausdorff(spaces.FiniteSubset(a, space),
+                                         spaces.FiniteSubset(b, space))
+                               for a, b in pairs])
+        # and the definition, which shares no code with either
+        assert got == bits_of([
+            max(max(min(distance(space, x, y) for y in b) for x in a),
+                max(min(distance(space, x, y) for x in a) for y in b))
+            for a, b in pairs])
+
     @pytest.mark.parametrize("space, elements", [
         (INTERVAL, [0.3]),
         (CIRCLE, [0.97]),
@@ -978,19 +1051,19 @@ class TestScanMachinery:
         region = (metric_ball(space, elements[0], 0.05) if len(center) == 1
                   else hausdorff_ball(center, 0.05))
         scan = region_scan(seq, region, 40, 9)
-        # the time-major layout: orbits[time, sample, element], and each
+        # the time-major layout: orbits[element, time, sample], and each
         # pair row is a column of the transposed table
         elements = [s.elements if len(center) > 1 else (s,)
                     for s in scan.sample]
         width = max(len(e) for e in elements)
         assert width == len(center)
-        orbits = np.empty((41, len(elements), width))
+        orbits = np.empty((width, 41, len(elements)))
         for c, elems in enumerate(elements):
             elems = elems + (elems[0],) * (width - len(elems))
             for e, x in enumerate(elems):
-                orbits[:, c, e] = orbit(seq, x, 40)
-        expect = spaces.hausdorff_array(space, orbits[:, scan.pi],
-                                        orbits[:, scan.pj]).T
+                orbits[e, :, c] = orbit(seq, x, 40)
+        expect = spaces.hausdorff_array(space, orbits[:, :, scan.pi],
+                                        orbits[:, :, scan.pj]).T
         got = scan.rows(0, len(scan.pi))
         assert got.flags.c_contiguous
         assert bits_of(got) == bits_of(expect)

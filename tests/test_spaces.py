@@ -493,9 +493,11 @@ class TestHausdorffArrayFold:
         a = data.draw(padded_subsets(times, m))
         b = data.draw(padded_subsets(times, k))
         # one pair of subsets, then every subset of a against every subset
-        # of b through broadcasting
+        # of b through broadcasting; hausdorff_array takes the element axis
+        # first
         for x, y in ((a[0, 0], b[0, 0]), (a[:, :, None, :], b[:, None, :, :])):
-            got = np.asarray(hausdorff_array(space, x, y))
+            got = np.asarray(hausdorff_array(space, np.moveaxis(x, -1, 0),
+                                             np.moveaxis(y, -1, 0)))
             expect = np.asarray(reference_hausdorff_array(space, x, y))
             assert got.shape == expect.shape
             assert got.view(np.int64).tolist() == \
