@@ -83,7 +83,7 @@ def _refused(prefix: str = "", errors=(KeyError, TypeError, ValueError)):
 def _parse_cover(spec, space):
     if isinstance(spec, str):
         with _refused():
-            return tuple(default_cover(spec))
+            return default_cover(spec)
     _require(isinstance(spec, list) and spec,
              "cover must be a kind name or a nonempty list of regions")
     regions = []

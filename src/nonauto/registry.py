@@ -9,6 +9,7 @@ bending the map. All breakpoints and slopes are exact dyadics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .spaces import (
@@ -197,28 +198,26 @@ def build(name: str) -> NamedSystem:
     return _REGISTRY[name]
 
 
-def default_cover(cover_kind: str):
+@cache
+def default_cover(cover_kind: str) -> tuple:
     """The standard region cover for each space kind.
 
     Interval and circle covers are 16 balls of radius 1/32 at odd
     multiples of 1/32; the cylinder cover pins every pattern on
-    coordinates -2 .. 2.
+    coordinates -2 .. 2. Each kind is one tuple, built once and owned by
+    the registry like its systems, so the scans cached under its regions
+    (``sensitivity.region_scan``) live as long as the registry systems
+    scanned on them.
     """
-    if cover_kind == "interval-balls":
-        return [metric_ball(INTERVAL, (2 * i + 1) / 32.0, 1 / 32.0,
-                            label=f"ball-{i:02d}")
-                for i in range(16)]
-    if cover_kind == "circle-balls":
-        return [metric_ball(CIRCLE, (2 * i + 1) / 32.0, 1 / 32.0,
-                            label=f"ball-{i:02d}")
-                for i in range(16)]
+    if cover_kind in ("interval-balls", "circle-balls"):
+        space = INTERVAL if cover_kind == "interval-balls" else CIRCLE
+        return tuple(metric_ball(space, (2 * i + 1) / 32.0, 1 / 32.0,
+                                 label=f"ball-{i:02d}") for i in range(16))
     if cover_kind == "cylinders":
-        cover = []
-        for bits in product((0, 1), repeat=5):
-            constraints = dict(zip(range(-2, 3), bits))
-            label = "cyl-" + "".join(str(b) for b in bits)
-            cover.append(cylinder_region(constraints, label=label))
-        return cover
+        return tuple(
+            cylinder_region(dict(zip(range(-2, 3), bits)),
+                            label="cyl-" + "".join(map(str, bits)))
+            for bits in product((0, 1), repeat=5))
     raise ValueError(f"unknown cover kind: {cover_kind!r}")
 
 

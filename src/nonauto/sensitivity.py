@@ -26,7 +26,10 @@ the message names the first time that leaves fewer.
 A scan to horizon h depends only on the first h maps, so ``region_scan``
 serves it as a prefix view of a longer scan of the same region and
 resolution, and counts only the scans it builds as misses. It refuses a
-region of another space than the sequence's.
+region of another space than the sequence's. Its cache holds sequences and
+regions weakly: a scan lives as long as both do, so the scans of a k-th
+iterate or Hausdorff ball built for one check go with it, while the
+registry's systems and default covers keep theirs for the whole process.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import copy
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -70,23 +74,29 @@ BLOCK_ROWS = 256
 @lru_cache(maxsize=None)
 def _pair_indices(count: int):
     """Pair order for ``count`` sample points, shared read-only by every
-    scan of that count: cached scans live for the whole process."""
+    scan of that count."""
     i, j = np.triu_indices(count, k=1)
     i, j = i.astype(np.intp), j.astype(np.intp)
     i.flags.writeable = j.flags.writeable = False
     return i, j
 
 
-@lru_cache(maxsize=None)
+_SAMPLES = WeakKeyDictionary()
+
+
 def _region_sample(region: Region, resolution: int) -> tuple:
     """The sample standing in for ``region``, shared read-only by every scan
     of that (region, resolution): scans of one region under different
-    sequences or horizons hold the same tuple."""
-    sample = tuple(sample_region(region, resolution))
-    if len(sample) < 2:
-        raise ValueError(f"region sample is degenerate "
-                         f"(single point): {region.label or region.kind}")
-    return sample
+    sequences or horizons hold the same tuple. It is filed weakly under the
+    region and goes with it."""
+    samples = _SAMPLES.setdefault(region, {})
+    if resolution not in samples:
+        sample = tuple(sample_region(region, resolution))
+        if len(sample) < 2:
+            raise ValueError(f"region sample is degenerate "
+                             f"(single point): {region.label or region.kind}")
+        samples[resolution] = sample
+    return samples[resolution]
 
 
 def _block_summary(stored, pi, pj):
@@ -292,31 +302,39 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _PrefixCache:
-    """``region_scan``'s cache: scans by key, and the longest per region."""
+    """``region_scan``'s cache: under each region, then under each
+    sequence, the scans by (resolution, horizon). Both levels hold their
+    keys weakly and no scan refers to either key, so a scan goes when its
+    region or its sequence does."""
 
     def __init__(self, build):
         update_wrapper(self, build)
         self.cache_clear()
 
     def cache_clear(self):
-        self.exact, self.longest, self.hits, self.misses = {}, {}, 0, 0
+        self.scans, self.hits, self.misses = WeakKeyDictionary(), 0, 0
 
     def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, None, len(self.exact))
+        return _CacheInfo(self.hits, self.misses, None,
+                          sum(len(scans) for by_seq in self.scans.values()
+                              for scans in by_seq.values()))
 
     def __call__(self, seq, region, horizon, resolution):
-        key = (seq, region, resolution, horizon)
-        top = self.longest.get(key[:3])
-        if key in self.exact:
+        scans = self.scans.setdefault(region, WeakKeyDictionary()).setdefault(
+            seq, {})
+        key = (resolution, horizon)
+        if key in scans:
             self.hits += 1
-        elif top is not None and top.horizon > horizon:
-            self.exact[key] = top.prefix(horizon)
+            return scans[key]
+        top = max((s for (r, _), s in scans.items() if r == resolution),
+                  key=lambda s: s.horizon, default=None)
+        if top is not None and top.horizon > horizon:
+            scans[key] = top.prefix(horizon)
             self.hits += 1
         else:
-            self.exact[key] = self.longest[key[:3]] = self.__wrapped__(
-                seq, region, horizon, resolution)
+            scans[key] = self.__wrapped__(seq, region, horizon, resolution)
             self.misses += 1
-        return self.exact[key]
+        return scans[key]
 
 
 @_PrefixCache
@@ -324,12 +342,13 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
                 resolution: int) -> RegionScan:
     """Shared scan cache: every probe mode and delta reuses one orbit pass.
 
-    The cache has no size bound, so each scan lives for the rest of the
-    process. A horizon shorter than a scan already built for the same
-    (seq, region, resolution) is a prefix hit that builds nothing, so
-    ``cache_info().misses`` counts the scans built. Scans keep only compact
-    data (orbits or the pair × shift table, the summary, shared pair
-    indices and sample), which is what makes keeping all of them affordable.
+    The cache has no size bound and holds its keys weakly: a scan lives as
+    long as both its sequence and its region do, and is built again if it
+    is asked for after either has gone. A horizon shorter than a scan
+    already built for the same (seq, region, resolution) is a prefix hit
+    that builds nothing, so ``cache_info().misses`` counts the scans built.
+    Scans keep only compact data (orbits or the pair × shift table, the
+    summary, shared pair indices and sample) and neither key.
     """
     if region.space != seq.space:
         raise ValueError(f"region {region.label or region.kind} lies in the "

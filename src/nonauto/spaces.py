@@ -110,12 +110,15 @@ def dist_interval(a, b):
 def circle_distance(a, b):
     """Arc length between points of [0, 1); elementwise on numpy arrays.
 
-    Both forms compute the same IEEE operations, so an array result equals
-    the scalar results bitwise; floats stay off numpy entirely.
+    Arrays reduce the gap with ``np.fmod``, floats with ``%``, and floats
+    stay off numpy entirely. For a gap d >= 0 both give the exact d mod 1,
+    so an array result equals the scalar results bitwise.
     """
-    d = abs(a - b) % 1.0
+    d = abs(a - b)
     if isinstance(d, np.ndarray):
+        d = np.fmod(d, 1.0)
         return np.minimum(d, 1.0 - d)
+    d %= 1.0
     return min(d, 1.0 - d)
 
 

@@ -253,6 +253,14 @@ class TestCovers:
         pinned = dict(cover[5].constraints)
         assert sorted(pinned) == [-2, -1, 0, 1, 2]
 
+    @pytest.mark.parametrize("kind", ["interval-balls", "circle-balls",
+                                      "cylinders"])
+    def test_each_kind_is_one_shared_tuple(self, kind):
+        # scans are cached weakly under their regions: a registry system
+        # scanned on a default cover keeps its scans only if the cover does
+        assert default_cover(kind) is default_cover(kind)
+        assert type(default_cover(kind)) is tuple
+
     def test_unknown_cover_kind_rejected(self):
         with pytest.raises(ValueError):
             default_cover("triangles")

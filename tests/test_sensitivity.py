@@ -5,7 +5,9 @@ The oracles here recompose prefixes step by step for every time index
 dicts, so they share no orbit or windowing code with the scan machinery.
 """
 
+import gc
 import sys
+import weakref
 from collections import Counter
 from functools import lru_cache
 
@@ -802,6 +804,61 @@ class TestPrefixScans:
         assert bits_of(between.max_series) == bits_of(longer.max_series[:41])
 
 
+class TestScanLifetime:
+    """A cached scan lives as long as both its sequence and its region."""
+
+    @pytest.mark.parametrize("name, cover_kind", [
+        ("example41_generated", "interval-balls"),
+        ("example31", "cylinders"),
+    ])
+    def test_scan_goes_with_its_sequence(self, empty_scan_cache, name,
+                                         cover_kind):
+        region = registry.default_cover(cover_kind)[3]
+        iterate = kth_iterate(registry.build(name).sequence, 2)
+        scan = weakref.ref(region_scan(iterate, region, 20, 8))
+        assert region_scan.cache_info().currsize == 1
+        del iterate
+        gc.collect()
+        assert scan() is None
+        assert region_scan.cache_info().currsize == 0
+
+    def test_scan_goes_with_its_region(self, empty_scan_cache):
+        seq = registry.build("example41_generated").sequence
+        ball = hausdorff_ball(finite_subset([0.2, 0.6], INTERVAL), 0.03)
+        scan = weakref.ref(region_scan(seq, ball, 20, 8))
+        # a prefix hit is filed under the same keys
+        short = weakref.ref(region_scan(seq, ball, 10, 8))
+        assert region_scan.cache_info() == (1, 1, None, 2)
+        del ball
+        gc.collect()
+        assert scan() is None and short() is None
+        assert region_scan.cache_info().currsize == 0
+
+    def test_hyperspace_probe_leaves_no_scans(self):
+        seq = registry.build("example41_generated").sequence
+        centers = [finite_subset([0.2, 0.7], INTERVAL),
+                   finite_subset([0.4], INTERVAL)]
+        gc.collect()
+        before = region_scan.cache_info()
+        hyperspace_probe(seq, 0.2, nonempty(), centers, 1 / 32.0, 20, 8)
+        gc.collect()
+        after = region_scan.cache_info()
+        assert after.misses == before.misses + 2
+        assert after.currsize == before.currsize
+
+    def test_registry_scans_on_default_covers_stay(self, empty_scan_cache):
+        # the registry owns both keys, so the scan outlives every caller
+        seq = registry.build("example41_generated").sequence
+        first = weakref.ref(
+            region_scan(seq, registry.default_cover("interval-balls")[5],
+                        20, 8))
+        gc.collect()
+        again = region_scan(seq, registry.default_cover("interval-balls")[5],
+                            20, 8)
+        assert again is first()
+        assert region_scan.cache_info() == (1, 1, None, 1)
+
+
 @st.composite
 def interval_orbits(draw):
     """A (samples, times) array of interval points from a few drawn floats,
@@ -852,6 +909,12 @@ class TestScanMachinery:
         assert a.sample is b.sample
         assert type(a.sample) is tuple
         assert region_scan.cache_info().misses == 2
+        # that iterate is gone, so a new one's scan is built again, still
+        # from the sample the live region holds
+        gc.collect()
+        c = region_scan(kth_iterate(seq, 2), region, 20, 8)
+        assert c is not b and c.sample is a.sample
+        assert region_scan.cache_info()[:2] == (0, 3)
 
     def test_pair_indices_shared_and_read_only(self):
         pi, pj = sensitivity._pair_indices(7)

@@ -106,6 +106,23 @@ class TestCircleMetric:
         assert circle_distance(x, z) <= (circle_distance(x, y)
                                          + circle_distance(y, z) + 1e-12)
 
+    def test_arrays_match_floats_bitwise(self):
+        # random points, then the edge gaps 0, 0.5, 1 - ulp and gaps >= 1,
+        # with either point ahead
+        below_one = float(np.nextafter(1.0, 0.0))
+        edges = [(0.3, 0.3), (0.75, 0.25), (below_one, 0.0),
+                 (0.0, below_one), (1.0, 0.0), (0.25, 1.25), (2.75, 0.5),
+                 (0.5, 3.0)]
+        rng = np.random.default_rng(1806)
+        a = np.concatenate([rng.random(1000), [x for x, _ in edges]])
+        b = np.concatenate([rng.random(1000), [y for _, y in edges]])
+        got = circle_distance(a, b)
+        want = np.array([circle_distance(x, y)
+                         for x, y in zip(a.tolist(), b.tolist())])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert got[-8:].tolist() == [0.0, 0.5, 2.0 ** -53, 2.0 ** -53, 0.0,
+                                     0.0, 0.25, 0.5]
+
 
 sparse_bits = st.dictionaries(st.integers(min_value=-8, max_value=8),
                               st.sampled_from([0, 1]), max_size=12)
