@@ -148,17 +148,6 @@ def member(fam: FamilySpec, s: WindowedIndexSet) -> bool:
     return bool(member_rows(fam, mask_of(s)[None])[0])
 
 
-def translate(s: WindowedIndexSet, i: int) -> WindowedIndexSet:
-    """Shift every index by i; the horizon shrinks by |i| so translated
-    verdicts never rely on indices that left the observed window."""
-    if abs(i) >= s.horizon:
-        raise ValueError("translation exceeds the window")
-    new_h = s.horizon - abs(i)
-    moved = (j + i for j in s.indices)
-    return WindowedIndexSet(horizon=new_h,
-                            indices=tuple(j for j in moved if 1 <= j <= new_h))
-
-
 @dataclass(frozen=True)
 class FilterdualReport:
     pairs_checked: int

@@ -445,6 +445,21 @@ class TestVerifyAndList:
         out = capsys.readouterr().out
         assert "FAIL" in out and "broken" in out
 
+    def test_only_verify_loads_the_check_battery(self, tmp_path):
+        code = ("import sys\nfrom nonauto import cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                "print('nonauto.acceptance' in sys.modules)\n")
+
+        def loads(*argv):
+            done = subprocess.run([sys.executable, "-c", code, *argv],
+                                  check=True, capture_output=True, text=True)
+            return done.stdout.splitlines()[-1] == "True"
+
+        assert not loads("run", str(CONFIGS / "inline_two_balls.json"),
+                         "--out", str(tmp_path / "out"))
+        assert not loads("list")
+        assert loads("verify", "--only", "transcription-guard")
+
     def test_list_names_all_systems(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -19,7 +19,6 @@ from nonauto.families import (
     member_rows,
     nonempty,
     syndetic_family,
-    translate,
     windowed,
 )
 
@@ -269,30 +268,6 @@ class TestNestingImplications:
         assert member(cofinite_family(20), s)
         assert member(syndetic_family(21), s)
         assert member(infinite_family(8, 0.25), s)
-
-
-class TestTranslate:
-    def test_pinned_shifts(self):
-        s = windowed([3, 5, 7], 10)
-        fwd = translate(s, 2)
-        assert (fwd.horizon, fwd.indices) == (8, (5, 7))
-        back = translate(s, -2)
-        assert (back.horizon, back.indices) == (8, (1, 3, 5))
-
-    def test_overlong_shift_rejected(self):
-        with pytest.raises(ValueError):
-            translate(windowed([1], 5), 5)
-
-    @given(st.integers(min_value=0, max_value=2 ** 12 - 1),
-           st.integers(min_value=-6, max_value=6))
-    def test_internal_gaps_survive_translation(self, mask, i):
-        # clipping removes a prefix or suffix of the index list, so the
-        # surviving consecutive differences are a subset of the originals
-        h = 12
-        s = windowed(mask_to_indices(mask, h), h)
-        if member(syndetic_family(3), s):
-            t = translate(s, i)
-            assert all(b - a <= 3 for a, b in zip(t.indices, t.indices[1:]))
 
 
 def curated_suite(h=200):

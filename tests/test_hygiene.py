@@ -4,6 +4,7 @@ referenced, every parameter of a package function is read, and only
 ``spaces`` builds a ``SymbolicPoint`` directly."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,12 @@ SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 # everywhere a definition of the package may be used
 USERS = [p for d in ("src", "tests", "scripts", "perfbench")
          for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+@functools.cache
+def parsed(path: Path) -> ast.Module:
+    """The file's tree, parsed once per session and shared by every test."""
+    return ast.parse(path.read_text())
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -40,7 +47,7 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES,
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
-    assert unused_imports(ast.parse(path.read_text())) == []
+    assert unused_imports(parsed(path)) == []
 
 
 def test_scan_flags_an_unused_import():
@@ -48,15 +55,18 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(tree) == [(1, "os"), (2, "d")]
 
 
+@functools.cache
+def mentions(tree: ast.Module) -> tuple:
+    """(line, name) of every name and attribute name the tree mentions,
+    walked once per tree."""
+    return tuple((node.lineno, node.id if isinstance(node, ast.Name)
+                  else node.attr) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def referenced(tree: ast.Module, skip=range(0)) -> set:
     """Names and attribute names the tree mentions outside lines ``skip``."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.lineno not in skip:
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.lineno not in skip:
-            out.add(node.attr)
-    return out
+    return {name for line, name in mentions(tree) if line not in skip}
 
 
 def defined_names(node: ast.stmt) -> list:
@@ -92,8 +102,8 @@ def dead_definitions(tree: ast.Module, others) -> list:
 @pytest.mark.parametrize("path", PACKAGE,
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_definitions(path):
-    others = [ast.parse(p.read_text()) for p in USERS if p != path]
-    assert dead_definitions(ast.parse(path.read_text()), others) == []
+    others = [parsed(p) for p in USERS if p != path]
+    assert dead_definitions(parsed(path), others) == []
 
 
 def test_scan_flags_a_dead_definition():
@@ -133,7 +143,7 @@ def unread_parameters(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", PACKAGE,
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_parameters(path):
-    assert unread_parameters(ast.parse(path.read_text())) == []
+    assert unread_parameters(parsed(path)) == []
 
 
 def test_scan_flags_an_unread_parameter():
@@ -175,7 +185,7 @@ def config_casts(tree: ast.Module) -> list:
 
 
 def test_config_readers_cast_no_config_value():
-    trees = [ast.parse(p.read_text()) for p in PACKAGE]
+    trees = [parsed(p) for p in PACKAGE]
     defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
     assert CONFIG_READERS <= defined
@@ -206,7 +216,7 @@ def point_constructions(tree: ast.Module) -> list:
                                   if p.name != "spaces.py"],
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_sequence_points_built_only_in_spaces(path):
-    assert point_constructions(ast.parse(path.read_text())) == []
+    assert point_constructions(parsed(path)) == []
 
 
 def test_scan_flags_a_point_construction():
