@@ -476,8 +476,11 @@ def _mutual_cover(space, a, b, eps):
     """Per row of (rows, width) element arrays: every element of ``a`` lies
     within ``eps`` of some element of ``b``, and every element of ``b``
     within ``eps`` of some element of ``a``."""
-    near = distance(space, a[:, :, None], b[:, None, :]) <= eps[:, None, None]
-    return near.any(axis=2).all(axis=1) & near.any(axis=1).all(axis=1)
+    # one bool row per element pair: the (rows, width, width) table of
+    # distances is never built
+    near = np.array([[distance(space, x, y) <= eps for y in b.T]
+                     for x in a.T])
+    return near.any(axis=1).all(axis=0) & near.any(axis=0).all(axis=0)
 
 
 SUBSET_WIDTH = 4
@@ -526,6 +529,7 @@ def _check_metric_suite():
             symbolic_from_code(c << (WINDOW_RADIUS - 12), WINDOW_RADIUS)
             for c in codes[t].tolist()))
     bad["symbolic"] = _axiom_failures(*sym)
+    del x, y, z, codes, sym
 
     sizes = 1 + (_words(rng, 3 * n, "u1") & 3).reshape(3, n, 1)
     subsets = _units(rng, 3 * n * SUBSET_WIDTH).reshape(3, n, SUBSET_WIDTH)

@@ -15,9 +15,9 @@ element-major, (width, samples, horizon + 1), so a block of pair rows
 gathers contiguous orbits from each element's plane. A scan's summary is
 each time's largest pair distance and its first pair in (i, j) order: a
 width-1 interval scan takes it in O(samples) per time from running maxima
-and minima of its orbits, every other scan walks its pair rows
-``BLOCK_ROWS`` at a time. A symbolic scan shifts every sample point once
-per distinct shift and fills that shift's table column with one
+and minima of its orbits, every other scan walks its pair rows in blocks
+whose operands fit in ``BLOCK_BYTES``. A symbolic scan shifts every sample
+point once per distinct shift and fills that shift's table column with one
 ``dist_symbolic`` per pair; its summary is taken per column and then read
 out at each time through the time -> column map. Before the fill it
 refuses shifts that drain a sampled window: a distance needs
@@ -66,9 +66,15 @@ HOLDS = "holds-at-horizon"
 FAILS = "fails-at-horizon"
 
 HYPERSPACE_CARDINALITY_BOUND = 3
-# pair rows built at once: the scan summary walks every block, the weak probe
-# stops at the first block holding a witness
-BLOCK_ROWS = 256
+# bytes of one float64 operand block of a pair-row walk: the scan summary
+# walks every block, the weak probe stops at the first block holding a witness
+BLOCK_BYTES = 2 ** 17
+
+
+def _block_rows(row_floats: int) -> int:
+    """Pair rows per block when a row holds ``row_floats`` float64 values:
+    as many as keep the block within ``BLOCK_BYTES``, and at least one."""
+    return max(1, BLOCK_BYTES // (8 * row_floats))
 
 
 @lru_cache(maxsize=None)
@@ -99,13 +105,13 @@ def _region_sample(region: Region, resolution: int) -> tuple:
     return samples[resolution]
 
 
-def _block_summary(stored, pi, pj):
+def _block_summary(stored, pi, pj, rows):
     """Each stored column's maximum and its first pair in (i, j) order,
-    ``BLOCK_ROWS`` pair rows at a time: a later block wins a column only
-    with a strictly larger value, as ``np.argmax`` over the table would."""
+    ``rows`` pair rows at a time: a later block wins a column only with a
+    strictly larger value, as ``np.argmax`` over the table would."""
     top, best = -np.inf, 0
-    for a in range(0, len(pi), BLOCK_ROWS):
-        dists = stored(a, a + BLOCK_ROWS)
+    for a in range(0, len(pi), rows):
+        dists = stored(a, a + rows)
         arg = np.argmax(dists, axis=0)
         peak = np.take_along_axis(dists, arg[None], axis=0)[0]
         best = np.where(peak > top, a + arg, best)
@@ -152,22 +158,35 @@ class RegionScan:
     (i, j) order: ``_interval_summary`` for a width-1 interval scan, and
     for circle-point, Hausdorff and symbolic scans ``_block_summary`` of
     the stored rows. It is indexed by time: a time reads exactly its
-    column, so this equals the summary of the expanded table. ``shifts``
-    holds a symbolic scan's shift per column; a scan with one column per
-    time reads only times below ``stop`` in ``stored(a, b, stop)``.
+    column, so this equals the summary of the expanded table. The pair
+    indices ``argmax_i`` and ``argmax_j`` are stored in the smallest type
+    that holds the largest index in ``pj``. ``shifts`` holds a symbolic
+    scan's shift per column; a scan with one column per time reads only
+    times below ``stop`` in ``stored(a, b, stop)``.
+
+    Pair rows are walked in blocks whose operands, rows x ``width``
+    elements x columns float64 values, fit in ``BLOCK_BYTES``: the summary
+    counts the stored columns, and ``block_rows``, the rows per block of
+    ``hits``, counts one column per time, as ``hits`` expands them.
     """
 
     def __init__(self, sample, horizon, pi, pj, stored, cols=None,
-                 shifts=None, summary=None):
+                 shifts=None, summary=None, width=1):
         self.sample = sample
         self.horizon = horizon
         self.pi, self.pj = pi, pj
         self.stored = stored
         self.cols, self.shifts = cols, shifts
-        top, best_i, best_j = summary or _block_summary(stored, pi, pj)
+        self.block_rows = _block_rows(width * (horizon + 1))
+        if summary is None:
+            columns = horizon + 1 if cols is None else int(cols.max()) + 1
+            summary = _block_summary(stored, pi, pj,
+                                     _block_rows(width * columns))
+        top, best_i, best_j = summary
+        index = np.min_scalar_type(int(pj.max()))
         self.max_series = self._at_times(top)
-        self.argmax_i = self._at_times(best_i)
-        self.argmax_j = self._at_times(best_j)
+        self.argmax_i = self._at_times(best_i.astype(index))
+        self.argmax_j = self._at_times(best_j.astype(index))
         self.truncation_bound = self._truncation_bound()
 
     def _truncation_bound(self):
@@ -242,9 +261,9 @@ def _planes_scan(space, sample, planes: np.ndarray) -> RegionScan:
     (samples, horizon + 1), holds element e of every sample's orbit, and a
     block of pair rows gathers contiguous (pairs, times) arrays from each
     plane."""
-    pi, pj = _pair_indices(planes.shape[1])
+    width, pi, pj = len(planes), *_pair_indices(planes.shape[1])
     summary, metric = None, partial(hausdorff_array, space)
-    if len(planes) == 1:
+    if width == 1:
         # points: the metric itself, on one plane
         planes, metric = planes[0], partial(distance, space)
         if space == INTERVAL:
@@ -256,7 +275,7 @@ def _planes_scan(space, sample, planes: np.ndarray) -> RegionScan:
                       np.take(view, pj[a:b], axis=-2))
 
     return RegionScan(sample, planes.shape[-1] - 1, pi, pj, stored,
-                      summary=summary)
+                      summary=summary, width=width)
 
 
 def _narrowest(sample, shifts):
@@ -288,8 +307,10 @@ def _scan_symbolic(seq: MapSequence, sample, horizon: int) -> RegionScan:
     for col, s in enumerate(distinct):
         moved = [p.shifted(s) for p in sample]
         table[:, col] = [dist_symbolic(moved[i], moved[j]) for i, j in pairs]
+    cols = np.searchsorted(distinct, shifts).astype(
+        np.min_scalar_type(len(distinct) - 1))
     return RegionScan(sample, horizon, pi, pj, lambda a, b: table[a:b],
-                      cols=np.searchsorted(distinct, shifts), shifts=distinct)
+                      cols=cols, shifts=distinct)
 
 
 def _scan(seq: MapSequence, sample, horizon: int) -> RegionScan:
@@ -544,8 +565,9 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
         if not families.member_rows(fam, union)[0]:
             return False, windowed([], horizon), {}
         # the first accepted row in pair order is the witness
-        for a in range(0, len(scan.pi), BLOCK_ROWS):
-            hits = scan.hits(delta, a, a + BLOCK_ROWS)
+        rows = scan.block_rows
+        for a in range(0, len(scan.pi), rows):
+            hits = scan.hits(delta, a, a + rows)
             accepted = np.flatnonzero(families.member_rows(fam, hits))
             if accepted.size:
                 r = int(accepted[0])

@@ -621,7 +621,8 @@ class TestMetricSuiteDraws:
     def test_peak_memory_above_start(self):
         # the check runs after every scan of verify is cached, so its own
         # peak adds to verify's: points are built triple by triple, where
-        # a list of its 30,000 radius-64 points would take about 31 MB
+        # a list of its 30,000 radius-64 points would take about 31 MB, and
+        # the covering test folds element pairs into bool rows in place
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -629,7 +630,7 @@ class TestMetricSuiteDraws:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2 ** 20
+        assert peak < 3 * 2 ** 20
 
     def test_word_stream_replays_random(self, suite_run):
         # whole 32-bit words per read, so the reads join up into one

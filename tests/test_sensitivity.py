@@ -7,6 +7,7 @@ dicts, so they share no orbit or windowing code with the scan machinery.
 
 import gc
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -27,7 +28,7 @@ from nonauto.families import (
     syndetic_family,
 )
 from nonauto.sensitivity import (
-    BLOCK_ROWS,
+    BLOCK_BYTES,
     FAILS,
     HOLDS,
     RegionScan,
@@ -979,26 +980,40 @@ class TestScanMachinery:
         return RegionScan(None, horizon, pi, pi + len(table),
                           lambda a, b: table[a:b], cols=cols)
 
+    @staticmethod
+    def summary_rows(scan):
+        # the rows per block of a scan's summary walk: it counts the stored
+        # columns, one per time unless ``cols`` maps times to them
+        columns = (scan.horizon + 1 if scan.cols is None
+                   else int(scan.cols.max()) + 1)
+        return sensitivity._block_rows(columns)
+
     def test_summary_every_row_constant(self):
-        rows = 6 * BLOCK_ROWS + 5
+        block = self.table_scan(np.zeros((1, 9))).block_rows
+        rows = 6 * block + 5
         for table in (np.full((rows, 9), 0.25),
                       np.repeat((np.arange(rows) % 7.0)[:, None], 9, 1)):
-            self.assert_summary_is_full_argmax(self.table_scan(table))
+            scan = self.table_scan(table)
+            assert self.summary_rows(scan) == scan.block_rows == block
+            self.assert_summary_is_full_argmax(scan)
 
     def test_summary_tie_across_blocks_keeps_first(self):
+        block = self.table_scan(np.zeros((1, 12))).block_rows
         rng = np.random.default_rng(7)
-        table = rng.random((6 * BLOCK_ROWS, 12))
+        table = rng.random((6 * block, 12))
         # the maximum first appears in block 2 and again in block 5
-        table[2 * BLOCK_ROWS + 9, 3:8] = 2.0
-        table[5 * BLOCK_ROWS + 1, 3:8] = 2.0
+        table[2 * block + 9, 3:8] = 2.0
+        table[5 * block + 1, 3:8] = 2.0
         scan = self.table_scan(table)
         self.assert_summary_is_full_argmax(scan)
-        assert scan.argmax_i[3:8].tolist() == [2 * BLOCK_ROWS + 9] * 5
+        assert scan.argmax_i[3:8].tolist() == [2 * block + 9] * 5
 
-    @given(st.integers(1, 3 * BLOCK_ROWS + 3), st.integers(0, 6),
-           st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(0, 6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_summary_on_tie_heavy_tables(self, rows, horizon, seed):
+    def test_summary_on_tie_heavy_tables(self, horizon, data):
+        block = self.table_scan(np.zeros((1, horizon + 1))).block_rows
+        rows = data.draw(st.integers(1, 3 * block + 3))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
         table = np.random.default_rng(seed).integers(
             0, 3, (rows, horizon + 1)).astype(np.float64)
         self.assert_summary_is_full_argmax(self.table_scan(table))
@@ -1007,32 +1022,43 @@ class TestScanMachinery:
         ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
         ("example31", cylinder_region({0: 1})),
     ])
-    def test_summary_of_multi_block_scans(self, name, region):
-        scan = region_scan(registry.build(name).sequence, region, 80, 64)
-        assert len(scan.pi) > 2 * BLOCK_ROWS
+    def test_summary_of_multi_block_scans(self, monkeypatch, name, region):
+        # a 4 kB budget, so the symbolic scan's few shift columns still
+        # span several blocks
+        monkeypatch.setattr(sensitivity, "BLOCK_BYTES", 2 ** 12)
+        scan = sensitivity._scan(registry.build(name).sequence,
+                                 sample_region(region, 64), 80)
+        assert len(scan.pi) > 2 * self.summary_rows(scan)
+        assert len(scan.pi) > 2 * scan.block_rows
         self.assert_summary_is_full_argmax(scan)
 
-    @given(st.integers(1, 3 * BLOCK_ROWS + 3), st.integers(1, 4),
-           st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2 ** 32 - 1),
+           st.data())
     @settings(max_examples=40, deadline=None)
-    def test_per_shift_summary_on_tie_heavy_tables(self, rows, shifts,
-                                                   horizon, seed):
+    def test_per_shift_summary_on_tie_heavy_tables(self, shifts, horizon,
+                                                   seed, data):
         # few values, so pairs tie; times revisit columns in any order
         rng = np.random.default_rng(seed)
-        table = rng.integers(0, 3, (rows, shifts)).astype(np.float64)
         cols = rng.integers(0, shifts, horizon + 1)
-        self.assert_summary_is_full_argmax(self.table_scan(table, cols),
-                                           table[:, cols])
+        block = sensitivity._block_rows(int(cols.max()) + 1)
+        rows = data.draw(st.integers(1, 3 * block + 3))
+        table = rng.integers(0, 3, (rows, shifts)).astype(np.float64)
+        scan = self.table_scan(table, cols)
+        assert self.summary_rows(scan) == block
+        self.assert_summary_is_full_argmax(scan, table[:, cols])
 
     @pytest.mark.parametrize("cols", [[0] * 9, [0, 1, 2, 1, 0, 2, 2, 1, 0]],
                              ids=["single-shift", "returning-shifts"])
     def test_per_shift_summary_ties_across_blocks(self, cols):
-        table = np.zeros((3 * BLOCK_ROWS, 3))
+        cols = np.array(cols)
+        block = sensitivity._block_rows(int(cols.max()) + 1)
+        table = np.zeros((3 * block, 3))
         # column 1 peaks in pair 5 and again, tied, in a later block;
         # column 2 is a tie of every pair
-        table[5, 0] = table[5, 1] = table[2 * BLOCK_ROWS + 3, 1] = 1.0
+        table[5, 0] = table[5, 1] = table[2 * block + 3, 1] = 1.0
         table[:, 2] = 0.5
-        scan = self.table_scan(table, np.array(cols))
+        scan = self.table_scan(table, cols)
+        assert self.summary_rows(scan) == block
         self.assert_summary_is_full_argmax(scan, table[:, cols])
         assert {int(scan.argmax_i[n]) for n in range(9)} <= {0, 5}
 
@@ -1040,18 +1066,101 @@ class TestScanMachinery:
         [2, -2, 2, -2, 3, -3, 0, 1, -1, 2],
         [0, 0, 0],
     ], ids=["returning-shifts", "single-shift"])
-    def test_per_shift_summary_of_symbolic_scans(self, steps):
+    def test_per_shift_summary_of_symbolic_scans(self, monkeypatch, steps):
+        # a 4 kB budget, so the few shift columns span several blocks
+        monkeypatch.setattr(sensitivity, "BLOCK_BYTES", 2 ** 12)
         seq = explicit_sequence([shift(k) for k in steps], tail="identity",
                                 space=SYMBOLIC)
         shifts = net_shift_series(seq, 30)
         distinct = sorted(set(shifts))
         cols = [distinct.index(k) for k in shifts]
         for region in (cylinder_region({0: 1}), cylinder_region({2: 0})):
-            scan = region_scan(seq, region, 30, 64)
-            assert len(scan.pi) > BLOCK_ROWS
+            scan = sensitivity._scan(seq, sample_region(region, 64), 30)
+            assert len(scan.pi) > self.summary_rows(scan)
             stored = scan.stored(0, len(scan.pi))
             assert stored.shape[1] == len(distinct)
             self.assert_summary_is_full_argmax(scan, stored[:, cols])
+
+    @given(st.integers(1, 300), st.integers(1, 4), st.integers(1, 80),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 1.5]),
+           st.sampled_from(STANDARD_FAMILIES + (nonempty(),
+                                                dual(STANDARD_FAMILIES[1]))))
+    @settings(max_examples=40, deadline=None)
+    def test_block_size_changes_no_summary_or_witness(self, rows, shifts,
+                                                      horizon, seed, delta,
+                                                      fam):
+        # one-row blocks, today's blocks and one block for the whole table
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 3, (rows, shifts)).astype(np.float64)
+        cols = rng.integers(0, shifts, horizon + 1)
+        region = metric_ball(INTERVAL, 0.5, 0.25)
+        seen = []
+        for budget in (1, BLOCK_BYTES, 2 ** 62):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sensitivity, "BLOCK_BYTES", budget)
+                scan = self.table_scan(table, cols)
+                patch.setattr(sensitivity, "region_scan",
+                              lambda *args: scan)
+                report = weak_sensitivity_probe(None, delta, fam, [region],
+                                                horizon, 1)
+            if budget == 1:
+                assert scan.block_rows == 1
+            if budget == 2 ** 62:
+                assert scan.block_rows >= rows
+            seen.append((bits_of(scan.max_series), scan.argmax_i.tolist(),
+                         scan.argmax_j.tolist(), report.to_dict()))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("name, region, resolution, horizon", [
+        ("example41_generated",
+         hausdorff_ball(finite_subset([0.25, 0.75], INTERVAL), 1 / 32),
+         64, 200),
+        ("rotations_harmonic", metric_ball(CIRCLE, 0.5, 1 / 32), 8, 2000),
+    ], ids=["hausdorff-2", "circle"])
+    def test_scan_build_peak_above_what_it_keeps(self, name, region,
+                                                 resolution, horizon):
+        # a build's transients are a few blocks of pair rows, whatever the
+        # pair count or horizon; numpy reports its buffers to tracemalloc
+        seq = registry.build(name).sequence
+        sample = sample_region(region, resolution)
+        tracemalloc.start()
+        try:
+            scan = sensitivity._scan(seq, sample, horizon)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.horizon == horizon and len(sample) == resolution + 1
+        assert peak - kept < 8 * BLOCK_BYTES
+
+    @pytest.mark.parametrize("name, region", [
+        ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),
+        ("rotations_harmonic", metric_ball(CIRCLE, 0.97, 0.05)),
+        ("example41_composition",
+         hausdorff_ball(finite_subset([0.2, 0.7], INTERVAL), 0.05)),
+        ("example31", cylinder_region({0: 1})),
+    ])
+    def test_scan_indices_are_narrow(self, name, region):
+        scan = region_scan(registry.build(name).sequence, region, 60, 64)
+        index = np.min_scalar_type(int(scan.pj.max()))
+        assert index == np.uint8
+        assert scan.argmax_i.dtype == scan.argmax_j.dtype == index
+        if scan.cols is not None:
+            assert scan.cols.dtype == np.min_scalar_type(
+                len(scan.shifts) - 1)
+        i, j, sep = scan.witness(60)
+        assert type(i) is type(j) is int and type(sep) is float
+        assert (i, j) == (scan.argmax_i[60], scan.argmax_j[60])
+
+    def test_tie_at_a_wide_pair_row_keeps_its_index(self):
+        # pair rows past 255 need uint16; the tie at row 521 comes first
+        table = np.zeros((600, 300))
+        table[521, 7:40] = table[590, 7:40] = 1.0
+        scan = self.table_scan(table)
+        assert 521 // scan.block_rows < 590 // scan.block_rows
+        assert scan.argmax_i.dtype == scan.argmax_j.dtype == np.uint16
+        self.assert_summary_is_full_argmax(scan)
+        assert scan.witness(7) == (521, 1121, 1.0)
+        assert all(type(k) is int for k in scan.witness(39)[:2])
 
     @given(interval_orbits())
     @settings(max_examples=200, deadline=None)
