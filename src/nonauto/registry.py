@@ -27,6 +27,7 @@ from .systems import (
     cyclic_sequence,
     generated_system,
     identity,
+    piecewise_linear,
     register_block_generator,
     rotation,
     shift,
@@ -54,21 +55,20 @@ TWO_STEP_PIECES = (
 )
 
 
-def map_from_pieces(pieces) -> MapSpec:
-    """Knot form of a piece table; knot values come from the right piece."""
-    from .systems import piecewise_linear
+def _knots(pieces) -> tuple:
+    """Knot form of a piece table; values come from the right piece."""
+    ends = tuple((lo, slope * lo + c) for lo, _, slope, c in pieces)
+    _, hi, slope, c = pieces[-1]
+    return ends + ((hi, slope * hi + c),)
 
-    knots = []
-    for lo, hi, slope, intercept in pieces:
-        knots.append((lo, slope * lo + intercept))
-    last_lo, last_hi, last_slope, last_intercept = pieces[-1]
-    knots.append((last_hi, last_slope * last_hi + last_intercept))
-    return piecewise_linear(knots)
+
+def map_from_pieces(pieces) -> MapSpec:
+    """The map of a piece table."""
+    return piecewise_linear(_knots(pieces))
 
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    system: str
     continuous: bool
     breakpoint_values: dict
     violations: tuple
@@ -227,21 +227,13 @@ def verify_continuity(named: NamedSystem) -> ContinuityReport:
     values = {}
     violations = []
     for label, pieces in named.piece_tables:
-        pts = []
-        for idx, (lo, hi, slope, intercept) in enumerate(pieces):
-            pts.append((lo, slope * lo + intercept))
-            if idx + 1 < len(pieces):
-                nlo, nhi, nslope, nintercept = pieces[idx + 1]
-                left = slope * hi + intercept
-                right = nslope * nlo + nintercept
-                if hi != nlo:
-                    violations.append((label, hi, left, right))
-                elif abs(left - right) > CONTINUITY_TOL:
-                    violations.append((label, hi, left, right))
-        last = pieces[-1]
-        pts.append((last[1], last[2] * last[1] + last[3]))
-        values[label] = tuple(pts)
-    return ContinuityReport(system=named.name,
-                            continuous=not violations,
+        for (_, hi, slope, intercept), (nlo, _, nslope, nintercept) in zip(
+                pieces, pieces[1:]):
+            left = slope * hi + intercept
+            right = nslope * nlo + nintercept
+            if hi != nlo or abs(left - right) > CONTINUITY_TOL:
+                violations.append((label, hi, left, right))
+        values[label] = _knots(pieces)
+    return ContinuityReport(continuous=not violations,
                             breakpoint_values=values,
                             violations=tuple(violations))

@@ -145,14 +145,13 @@ def _interval_summary(points):
 
 class RegionScan:
     """Per-region orbit data: max pairwise separation at each time, the
-    achieving pair, and pair separation rows on demand.
+    achieving pair, and pair hit rows on demand.
 
     ``stored(a, b)`` returns the distances of pair rows a .. b-1, row r for
     the pair ``(pi[r], pj[r])``, over the columns the scan stores; ``cols``
     maps each time 0 .. horizon to its column, and ``None`` means one column
-    per time. ``rows(a, b)`` expands stored rows to one column per time.
-    ``max_series[n]`` is the largest sampled pair distance at time n; index
-    0 holds the initial spread. Delta enters only when slicing.
+    per time. ``max_series[n]`` is the largest sampled pair distance at time
+    n; index 0 holds the initial spread. Delta enters only when slicing.
 
     ``summary`` holds each stored column's maximum and its first pair in
     (i, j) order: ``_interval_summary`` for a width-1 interval scan, and
@@ -217,10 +216,6 @@ class RegionScan:
     def _at_times(self, per_column: np.ndarray) -> np.ndarray:
         return per_column if self.cols is None else per_column[..., self.cols]
 
-    def rows(self, a: int, b: int) -> np.ndarray:
-        """Pair rows a .. b-1 with one column per time 0 .. horizon."""
-        return self._at_times(self.stored(a, b))
-
     def times(self, delta: float) -> WindowedIndexSet:
         return families.from_mask(self.max_series[1:] > delta)
 
@@ -233,12 +228,10 @@ class RegionScan:
         j = int(self.argmax_j[n])
         return i, j, float(self.max_series[n])
 
-    def pair_series(self, i: int, j: int) -> np.ndarray:
-        r = int(np.flatnonzero((self.pi == i) & (self.pj == j))[0])
-        return self.rows(r, r + 1)[0]
-
+    # no caller: kept while perfbench's traced pair_times.calls row wraps it
     def pair_times(self, i: int, j: int, delta: float) -> WindowedIndexSet:
-        return families.from_mask(self.pair_series(i, j)[1:] > delta)
+        r = int(np.flatnonzero((self.pi == i) & (self.pj == j))[0])
+        return families.from_mask(self.hits(delta, r, r + 1)[0])
 
 
 def _scan_orbits(seq: MapSequence, sample, horizon: int) -> RegionScan:
@@ -393,10 +386,6 @@ def _check_probe(delta, horizon) -> None:
 class HitTimeSet:
     times: WindowedIndexSet
     witnesses: dict
-    region: Region
-    delta: float
-    horizon: int
-    resolution: int
 
 
 def hit_times(seq: MapSequence, region: Region, delta: float, horizon: int,
@@ -409,8 +398,7 @@ def hit_times(seq: MapSequence, region: Region, delta: float, horizon: int,
     for n in times.indices:
         i, j, sep = scan.witness(n)
         witnesses[n] = (scan.sample[i], scan.sample[j], sep)
-    return HitTimeSet(times=times, witnesses=witnesses, region=region,
-                      delta=delta, horizon=horizon, resolution=resolution)
+    return HitTimeSet(times=times, witnesses=witnesses)
 
 
 def pair_separation_times(seq: MapSequence, x, y, delta: float,
@@ -426,9 +414,6 @@ def pair_separation_times(seq: MapSequence, x, y, delta: float,
 @dataclass(frozen=True)
 class AsymptoticVerdict:
     is_asymptotic: bool
-    family: FamilySpec
-    delta: float
-    horizon: int
     stay_close: WindowedIndexSet
     separation: WindowedIndexSet
 
@@ -442,8 +427,7 @@ def asym_pair_test(seq: MapSequence, x, y, delta: float, fam: FamilySpec,
     separation = pair_separation_times(seq, x, y, delta, horizon)
     stay_close = families.complement(separation)
     verdict = member(families.dual(fam), stay_close)
-    return AsymptoticVerdict(is_asymptotic=verdict, family=fam, delta=delta,
-                             horizon=horizon, stay_close=stay_close,
+    return AsymptoticVerdict(is_asymptotic=verdict, stay_close=stay_close,
                              separation=separation)
 
 
@@ -617,6 +601,8 @@ def attaching_estimate(seq: MapSequence, region: Region, fam: FamilySpec,
     Region membership uses the region predicate, not sampling. The result
     may be empty; empty subsets are data here, never metric operands.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
     visits = np.array([[region_contains(region, p)
                         for p in orbit(seq, x, horizon)[1:]]
                        for x in probe_points.elements], dtype=bool)

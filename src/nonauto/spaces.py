@@ -25,7 +25,7 @@ DEDUP_TOL = 1e-12
 # net shift a probe will ever apply.
 WINDOW_RADIUS = 64
 
-# Cylinder samples only pin coordinates out to this index by default.
+# Cylinder samples vary coordinates out to this index.
 CYLINDER_MARGIN = 8
 
 # A distance between binary sequences needs at least this much shared window.
@@ -269,7 +269,6 @@ class Region:
     center: object = None
     radius: float = 0.0
     constraints: tuple = ()
-    margin: int = CYLINDER_MARGIN
     label: str = ""
 
 
@@ -287,8 +286,7 @@ def metric_ball(space, center, radius: float, label: str = "") -> Region:
                   label=label)
 
 
-def cylinder_region(constraints, margin: int = CYLINDER_MARGIN,
-                    label: str = "") -> Region:
+def cylinder_region(constraints, label: str = "") -> Region:
     """All sequences agreeing with ``constraints`` on the pinned coordinates."""
     items = tuple(sorted(dict(constraints).items()))
     for j, v in items:
@@ -297,7 +295,7 @@ def cylinder_region(constraints, margin: int = CYLINDER_MARGIN,
         if abs(j) > WINDOW_RADIUS:
             raise ValueError(f"constraint index {j} outside representable window")
     return Region(kind="cylinder", space=SYMBOLIC, constraints=items,
-                  margin=margin, label=label)
+                  label=label)
 
 
 def hausdorff_ball(center: FiniteSubset, radius: float, label: str = "") -> Region:
@@ -360,7 +358,7 @@ def _ball_values(space, center, radius: float, count: int) -> tuple:
 def _sample_cylinder(region: Region, resolution: int):
     pinned = dict(region.constraints)
     c_max = max((j for j in pinned), default=0)
-    free = [j for j in range(max(c_max, 0) + 1, region.margin + 1)]
+    free = [j for j in range(max(c_max, 0) + 1, CYLINDER_MARGIN + 1)]
     points = [make_symbolic(pinned)]
     if free:
         cap = max(2, resolution - len(free) - 2)
@@ -400,7 +398,7 @@ def sample_region(region: Region, resolution: int):
 
     Interval and circle balls use endpoint grids, so rerunning with
     resolution 2r-1 reproduces every point of the resolution-r sample
-    bitwise. Cylinders enumerate coordinate patterns out to the margin.
+    bitwise. Cylinders vary coordinates out to ``CYLINDER_MARGIN``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

@@ -470,7 +470,6 @@ def sup_metric(f: MapSpec, g: MapSpec) -> float:
 class PerturbationReport:
     partial_sums: tuple
     converged: bool
-    tolerance: float
 
 
 def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,
@@ -485,8 +484,7 @@ def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,
         total += sup_metric(map_at(seq, i), f)
         sums.append(total)
     converged = n_terms >= 2 and (sums[-1] - sums[n_terms // 2 - 1]) < tolerance
-    return PerturbationReport(partial_sums=tuple(sums), converged=converged,
-                              tolerance=tolerance)
+    return PerturbationReport(partial_sums=tuple(sums), converged=converged)
 
 
 class CommutationError(ValueError):
@@ -552,6 +550,8 @@ def shadow_bound_check(seq: MapSequence, f: MapSpec, x, n: int,
 def feeble_open_probe(m: MapSpec, region, resolution: int) -> bool:
     """Whether the image of a sampled interval region contains an interval of
     length at least 1/resolution. Piecewise-linear images are exact."""
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
     if region.kind != "ball" or region.space != INTERVAL:
         raise ValueError("only interval ball regions are supported")
     space = map_space(m)

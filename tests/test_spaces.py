@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nonauto.spaces import (
     CIRCLE,
+    CYLINDER_MARGIN,
     DEDUP_TOL,
     FiniteSubset,
     INTERVAL,
@@ -554,20 +555,13 @@ class TestRegionSampling:
         assert 0.0 in got
         assert any(v > 0.85 for v in got)
 
-    def test_cylinder_margin_one(self):
-        region = cylinder_region({0: 0}, margin=1)
-        got = sample_region(region, 8)
-        assert len(got) == 2
-        assert sorted(p.coord(1) for p in got) == [0, 1]
-        assert all(p.coord(0) == 0 for p in got)
-
     def test_cylinder_contains_flips(self):
         region = cylinder_region({-1: 1, 0: 0})
         got = sample_region(region, 16)
         assert all(p.coord(-1) == 1 and p.coord(0) == 0 for p in got)
         assert make_symbolic({-1: 1}) in got
         # single flip at each free coordinate up to the margin
-        for j in range(1, region.margin + 1):
+        for j in range(1, CYLINDER_MARGIN + 1):
             assert any(p.coord(j) == 1 for p in got)
 
     def test_hausdorff_ball_sampling(self):

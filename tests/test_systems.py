@@ -719,6 +719,14 @@ class TestFeebleOpenProbe:
         with pytest.raises(ValueError):
             feeble_open_probe(rotation(0.1), metric_ball(INTERVAL, 0.5, 0.1), 64)
 
+    @pytest.mark.parametrize("resolution", [0, -4])
+    def test_resolution_below_one_refused(self, resolution):
+        # 0 divided by zero and -4 accepted any map before the check
+        flat = piecewise_linear([(0.0, 0.4), (1.0, 0.4)])
+        with pytest.raises(ValueError, match="^resolution must be positive$"):
+            feeble_open_probe(flat, metric_ball(INTERVAL, 0.5, 0.1),
+                              resolution)
+
 
 class TestSerialization:
     def test_map_round_trip(self):
