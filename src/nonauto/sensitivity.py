@@ -160,8 +160,8 @@ class RegionScan:
     column, so this equals the summary of the expanded table. The pair
     indices ``argmax_i`` and ``argmax_j`` are stored in the smallest type
     that holds the largest index in ``pj``. ``shifts`` holds a symbolic
-    scan's shift per column; a scan with one column per time reads only
-    times below ``stop`` in ``stored(a, b, stop)``.
+    scan's shift per column. A prefix view shares its longer scan's
+    ``stored``, so ``hits`` cuts every read at ``horizon``, as ``times`` does.
 
     Pair rows are walked in blocks whose operands, rows x ``width``
     elements x columns float64 values, fit in ``BLOCK_BYTES``: the summary
@@ -199,16 +199,15 @@ class RegionScan:
     def prefix(self, horizon: int) -> RegionScan:
         """This scan cut to times 0 .. horizon, bit for bit a scan built to
         ``horizon``: it shares the orbits or table, and slices the summary,
-        since a column's max and first argmax pair ignore other columns."""
+        since a column's max and first argmax pair ignore other columns.
+        Its ``block_rows`` stay sized for the longer stored rows."""
         stop = horizon + 1
         part = copy.copy(self)
         part.horizon = horizon
         part.max_series = self.max_series[:stop]
         part.argmax_i = self.argmax_i[:stop]
         part.argmax_j = self.argmax_j[:stop]
-        if self.cols is None:
-            part.stored = partial(self.stored, stop=stop)
-        else:
+        if self.cols is not None:
             part.cols = self.cols[:stop]
             part.truncation_bound = part._truncation_bound()
         return part
@@ -221,7 +220,7 @@ class RegionScan:
 
     def hits(self, delta: float, a: int, b: int) -> np.ndarray:
         """Pair rows a .. b-1 as bool hit rows over times 1 .. horizon."""
-        return self._at_times(self.stored(a, b) > delta)[:, 1:]
+        return self._at_times(self.stored(a, b) > delta)[:, 1:self.horizon + 1]
 
     def witness(self, n: int):
         i = int(self.argmax_i[n])
@@ -262,10 +261,9 @@ def _planes_scan(space, sample, planes: np.ndarray) -> RegionScan:
         if space == INTERVAL:
             summary = _interval_summary(planes)
 
-    def stored(a, b, stop=None):
-        view = planes[..., :stop]
-        return metric(np.take(view, pi[a:b], axis=-2),
-                      np.take(view, pj[a:b], axis=-2))
+    def stored(a, b):
+        return metric(np.take(planes, pi[a:b], axis=-2),
+                      np.take(planes, pj[a:b], axis=-2))
 
     return RegionScan(sample, planes.shape[-1] - 1, pi, pj, stored,
                       summary=summary, width=width)
@@ -407,8 +405,8 @@ def pair_separation_times(seq: MapSequence, x, y, delta: float,
     _check_probe(delta, horizon)
     check_point(seq.space, x)
     check_point(seq.space, y)
-    hits = _scan(seq, (x, y), horizon).hits(delta, 0, 1)
-    return families.from_mask(hits[0])
+    # a two-point sample's max series is its one pair's distance
+    return _scan(seq, (x, y), horizon).times(delta)
 
 
 @dataclass(frozen=True)
@@ -542,23 +540,21 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
     """Verdict holds exactly when every region contains one sampled pair
     whose own separation-time set is accepted by the family."""
     def classify(scan):
-        # every family rule is hereditary upwards, and each pair's hit row
-        # lies inside the region's union row: a rejected union rejects them
-        # all, so the pair rows are walked only when it is accepted
-        union = scan.max_series[None, 1:] > delta
-        if not families.member_rows(fam, union)[0]:
-            return False, windowed([], horizon), {}
-        # the first accepted row in pair order is the witness
-        rows = scan.block_rows
-        for a in range(0, len(scan.pi), rows):
-            hits = scan.hits(delta, a, a + rows)
-            accepted = np.flatnonzero(families.member_rows(fam, hits))
-            if accepted.size:
-                r = int(accepted[0])
-                times = families.from_mask(hits[r])
-                pair = [int(scan.pi[a + r]), int(scan.pj[a + r])]
-                return True, times, {"pair": pair,
-                                     "separation_count": len(times.indices)}
+        # every family rule is hereditary upwards, and each pair's hit set
+        # lies inside the region's: the pair rows are walked only where the
+        # strong probe's own test accepts, so weak => strong by construction
+        if member(fam, scan.times(delta)):
+            # the first accepted row in pair order is the witness
+            rows = scan.block_rows
+            for a in range(0, len(scan.pi), rows):
+                hits = scan.hits(delta, a, a + rows)
+                accepted = np.flatnonzero(families.member_rows(fam, hits))
+                if accepted.size:
+                    r = int(accepted[0])
+                    times = families.from_mask(hits[r])
+                    pair = [int(scan.pi[a + r]), int(scan.pj[a + r])]
+                    return True, times, {
+                        "pair": pair, "separation_count": len(times.indices)}
         return False, windowed([], horizon), {}
 
     return _probe("weakly-F-sensitive", classify, seq, delta, fam, cover,
@@ -567,14 +563,14 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
 
 def weak_implication_ok(strong: SensitivityReport,
                         weak: SensitivityReport) -> bool:
-    """The strong verdict may never hold while the weak one fails at
-    identical parameters."""
+    """Weak implies strong: at identical parameters the weak verdict may
+    never hold while the strong one fails."""
     same = (strong.family == weak.family and strong.delta == weak.delta
             and strong.horizon == weak.horizon
             and strong.resolution == weak.resolution)
     if not same:
         raise ValueError("reports were produced at different parameters")
-    return (not strong.holds) or weak.holds
+    return strong.holds or not weak.holds
 
 
 def hyperspace_probe(seq: MapSequence, delta: float, fam: FamilySpec,

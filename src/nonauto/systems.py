@@ -40,6 +40,7 @@ MAX_SHIFT = 32
 CLAMP_TOL = 1e-12
 
 COMMUTE_TOL = 1e-9
+TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -472,10 +473,10 @@ class PerturbationReport:
     converged: bool
 
 
-def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,
-             tolerance: float = 1e-6) -> PerturbationReport:
+def tail_sum(seq: MapSequence, f: MapSpec,
+             n_terms: int) -> PerturbationReport:
     """Partial sums of sup_metric(f_i, f); convergence is flagged when the
-    second half of the sum contributes less than the tolerance."""
+    second half of the sum contributes less than ``TAIL_TOL``."""
     if n_terms < 1:
         raise ValueError("need at least one term")
     sums = []
@@ -483,7 +484,7 @@ def tail_sum(seq: MapSequence, f: MapSpec, n_terms: int,
     for i in range(1, n_terms + 1):
         total += sup_metric(map_at(seq, i), f)
         sums.append(total)
-    converged = n_terms >= 2 and (sums[-1] - sums[n_terms // 2 - 1]) < tolerance
+    converged = n_terms >= 2 and (sums[-1] - sums[n_terms // 2 - 1]) < TAIL_TOL
     return PerturbationReport(partial_sums=tuple(sums), converged=converged)
 
 
@@ -512,9 +513,6 @@ def _commutation_failure(space, f: MapSpec, g: MapSpec):
 
 @dataclass(frozen=True)
 class ShadowBoundRecord:
-    x: object
-    n: int
-    k: int
     lhs: float
     rhs: float
     ok: bool
@@ -534,22 +532,20 @@ def shadow_bound_check(seq: MapSequence, f: MapSpec, x, n: int,
         failure = _commutation_failure(seq.space, f, map_at(seq, i))
         if failure is not None:
             raise CommutationError(i, *failure)
-    mid = prefix_compose(seq, n, x)
-    true_pt = prefix_compose(seq, n + k, x)
-    shadow = mid
-    for _ in range(k):
-        shadow = apply(f, shadow)
-    lhs = distance(seq.space, true_pt, shadow)
+    true_pt = shadow = prefix_compose(seq, n, x)
     rhs = 0.0
     for i in range(n + 1, n + k + 1):
-        rhs += sup_metric(map_at(seq, i), f)
-    return ShadowBoundRecord(x=x, n=n, k=k, lhs=lhs, rhs=rhs,
-                             ok=lhs <= rhs + COMMUTE_TOL)
+        m = map_at(seq, i)
+        true_pt, shadow = apply(m, true_pt), apply(f, shadow)
+        rhs += sup_metric(m, f)
+    lhs = distance(seq.space, true_pt, shadow)
+    return ShadowBoundRecord(lhs=lhs, rhs=rhs, ok=lhs <= rhs + COMMUTE_TOL)
 
 
 def feeble_open_probe(m: MapSpec, region, resolution: int) -> bool:
     """Whether the image of a sampled interval region contains an interval of
-    length at least 1/resolution. Piecewise-linear images are exact."""
+    length at least 1/resolution, exactly: the continuous image of [lo, hi]
+    is [min, max] of the map over lo, hi and the breakpoints between."""
     if resolution < 1:
         raise ValueError("resolution must be positive")
     if region.kind != "ball" or region.space != INTERVAL:
@@ -561,22 +557,9 @@ def feeble_open_probe(m: MapSpec, region, resolution: int) -> bool:
     hi = min(1.0, region.center + region.radius)
     if hi <= lo:
         return False
-    cuts = sorted({lo, hi, *(b for b in breakpoints(m) if lo < b < hi)})
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        fa, fb = apply(m, a), apply(m, b)
-        pieces.append((min(fa, fb), max(fa, fb)))
-    pieces.sort()
-    best = 0.0
-    cur_lo, cur_hi = pieces[0]
-    for a, b in pieces[1:]:
-        if a <= cur_hi:
-            cur_hi = max(cur_hi, b)
-        else:
-            best = max(best, cur_hi - cur_lo)
-            cur_lo, cur_hi = a, b
-    best = max(best, cur_hi - cur_lo)
-    return best >= 1.0 / resolution
+    values = [apply(m, c) for c in
+              {lo, hi, *(b for b in breakpoints(m) if lo < b < hi)}]
+    return max(values) - min(values) >= 1.0 / resolution
 
 
 # ---------------------------------------------------------------------------

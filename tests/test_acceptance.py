@@ -7,6 +7,7 @@ observed numbers in the assertion message.
 """
 
 import ast
+import dataclasses
 import random
 import re
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonauto import acceptance
+from nonauto import acceptance, registry
 from nonauto.acceptance import CRITERION_KEYS, run_all
 from nonauto.families import (
     cofinite_family,
@@ -31,6 +32,7 @@ from nonauto.families import (
     syndetic_family,
     windowed,
 )
+from nonauto.sensitivity import FAILS, HOLDS
 from nonauto.spaces import (
     CIRCLE,
     INTERVAL,
@@ -39,6 +41,7 @@ from nonauto.spaces import (
     hausdorff,
     hausdorff_array,
     make_symbolic,
+    metric_ball,
 )
 
 _RESULTS = None
@@ -694,3 +697,85 @@ class TestMetricSuiteDraws:
             lambda p, q: forward(INTERVAL, p, q), zip(x, y, z)) > 0
         assert cover > 0
         assert bad["symbolic"] == windows == 0
+
+
+class TestFailureBranches:
+    """Each check turns red, naming what broke, on a fault forced through
+    the module's own bindings."""
+
+    def test_transcription_guard_catches_a_perturbed_closed_form(
+            self, monkeypatch):
+        pieces = list(acceptance.TWO_STEP_PIECES)
+        pieces[3] = (0.25, 0.75, 2.0, -0.49)    # lifts the knot at 1/4
+        monkeypatch.setattr(acceptance, "TWO_STEP_PIECES", tuple(pieces))
+        ok, details = acceptance._check_transcription_guard()
+        dev = re.fullmatch(r"composition deviates from closed form by (.+)",
+                           details)
+        assert not ok and float(dev[1]) == pytest.approx(0.01, abs=1e-3)
+
+    def test_transcription_guard_catches_gaps_and_escapes(self, monkeypatch):
+        gap = (("f", 0.5, 0.0, 0.1),)
+        monkeypatch.setattr(acceptance, "verify_continuity", lambda named:
+                            SimpleNamespace(continuous=False, violations=gap))
+        monkeypatch.setattr(acceptance, "apply", lambda m, x: 2.0)
+        ok, details = acceptance._check_transcription_guard()
+        assert not ok
+        assert details == "; ".join(
+            [f"{name} discontinuous at {gap}" for name in (
+                "example41_f1", "example41_f2", "example41_composition")]
+            + ["f1 leaves [1/4, 1]", "f2 leaves [0, 1/4]"])
+
+    def test_embedding_counts_catch_a_system_that_does_not_embed(
+            self, monkeypatch):
+        # the identity never separates the ball past 0.2, while the
+        # composed cycle does: every coarse hit is missing and unequal
+        build = acceptance.build
+        monkeypatch.setattr(acceptance, "build", lambda name: build(
+            "identity" if name == "example41_generated" else name))
+        monkeypatch.setattr(acceptance, "default_cover", lambda kind: (
+            metric_ball(INTERVAL, 0.5, 0.05),))
+        ok, details = acceptance._check_generated_embedding()
+        counts = re.fullmatch(
+            r"(\d+) hit times across 1 regions; (\d+) missing at doubled "
+            r"time; (\d+) witness separations not bitwise equal", details)
+        checked, violations, mismatches = map(int, counts.groups())
+        assert not ok and checked > 0
+        assert violations == mismatches == checked
+
+    def test_weak_strong_agreement_catches_flipped_verdicts(self,
+                                                            monkeypatch):
+        # flip the first holding and the first failing weak verdict: the
+        # first breaks agreement only, the second weak => strong as well
+        real = acceptance.weak_sensitivity_probe
+        flipped = {}
+
+        def probe(seq, delta, fam, *rest):
+            rep = real(seq, delta, fam, *rest)
+            if rep.verdict in flipped:
+                return rep
+            flipped[rep.verdict] = (next(
+                n for n in registry.registry_names()
+                if registry.build(n).sequence is seq), fam.kind)
+            return dataclasses.replace(rep, verdict=(
+                FAILS if rep.holds else HOLDS))
+
+        monkeypatch.setattr(acceptance, "weak_sensitivity_probe", probe)
+        ok, details = acceptance._check_weak_strong_agreement()
+        assert not ok and set(flipped) == {HOLDS, FAILS}
+        assert details.split("; ", 1)[1] == (
+            f"implication violations {[flipped[FAILS]]}; agreement breaks "
+            f"{list(flipped.values())}")
+
+    def test_perturbation_bound_counts_failed_records(self, monkeypatch):
+        real = acceptance.shadow_bound_check
+        calls = []
+
+        def check(*args):
+            calls.append(args)
+            return dataclasses.replace(real(*args), ok=len(calls) % 100 != 0)
+
+        monkeypatch.setattr(acceptance, "shadow_bound_check", check)
+        ok, details = acceptance._check_perturbation_bound()
+        assert not ok and len(calls) == 1000
+        assert details.startswith(
+            "10 bound failures over 1000 sampled (x, n, k); ")

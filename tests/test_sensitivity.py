@@ -216,9 +216,11 @@ def bits_of(table):
 
 def scan_rows(scan, a, b):
     """Pair rows a .. b-1 of a scan with one column per time 0 .. horizon:
-    its stored rows, gathered through ``cols``."""
+    its stored rows, gathered through ``cols`` or cut at its horizon."""
     rows = scan.stored(a, b)
-    return rows if scan.cols is None else rows[:, scan.cols]
+    if scan.cols is not None:
+        return rows[:, scan.cols]
+    return rows[:, :scan.horizon + 1]
 
 
 def pair_series(scan, i, j):
@@ -526,6 +528,19 @@ class TestWeakProbe:
             weak = weak_sensitivity_probe(seq, 0.2, infinite_family(), cover,
                                           200, 64)
             assert weak_implication_ok(strong, weak)
+            assert strong.holds == weak.holds
+
+    def test_strong_without_weak_is_no_violation(self):
+        # the region's hit set is {1, 2}, which the dual of nonempty
+        # accepts, but each of its three pairs separates at one time only
+        m = piecewise_linear([(0, 0), (1 / 64, 1), (1 / 16, 0), (1, 0.25)])
+        cover = [metric_ball(INTERVAL, 1 / 16, 1 / 64)]
+        args = (cyclic_sequence([m]), 0.25, dual(nonempty()), cover, 2, 2)
+        strong = sensitivity_probe(*args)
+        weak = weak_sensitivity_probe(*args)
+        assert strong.holds and strong.regions[0].times.indices == (1, 2)
+        assert not weak.holds
+        assert weak_implication_ok(strong, weak)
 
     def test_weak_holds_for_composition(self):
         named = registry.build("example41_composition")
@@ -724,11 +739,8 @@ TIED_SHIFTS = explicit_sequence([shift(k) for k in (1, -2, 0, 3, 0, 4)],
                                 tail="identity", space=SYMBOLIC)
 
 
-class TestPrefixScans:
-    """A shorter horizon served from a longer scan equals, bit for bit, the
-    scan built to that horizon."""
-
-    @pytest.mark.parametrize("seq, region, short, long, resolution", [
+PREFIX_CASES = pytest.mark.parametrize(
+    "seq, region, short, long, resolution", [
         (registry.build("example41_composition").sequence,
          metric_ball(INTERVAL, 0.3, 0.05), 25, 60, 9),
         (registry.build("rotations_harmonic").sequence,
@@ -743,6 +755,13 @@ class TestPrefixScans:
         (TIED_SHIFTS, cylinder_region({1: 0}), 3, 6, 12),
     ], ids=["interval", "circle", "hausdorff-3", "kth-iterate",
             "cylinder-smaller-shift", "cylinder-tied-shifts"])
+
+
+class TestPrefixScans:
+    """A shorter horizon served from a longer scan equals, bit for bit, the
+    scan built to that horizon."""
+
+    @PREFIX_CASES
     def test_prefix_equals_fresh_build(self, empty_scan_cache, seq, region,
                                        short, long, resolution):
         full = region_scan(seq, region, long, resolution)
@@ -776,6 +795,18 @@ class TestPrefixScans:
             assert min(shifts) == -1
         else:
             assert scan.truncation_bound < full.truncation_bound
+
+    @PREFIX_CASES
+    def test_prefix_hits_equal_fresh_build(self, empty_scan_cache, seq,
+                                           region, short, long, resolution):
+        region_scan(seq, region, long, resolution)
+        scan = region_scan(seq, region, short, resolution)
+        fresh = region_scan.__wrapped__(seq, region, short, resolution)
+        rows = len(fresh.pi)
+        for delta in (0.0, 0.1, 0.4):
+            got = scan.hits(delta, 0, rows)
+            assert got.shape == (rows, short)
+            assert (got == fresh.hits(delta, 0, rows)).all()
 
     @pytest.mark.parametrize("name, region", [
         ("example41_composition", metric_ball(INTERVAL, 0.3, 0.05)),

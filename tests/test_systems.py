@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_right
 
 import pytest
@@ -639,7 +640,9 @@ class TestShadowBound:
 
 def loop_shadow_bound_check(seq, f, x, n, k):
     # Transcription of shadow_bound_check before the commutation check was
-    # memoised per map: every map 1..n+k is re-checked on its grid each call.
+    # memoised per map and the true point walked on from time n: every map
+    # 1..n+k is re-checked on its grid each call, and the time-(n+k) point
+    # is recomposed from time 0.
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     space = seq.space or map_space(f) or CIRCLE
@@ -661,7 +664,7 @@ def loop_shadow_bound_check(seq, f, x, n, k):
     rhs = 0.0
     for i in range(n + 1, n + k + 1):
         rhs += sup_metric(map_at(seq, i), f)
-    return systems.ShadowBoundRecord(x=x, n=n, k=k, lhs=lhs, rhs=rhs,
+    return systems.ShadowBoundRecord(lhs=lhs, rhs=rhs,
                                      ok=lhs <= rhs + systems.COMMUTE_TOL)
 
 
@@ -703,6 +706,42 @@ class TestMemoisedCommutation:
                 == loop_shadow_bound_check(seq, f, x, n, k))
 
 
+def merged_image_length(m, region):
+    # Transcription of feeble_open_probe's earlier image measure: the image
+    # of each piece between cut points, merged, and the longest merged run.
+    lo = max(0.0, region.center - region.radius)
+    hi = min(1.0, region.center + region.radius)
+    cuts = sorted({lo, hi, *(b for b in breakpoints(m) if lo < b < hi)})
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        fa, fb = apply(m, a), apply(m, b)
+        pieces.append((min(fa, fb), max(fa, fb)))
+    pieces.sort()
+    best = 0.0
+    cur_lo, cur_hi = pieces[0]
+    for a, b in pieces[1:]:
+        if a <= cur_hi:
+            cur_hi = max(cur_hi, b)
+        else:
+            best = max(best, cur_hi - cur_lo)
+            cur_lo, cur_hi = a, b
+    return max(best, cur_hi - cur_lo)
+
+
+class Threshold:
+    """A resolution whose reciprocal is exactly ``length``, so that
+    ``feeble_open_probe`` compares its image length with ``length``."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __lt__(self, other):
+        return False
+
+    def __rtruediv__(self, one):
+        return self.length
+
+
 class TestFeebleOpenProbe:
     def test_identity_ball(self):
         assert feeble_open_probe(identity(), metric_ball(INTERVAL, 0.5, 0.1), 64)
@@ -726,6 +765,17 @@ class TestFeebleOpenProbe:
         with pytest.raises(ValueError, match="^resolution must be positive$"):
             feeble_open_probe(flat, metric_ball(INTERVAL, 0.5, 0.1),
                               resolution)
+
+    @given(unit_interval_maps, st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=2.0 ** -12, max_value=0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_image_length_equals_merged_pieces(self, m, center, radius):
+        # at least the merged length and below the next float: bitwise equal
+        region = metric_ball(INTERVAL, center, radius)
+        length = merged_image_length(m, region)
+        assert feeble_open_probe(m, region, Threshold(length))
+        above = math.nextafter(length, math.inf)
+        assert not feeble_open_probe(m, region, Threshold(above))
 
 
 class TestSerialization:
