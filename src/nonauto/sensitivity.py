@@ -28,8 +28,8 @@ serves it as a prefix view of a longer scan of the same region and
 resolution, and counts only the scans it builds as misses. It refuses a
 region of another space than the sequence's. Its cache holds sequences and
 regions weakly: a scan lives as long as both do, so the scans of a k-th
-iterate or Hausdorff ball built for one check go with it, while the
-registry's systems and default covers keep theirs for the whole process.
+iterate or Hausdorff ball built for one check go with it. ``drop_scans``
+frees the registry's when ``nonauto verify``'s scan-free checks start.
 """
 
 from __future__ import annotations
@@ -311,28 +311,37 @@ def _scan(seq: MapSequence, sample, horizon: int) -> RegionScan:
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+# ``region_scan``'s store, a module global because a tracer may rebind that
+# name to a plain wrapper with no attributes
+_SCANS = WeakKeyDictionary()
+
+
+def drop_scans() -> None:
+    """Empty ``region_scan``'s cache; its hit and miss counts stay."""
+    _SCANS.clear()
 
 
 class _PrefixCache:
-    """``region_scan``'s cache: under each region, then under each
-    sequence, the scans by (resolution, horizon). Both levels hold their
-    keys weakly and no scan refers to either key, so a scan goes when its
-    region or its sequence does."""
+    """``region_scan``'s cache: in ``_SCANS``, under each region, then
+    under each sequence, the scans by (resolution, horizon). Both levels
+    hold their keys weakly and no scan refers to either key, so a scan goes
+    when its region or its sequence does."""
 
     def __init__(self, build):
         update_wrapper(self, build)
         self.cache_clear()
 
     def cache_clear(self):
-        self.scans, self.hits, self.misses = WeakKeyDictionary(), 0, 0
+        drop_scans()
+        self.hits, self.misses = 0, 0
 
     def cache_info(self):
         return _CacheInfo(self.hits, self.misses, None,
-                          sum(len(scans) for by_seq in self.scans.values()
+                          sum(len(scans) for by_seq in _SCANS.values()
                               for scans in by_seq.values()))
 
     def __call__(self, seq, region, horizon, resolution):
-        scans = self.scans.setdefault(region, WeakKeyDictionary()).setdefault(
+        scans = _SCANS.setdefault(region, WeakKeyDictionary()).setdefault(
             seq, {})
         key = (resolution, horizon)
         if key in scans:
@@ -356,11 +365,12 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
 
     The cache has no size bound and holds its keys weakly: a scan lives as
     long as both its sequence and its region do, and is built again if it
-    is asked for after either has gone. A horizon shorter than a scan
-    already built for the same (seq, region, resolution) is a prefix hit
-    that builds nothing, so ``cache_info().misses`` counts the scans built.
-    Scans keep only compact data (orbits or the pair × shift table, the
-    summary, shared pair indices and sample) and neither key.
+    is asked for after either has gone or after ``drop_scans``. A horizon
+    shorter than a scan already built for the same (seq, region,
+    resolution) is a prefix hit that builds nothing, so
+    ``cache_info().misses`` counts the scans built. Scans keep only compact
+    data (orbits or the pair × shift table, the summary, shared pair
+    indices and sample) and neither key.
     """
     if region.space != seq.space:
         raise ValueError(f"region {region.label or region.kind} lies in the "

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonauto import acceptance, registry
+import test_sensitivity
+from nonauto import acceptance, registry, sensitivity
 from nonauto.acceptance import CRITERION_KEYS, run_all
 from nonauto.families import (
     cofinite_family,
@@ -622,10 +623,11 @@ class TestMetricSuiteDraws:
             assert np.all(abs(shares - 0.25) < 0.02)
 
     def test_peak_memory_above_start(self):
-        # the check runs after every scan of verify is cached, so its own
-        # peak adds to verify's: points are built triple by triple, where
-        # a list of its 30,000 radius-64 points would take about 31 MB, and
-        # the covering test folds element pairs into bool rows in place
+        # verify drops its cached scans before this check; a large peak of
+        # its own would set verify's again: points are built triple by
+        # triple, where a list of its 30,000 radius-64 points would take
+        # about 31 MB, and the covering test folds element pairs into bool
+        # rows in place
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -779,3 +781,59 @@ class TestFailureBranches:
         assert not ok and len(calls) == 1000
         assert details.startswith(
             "10 bound failures over 1000 sampled (x, n, k); ")
+
+
+SCAN_FREE = CRITERION_KEYS[CRITERION_KEYS.index(acceptance.SCAN_FREE_FROM):]
+
+
+class TestScanRelease:
+    """``run_all`` drops the cached scans once no check left reads one."""
+
+    def test_release_survives_rebound_cache(self, monkeypatch):
+        # rebind region_scan in every module of the package to a plain
+        # function with no attributes, as perfbench/traced_cli.py does; the
+        # stubs run under the real keys, so the release point is the real one
+        cache = sensitivity.region_scan
+        calls = test_sensitivity.TestTracedCallPattern.install(monkeypatch,
+                                                               cache)
+        seq = registry.build("example41_composition").sequence
+        region = metric_ball(INTERVAL, 0.3, 0.05)
+        held = {}
+
+        def reads_scans():
+            acceptance.region_scan(seq, region, 10, 4)
+            return True, ""
+
+        def scan_free(key):
+            def check():
+                held[key] = cache.cache_info().currsize
+                return True, ""
+            return check
+
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+            (key, title, scan_free(key) if key in SCAN_FREE else reads_scans)
+            for key, title, _ in acceptance.CRITERIA))
+        cache.cache_clear()
+        try:
+            assert [r.key for r in run_all()] == list(CRITERION_KEYS)
+            info = cache.cache_info()
+        finally:
+            cache.cache_clear()
+        assert held == dict.fromkeys(SCAN_FREE, 0)
+        assert info.currsize == 0
+        # one miss, a hit for each later scan-reading check, none reset
+        readers = len(CRITERION_KEYS) - len(SCAN_FREE)
+        assert calls["region_scan"] == readers
+        assert info[:2] == (readers - 1, 1)
+
+    def test_scan_free_checks_run_last(self):
+        assert SCAN_FREE == ("family-classifiers", "perturbation-bound",
+                             "metric-suite")
+
+    @pytest.mark.parametrize("key", SCAN_FREE)
+    def test_scan_free_checks_make_no_lookup(self, key):
+        # a lookup here would silently rebuild a scan run_all has dropped
+        check = {k: fn for k, _, fn in acceptance.CRITERIA}[key]
+        before = sensitivity.region_scan.cache_info()
+        check()
+        assert sensitivity.region_scan.cache_info()[:2] == before[:2]
