@@ -18,12 +18,10 @@ import numpy as np
 from .families import (
     cofinite_family,
     dual,
-    filterdual_probe,
     infinite_family,
-    intersect,
     member_rows,
+    partition_witness,
     syndetic_family,
-    windowed,
 )
 from .registry import (
     COVER_KINDS,
@@ -266,7 +264,9 @@ def _check_weak_strong_agreement():
     """Across every built-in system and its recommended parameters, the
     per-pair probe never holds while the union probe fails, which is the law
     weak => strong; and with every standard family the two verdicts
-    coincide, which is a property of the built-ins, not a law."""
+    coincide. Strong => weak is a law only for a partition regular rule (a
+    region's hit set is the union of its pairs'), and no standard family is
+    one, so that half is a property of the built-ins."""
     grid = 0
     impl_violations = []
     agree_breaks = []
@@ -336,19 +336,6 @@ def _mask_syndetic(masks, h, max_gap):
     return ok
 
 
-def _curated_suite(h=200):
-    full = windowed(range(1, h + 1), h)
-    co_single = windowed([i for i in range(1, h + 1) if i != 5], h)
-    co_double = windowed([i for i in range(1, h + 1) if i not in (6, 7)], h)
-    tail100 = windowed(range(101, h + 1), h)
-    tail150 = windowed(range(151, h + 1), h)
-    evens = windowed(range(2, h + 1, 2), h)
-    odds = windowed(range(1, h + 1, 2), h)
-    geometric = windowed([1, 2, 4, 8, 16, 32, 64, 128], h)
-    return [full, co_single, co_double, tail100, tail150, evens, odds,
-            geometric]
-
-
 # masks per family-classifiers oracle block: its windows and member_rows'
 # gap temporaries take about 170 bytes a mask, so 4096 keep it under 1 MB
 ORACLE_BLOCK = 4096
@@ -386,8 +373,7 @@ def _hereditary_violations(rows):
 def _check_family_classifiers():
     """Windowed classifiers agree with direct predicate evaluation on every
     subset of a short window, stay hereditary upwards on every covering
-    pair of those subsets, and the intersection-closure probe splits as
-    expected.
+    pair of those subsets, and are partition regular exactly where expected.
 
     The direct predicates are evaluated once, on all 2**16 masks as
     integers (``_mask_*``), from each predicate's own terms: counts, tail
@@ -395,13 +381,16 @@ def _check_family_classifiers():
     the masks as bool windows (``_verdict_rows``); the dual's row is
     checked against the negated predicate of the complement, which is the
     subset at the mirrored mask. The same rows then meet the hereditary
-    test, 6 x 16 x 2**15 covering pairs.
+    test, 8 x 16 x 2**15 covering pairs, and ``partition_witness``: only
+    ``infinite_family(1, 0.25)`` is partition regular, and the predicates
+    must refuse a and b and accept a | b for each other rule's witness.
     """
     h = 16
     masks = np.arange(2 ** h)
     truth = [(infinite_family(4, 0.25), _mask_infinite(masks, h, 4, 0.25)),
              (cofinite_family(3), _mask_cofinite(masks, h, 3)),
-             (syndetic_family(3), _mask_syndetic(masks, h, 3))]
+             (syndetic_family(3), _mask_syndetic(masks, h, 3)),
+             (infinite_family(1, 0.25), _mask_infinite(masks, h, 1, 0.25))]
     fams, wants = [], []
     for fam, want in truth:
         # the complement of mask m is mask (2**h - 1) - m: want read backwards
@@ -411,20 +400,20 @@ def _check_family_classifiers():
     mismatches = int(np.count_nonzero(rows != np.array(wants)))
     hered_violations, pairs = _hereditary_violations(rows)
 
-    suite = _curated_suite()
-    fd_inf = filterdual_probe(infinite_family(10, 0.25), suite)
-    fd_cof = filterdual_probe(cofinite_family(20), suite)
-    fd_ok = fd_inf.passed and not fd_cof.passed
-    if fd_cof.counterexamples:
-        i, j = fd_cof.counterexamples[0]
-        fd_ok &= len(intersect(suite[i], suite[j])) == 0
+    found = [partition_witness(row) for row in rows]
+    regular = [fam for fam, pair in zip(fams, found) if pair is None]
+    witnesses = [(want, pair) for want, pair in zip(wants, found) if pair]
+    confirmed = sum(bool(not want[a] and not want[b] and want[a | b])
+                    for want, (a, b) in witnesses)
 
-    ok = mismatches == 0 and hered_violations == 0 and fd_ok
+    ok = (mismatches == 0 and hered_violations == 0
+          and regular == [infinite_family(1, 0.25)]
+          and confirmed == len(witnesses))
     details = (f"exhaustive window 16: {mismatches} classifier mismatches "
                f"over {2 ** h} subsets; hereditary violations "
-               f"{hered_violations} over {pairs} covering pairs; intersection "
-               f"closure passed={fd_inf.passed} for count-and-tail, "
-               f"counterexamples={len(fd_cof.counterexamples)} for cofinite")
+               f"{hered_violations} over {pairs} covering pairs; "
+               f"{len(regular)} of {len(fams)} rules partition regular, "
+               f"{confirmed} of {len(witnesses)} witnesses confirmed")
     return ok, details
 
 

@@ -12,7 +12,11 @@ application, so dual is an involution by construction.
 
 Every verdict is window-relative. The rules are chosen to be hereditary
 upwards (adding indices never turns a yes into a no), matching how the
-underlying asymptotic notions behave.
+underlying asymptotic notions behave. ``partition_witness`` decides from a
+rule's verdicts on every subset of a short window whether it is partition
+regular (accepts A or B whenever it accepts A | B), which makes the strong
+and weak probes agree. Nonempty and ``infinite_family(1, ...)`` (one late
+hit) are regular on any window.
 """
 
 from __future__ import annotations
@@ -61,12 +65,6 @@ def from_mask(mask: np.ndarray) -> WindowedIndexSet:
 
 def complement(s: WindowedIndexSet) -> WindowedIndexSet:
     return from_mask(~mask_of(s))
-
-
-def intersect(a: WindowedIndexSet, b: WindowedIndexSet) -> WindowedIndexSet:
-    if a.horizon != b.horizon:
-        raise ValueError("index sets have different horizons")
-    return from_mask(mask_of(a) & mask_of(b))
 
 
 @dataclass(frozen=True)
@@ -148,28 +146,21 @@ def member(fam: FamilySpec, s: WindowedIndexSet) -> bool:
     return bool(member_rows(fam, mask_of(s)[None])[0])
 
 
-@dataclass(frozen=True)
-class FilterdualReport:
-    pairs_checked: int
-    counterexamples: tuple
-    passed: bool
-
-
-def filterdual_probe(fam: FamilySpec, samples) -> FilterdualReport:
-    """Check dual-family closure under pairwise intersection on a sample
-    suite: for sets the dual accepts, their intersections must be accepted
-    too. A counterexample is a pair of sample positions."""
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    d = dual(fam)
-    accepted = [i for i, s in enumerate(samples) if member(d, s)]
-    bad = tuple((i, j) for n, i in enumerate(accepted)
-                for j in accepted[n + 1:]
-                if not member(d, intersect(samples[i], samples[j])))
-    return FilterdualReport(
-        pairs_checked=len(accepted) * (len(accepted) - 1) // 2,
-        counterexamples=bad, passed=not bad)
+def partition_witness(row: np.ndarray):
+    """None if a hereditary upward rule is partition regular on its window,
+    else a witness: a pair (a, b) of masks it refuses whose union a | b it
+    accepts. ``row`` is the rule's verdict on the masks 0 .. 2**h - 1, bit
+    j of a mask being time j + 1. Every subset of a refused mask is
+    refused, so the rule is regular exactly when the union of all its
+    refused masks is refused. The witness splits the first accepted running
+    union into the union before it and the refused mask that joins it."""
+    refused = np.flatnonzero(~row)
+    unions = np.bitwise_or.accumulate(refused)
+    broken = np.flatnonzero(row[unions])
+    if not broken.size:
+        return None
+    k = broken[0]
+    return int(unions[k - 1]), int(refused[k])
 
 
 def family_to_dict(fam: FamilySpec) -> dict:

@@ -70,9 +70,8 @@ def test_every_check_is_covered():
 PINNED_DETAILS = {
     "family-classifiers": (
         "exhaustive window 16: 0 classifier mismatches over 65536 subsets; "
-        "hereditary violations 0 over 3145728 covering pairs; intersection "
-        "closure passed=True for count-and-tail, counterexamples=1 for "
-        "cofinite"),
+        "hereditary violations 0 over 4194304 covering pairs; 1 of 8 rules "
+        "partition regular, 7 of 7 witnesses confirmed"),
     "perturbation-bound": (
         "0 bound failures over 1000 sampled (x, n, k); summable tail "
         "S_1000=1.0 converged=True; harmonic converged=False"),
@@ -171,8 +170,9 @@ def row_of(fam, mask, h):
 
 
 def check_families():
-    # the six rules of family-classifiers: three rules and their duals
-    fams = [infinite_family(4, 0.25), cofinite_family(3), syndetic_family(3)]
+    # the eight rules of family-classifiers: four rules and their duals
+    fams = [infinite_family(4, 0.25), cofinite_family(3), syndetic_family(3),
+            infinite_family(1, 0.25)]
     return [g for f in fams for g in (f, dual(f))]
 
 
@@ -202,7 +202,7 @@ class TestHereditaryDraws:
                                            chunk):
         monkeypatch.setattr(acceptance, "ORACLE_BLOCK", chunk)
         rows = acceptance._verdict_rows(check_families(), 10)
-        assert rows.shape == (6, 2 ** 10)
+        assert rows.shape == (8, 2 ** 10)
         assert rows.tolist() == per_call_rows
 
     @given(st.integers(min_value=0, max_value=2 ** 64),
@@ -276,7 +276,7 @@ class TestFamilyClassifiersOracle:
 
     def test_every_mask_reaches_its_own_verdict(self, monkeypatch):
         # flip the classifier's verdict on masks at both edges of the first,
-        # second and last blocks: each of the six checks counts each once
+        # second and last blocks: each of the eight checks counts each once
         flipped = [0, acceptance.ORACLE_BLOCK - 1, acceptance.ORACLE_BLOCK,
                    2 ** 16 - 1]
         real = acceptance.member_rows
@@ -291,12 +291,12 @@ class TestFamilyClassifiersOracle:
         ok, details = acceptance._check_family_classifiers()
         assert not ok
         assert details.startswith(
-            f"exhaustive window 16: {6 * len(flipped)} classifier mismatches "
+            f"exhaustive window 16: {8 * len(flipped)} classifier mismatches "
             "over 65536 subsets;")
 
     def test_every_row_splits_its_masks(self, monkeypatch):
         # the hereditary test has power only on rows that accept some masks
-        # and refuse others; these are the six rows' acceptance counts
+        # and refuse others; these are the eight rows' acceptance counts
         seen = []
         real = acceptance._hereditary_violations
 
@@ -308,7 +308,18 @@ class TestFamilyClassifiersOracle:
         assert acceptance._check_family_classifiers()[0]
         [rows] = seen
         assert np.count_nonzero(rows, axis=1).tolist() == [
-            61042, 4494, 378, 65158, 23072, 42464]
+            61042, 4494, 378, 65158, 23072, 42464, 61440, 4096]
+
+    @pytest.mark.parametrize("decide, counts", [
+        # every rule called regular; then a witness no predicate confirms
+        (lambda row: None, "8 of 8 rules partition regular, 0 of 0"),
+        (lambda row: (0, 0), "0 of 8 rules partition regular, 0 of 8")])
+    def test_partition_decisions_are_checked(self, monkeypatch, decide,
+                                             counts):
+        monkeypatch.setattr(acceptance, "partition_witness", decide)
+        ok, details = acceptance._check_family_classifiers()
+        assert not ok
+        assert details.endswith(f"{counts} witnesses confirmed")
 
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=3), st.randoms())
@@ -324,7 +335,7 @@ class TestFamilyClassifiersOracle:
     def test_non_hereditary_rule_is_caught(self, monkeypatch):
         # "an even number of hits" is not hereditary upward: one more hit
         # turns a yes into a no, on each of the 2**14 even masks with bit b
-        # clear, for each of 16 bits and six rows
+        # clear, for each of 16 bits and eight rows
         def parity(fam, rows):
             return np.count_nonzero(rows, axis=1) % 2 == 0
 
@@ -332,7 +343,7 @@ class TestFamilyClassifiersOracle:
         ok, details = acceptance._check_family_classifiers()
         assert not ok
         violations = re.search(r"hereditary violations (\d+) over", details)
-        assert int(violations[1]) == 6 * 2 ** 18
+        assert int(violations[1]) == 8 * 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +417,8 @@ class TestMaskTruthTable:
         for rule, brute, params in [
                 (acceptance._mask_infinite, _brute_infinite, (4, 0.25)),
                 (acceptance._mask_cofinite, _brute_cofinite, (3,)),
-                (acceptance._mask_syndetic, _brute_syndetic, (3,))]:
+                (acceptance._mask_syndetic, _brute_syndetic, (3,)),
+                (acceptance._mask_infinite, _brute_infinite, (1, 0.25))]:
             got = mask_table(rule, 16, *params)
             assert got == [brute(idx, 16, *params) for idx in subsets]
             assert 0 < sum(got) < len(got)

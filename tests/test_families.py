@@ -5,19 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nonauto import acceptance, registry
 from nonauto.families import (
     cofinite_family,
     complement,
     dual,
     family_from_dict,
     family_to_dict,
-    filterdual_probe,
     infinite_family,
-    intersect,
     max_gap_rows,
     member,
     member_rows,
     nonempty,
+    partition_witness,
     syndetic_family,
     windowed,
 )
@@ -270,35 +270,80 @@ class TestNestingImplications:
         assert member(infinite_family(8, 0.25), s)
 
 
-def curated_suite(h=200):
-    full = windowed(range(1, h + 1), h)
-    co_single = windowed([i for i in range(1, h + 1) if i != 5], h)
-    co_double = windowed([i for i in range(1, h + 1) if i not in (6, 7)], h)
-    tail100 = windowed(range(101, h + 1), h)
-    tail150 = windowed(range(151, h + 1), h)
-    evens = windowed(range(2, h + 1, 2), h)
-    odds = windowed(range(1, h + 1, 2), h)
-    geometric = windowed([1, 2, 4, 8, 16, 32, 64, 128], h)
-    return [full, co_single, co_double, tail100, tail150, evens, odds,
-            geometric]
+def upward_row(generators, h):
+    """Verdicts over the masks 0 .. 2**h - 1 of the rule that accepts the
+    supersets of any generator mask."""
+    return np.array([any(m & g == g for g in generators)
+                     for m in range(2 ** h)], dtype=bool)
 
 
-class TestFilterdualProbe:
-    def test_infinite_passes(self):
-        rep = filterdual_probe(infinite_family(10, 0.25), curated_suite())
-        assert rep.passed
-        assert rep.pairs_checked >= 10
+def split_pairs(row):
+    """Every pair (a, b) of refused masks whose union is accepted."""
+    n = len(row)
+    return {(a, b) for a in range(n) for b in range(n)
+            if not row[a] and not row[b] and row[a | b]}
 
-    def test_cofinite_counterexample(self):
-        rep = filterdual_probe(cofinite_family(20), curated_suite())
-        assert not rep.passed
-        suite = curated_suite()
-        i, j = rep.counterexamples[0]
-        assert len(intersect(suite[i], suite[j])) == 0
 
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            filterdual_probe(infinite_family(), [windowed([1], 5)])
+@st.composite
+def upward_rows(draw):
+    h = draw(st.integers(min_value=1, max_value=6))
+    return upward_row(draw(st.lists(st.integers(0, 2 ** h - 1),
+                                    max_size=6)), h)
+
+
+# how to split [1, h] for each of acceptance.STANDARD_FAMILIES at a
+# built-in horizon h: two sets it refuses whose union it accepts. For
+# count-and-tail at h = 200 they are {1..9}, with no late hit, and
+# {151..159}, with only 9 hits; the union has both
+STANDARD_SPLITS = [lambda h: (range(1, 10),
+                              range(3 * h // 4 + 1, 3 * h // 4 + 10)),
+                   lambda h: (range(1, 22), range(22, h + 1)),
+                   lambda h: (range(1, h - 64), range(66, h + 1))]
+
+
+class TestPartitionWitness:
+    @given(upward_rows())
+    @settings(max_examples=200)
+    def test_against_every_pair(self, row):
+        pairs = split_pairs(row)
+        found = partition_witness(row)
+        assert (found is None) == (not pairs)
+        assert found is None or found in pairs
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda h: st.lists(st.booleans(), min_size=2 ** h, max_size=2 ** h)))
+    @settings(max_examples=200)
+    def test_witness_is_the_first_accepted_running_union(self, verdicts):
+        # on any row, hereditary or not: the running unions of the refused
+        # masks, in mask order, are refused up to the witness, whose parts
+        # are the union before it and the refused mask that joins it
+        row = np.array(verdicts)
+        found = partition_witness(row)
+        union = 0
+        for m in np.flatnonzero(~row).tolist():
+            if row[union | m]:
+                assert found == (union, m)
+                return
+            union |= m
+        assert found is None
+
+    @pytest.mark.parametrize("h", sorted({registry.build(n).horizon
+                                          for n in registry.registry_names()}))
+    @pytest.mark.parametrize("case", range(len(STANDARD_SPLITS)))
+    def test_standard_families_split_at_builtin_horizons(self, case, h):
+        fam = acceptance.STANDARD_FAMILIES[case]
+        a, b = (windowed(part, h) for part in STANDARD_SPLITS[case](h))
+        assert not member(fam, a) and not member(fam, b)
+        assert member(fam, windowed(a.indices + b.indices, h))
+
+    def test_window_16_decisions(self):
+        rules = [nonempty(), infinite_family(1, 0.25),
+                 infinite_family(4, 0.25), cofinite_family(3),
+                 syndetic_family(3)]
+        rules += [dual(f) for f in rules]
+        rows = acceptance._verdict_rows(rules, 16)
+        assert [f for f, row in zip(rules, rows)
+                if partition_witness(row) is None] == rules[:2]
 
 
 class TestWindowPlumbing:
@@ -312,10 +357,6 @@ class TestWindowPlumbing:
             windowed([0], 5)
         with pytest.raises(ValueError):
             windowed([6], 5)
-
-    def test_intersect_requires_same_horizon(self):
-        with pytest.raises(ValueError):
-            intersect(windowed([1], 5), windowed([1], 6))
 
     def test_round_trip(self):
         for f in (nonempty(), infinite_family(4, 0.5), cofinite_family(7),

@@ -1,13 +1,16 @@
 """Source hygiene: every imported name is used by the module importing it,
 every module-level function, class and assigned name of the package is
-referenced, every parameter of a package function is read, and only
-``spaces`` builds a ``SymbolicPoint`` directly."""
+referenced, every parameter of a package function is read, only
+``spaces`` builds a ``SymbolicPoint`` directly, and every name the package
+exports exists."""
 
 import ast
 import functools
 from pathlib import Path
 
 import pytest
+
+import nonauto
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nonauto").glob("*.py"))
@@ -227,3 +230,10 @@ def test_scan_flags_a_point_construction():
                      "r = spaces.symbolic_from_code(5, 1)\n"
                      "print(SymbolicPoint, p.shifted(1))\n")
     assert point_constructions(tree) == [3, 4]
+
+
+def test_every_export_resolves():
+    assert [n for n in nonauto.__all__ if not hasattr(nonauto, n)] == []
+    scope = {}
+    exec("from nonauto import *", scope)
+    assert set(nonauto.__all__) <= set(scope)
