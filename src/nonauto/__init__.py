@@ -8,6 +8,11 @@ gaps. Every verdict is horizon-relative: it describes the computed window
 under the stated sampling, never the infinite system.
 """
 
+import os
+
+# nonauto makes no BLAS call, so numpy's OpenBLAS needs no worker threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .families import (
     cofinite_family,
     complement,

@@ -289,6 +289,11 @@ class MapSequence:
         # maps 1 .. len of a block-structured or kth-iterate sequence
         return _Built()
 
+    @cached_property
+    def _shifts(self) -> list:
+        # net shifts of the prefixes 0 .. len - 1, grown by net_shift_series
+        return [0]
+
 
 class _Built(list):
     blocks = 0  # generator blocks appended so far
@@ -422,11 +427,12 @@ def net_shift_series(seq: MapSequence, horizon: int) -> list:
 
     Entry n (0-based list index n) is the net displacement of the length-n
     prefix. Symbolic scans use this to reduce orbits to origin arithmetic.
+    The totals are kept on the sequence, so each map is read once.
     """
-    totals = [0]
-    for i in range(1, horizon + 1):
+    totals = seq._shifts
+    for i in range(len(totals), horizon + 1):
         totals.append(totals[-1] + map_net_shift(map_at(seq, i)))
-    return totals
+    return totals[:horizon + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import copy
 import importlib.util
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -361,24 +362,72 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_reruns_are_byte_identical_across_processes(self, tmp_path):
+    @staticmethod
+    def assert_runs_identical(tmp_path, envs):
+        """``nonauto run`` of the identity config, once in a fresh process
+        per environment, writes the same files with the same bytes."""
         cfg = write_config(tmp_path / "c.json", {
             "system": "identity", "modes": ["sensitive"], "delta": 0.1,
             "horizon": 40,
         })
         outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
+        for i, env in enumerate(envs):
+            out = tmp_path / str(i)
             subprocess.run(
                 [sys.executable, "-m", "nonauto.cli", "run", cfg,
                  "--out", str(out)],
-                check=True, capture_output=True)
+                check=True, capture_output=True, env=env)
             outs.append(out)
         files_a = sorted(p.name for p in outs[0].iterdir())
         files_b = sorted(p.name for p in outs[1].iterdir())
         assert files_a == files_b
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_reruns_are_byte_identical_across_processes(self, tmp_path):
+        self.assert_runs_identical(tmp_path, [None, None])
+
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
+        self.assert_runs_identical(
+            tmp_path, [{**os.environ, "OPENBLAS_NUM_THREADS": n}
+                       for n in ("1", "2")])
+
+
+THREAD_PROBE = ("import os, nonauto.cli\n"
+                "print(len(os.listdir('/proc/self/task')),"
+                " os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+def child_threads(env) -> tuple:
+    """(OS threads, OPENBLAS_NUM_THREADS) of a fresh process that has just
+    imported ``nonauto.cli``."""
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    threads, value = out.split()
+    return int(threads), value
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counting threads needs /proc/self/task")
+class TestBlasThreadCap:
+    """Importing the package sets OPENBLAS_NUM_THREADS before numpy loads,
+    so numpy starts no OpenBLAS worker thread, unless the variable was set.
+    The environment is passed explicitly: this process may already have set
+    the variable through its own import of the package."""
+
+    def test_import_starts_no_worker_thread(self):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        assert child_threads(env) == (1, "1")
+
+    def test_a_set_value_is_kept(self):
+        # the control: with a pool allowed, the probe counts its thread
+        threads, value = child_threads({**os.environ,
+                                        "OPENBLAS_NUM_THREADS": "2"})
+        assert value == "2"
+        # OpenBLAS starts no more threads than the process may run on
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert threads == 2
 
 
 def load_probe_script():

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used by the module importing it,
 every module-level function, class and assigned name of the package is
 referenced, every parameter of a package function is read, only
-``spaces`` builds a ``SymbolicPoint`` directly, and every name the package
-exports exists."""
+``spaces`` builds a ``SymbolicPoint`` directly, every name the package
+exports exists, and the package reaches no BLAS routine of numpy: that is
+the premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``."""
 
 import ast
 import functools
@@ -230,6 +231,62 @@ def test_scan_flags_a_point_construction():
                      "r = spaces.symbolic_from_code(5, 1)\n"
                      "print(SymbolicPoint, p.shifted(1))\n")
     assert point_constructions(tree) == [3, 4]
+
+
+# numpy's entry points into BLAS; ``linalg`` counts wherever it is named
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum",
+              "linalg"}
+
+
+def blas_uses(tree: ast.Module) -> list:
+    """(line, name) of each ``@`` operator and each BLAS entry point: one of
+    ``BLAS_NAMES`` imported from numpy, called as a function or a method,
+    or taken from ``np`` or ``numpy``; and any mention of ``linalg``. An
+    attribute that is not called, such as a family's ``inner``, is none."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.add((node.lineno, "@"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                parts = f"{module}.{alias.name}".strip(".").split(".")
+                if parts[0] == "numpy":
+                    found.update((node.lineno, p) for p in parts
+                                 if p in BLAS_NAMES)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in BLAS_NAMES:
+                found.add((node.lineno, name))
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            root = getattr(getattr(node, "value", None), "id", None)
+            if name == "linalg" or (name in BLAS_NAMES
+                                    and root in ("np", "numpy")):
+                found.add((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_makes_no_blas_call(path):
+    assert blas_uses(parsed(path)) == []
+
+
+def test_scan_flags_a_blas_call():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import einsum\n"
+                     "from numpy.linalg import norm\n"
+                     "a = x @ y\n"
+                     "a @= y\n"
+                     "b = np.dot(x, y) + x.dot(y)\n"
+                     "c = np.linalg.norm(x)\n"
+                     "f = np.inner\n"
+                     "g = fam.inner, dot_weights(w), np.multiply(x, y)\n")
+    assert blas_uses(tree) == [(2, "einsum"), (3, "linalg"), (4, "@"),
+                               (5, "@"), (6, "dot"), (7, "linalg"),
+                               (8, "inner")]
 
 
 def test_every_export_resolves():

@@ -306,8 +306,9 @@ class TestSymbolicTableAgainstPerCellDistance:
 
 class TestTracedCallPattern:
     """The call counts perfbench's traced run cross-checks: one ``orbit`` per
-    sample element, one ``map_at`` per step made directly by ``orbit``, and
-    one in-scan ``dist_symbolic`` per (pair, distinct shift)."""
+    sample element, one ``map_at`` per step made directly by ``orbit``, one
+    ``net_shift_series`` per symbolic scan (its result gives the distinct
+    shifts), and one in-scan ``dist_symbolic`` per (pair, distinct shift)."""
 
     @staticmethod
     def install(monkeypatch, *functions):
@@ -364,11 +365,13 @@ class TestTracedCallPattern:
         seq = registry.build("example31").sequence
         distinct = len(set(net_shift_series(seq, 70)))
         calls = self.install(monkeypatch, spaces.dist_symbolic,
-                             sensitivity._scan)
+                             systems.net_shift_series, sensitivity._scan)
         scan = region_scan.__wrapped__(seq, cylinder_region({0: 1}), 70, 12)
         pairs = len(scan.pi)
         assert distinct > 1 and pairs > 1
         assert calls["dist_symbolic in scan"] == pairs * distinct
+        assert (calls["net_shift_series"]
+                == calls["net_shift_series in scan"] == 1)
 
 
 class TestTrivialCases:

@@ -529,6 +529,29 @@ class TestNetShift:
                               space=SYMBOLIC)
         assert net_shift_series(s, 4) == [0, 2, 2, 1, 1]
 
+    def test_series_is_kept_per_sequence(self, monkeypatch):
+        def make():
+            return explicit_sequence([shift(2), identity(), shift(-3)],
+                                     tail="hold", space=SYMBOLIC)
+        s = make()
+        reads = []
+        read = systems.map_at
+        monkeypatch.setattr(systems, "map_at",
+                            lambda seq, n: reads.append(n) or read(seq, n))
+        short = net_shift_series(s, 2)
+        longer = net_shift_series(s, 7)
+        # the longer call reads only the maps the shorter one did not
+        assert reads == list(range(1, 8))
+        assert longer == net_shift_series(make(), 7)
+        assert longer == [0, 2, 2, -1, -4, -7, -10, -13]
+        # a prefix taken after a longer call is a fresh sequence's series
+        assert net_shift_series(s, 4) == net_shift_series(make(), 4)
+        assert short == longer[:3]
+        # each call returns its own list
+        short.append(99)
+        longer[1] = 99
+        assert net_shift_series(s, 7) == net_shift_series(make(), 7)
+
     def test_non_shift_disqualifies(self):
         s = cyclic_sequence([F1])
         with pytest.raises(ValueError, match="^a piecewise-linear map has no "
