@@ -285,6 +285,8 @@ def _check_weak_strong_agreement():
                     impl_violations.append((name, fam.kind))
                 if strong.holds != weak.holds:
                     agree_breaks.append((name, fam.kind))
+        # no later check reads this system's scans
+        drop_scans(named.sequence)
     ok = not impl_violations and not agree_breaks
     details = (f"{grid} probe pairs over {len(registry_names())} systems; "
                f"implication violations {impl_violations or 0}; "

@@ -206,8 +206,10 @@ def default_cover(cover_kind: str) -> tuple:
     multiples of 1/32; the cylinder cover pins every pattern on
     coordinates -2 .. 2. Each kind is one tuple, built once and owned by
     the registry like its systems, so the scans cached under its regions
-    (``sensitivity.region_scan``) live until ``sensitivity.drop_scans``,
-    which ``nonauto verify`` calls when its scan-free checks start.
+    (``sensitivity.region_scan``) live until ``sensitivity.drop_scans``.
+    ``nonauto verify``'s weak-strong-agreement drops each system's scans
+    once it is done with that system, and the rest go when the scan-free
+    checks start.
     """
     if cover_kind in ("interval-balls", "circle-balls"):
         space = INTERVAL if cover_kind == "interval-balls" else CIRCLE

@@ -28,8 +28,13 @@ serves it as a prefix view of a longer scan of the same region and
 resolution, and counts only the scans it builds as misses. It refuses a
 region of another space than the sequence's. Its cache holds sequences and
 regions weakly: a scan lives as long as both do, so the scans of a k-th
-iterate or Hausdorff ball built for one check go with it. ``drop_scans``
-frees the registry's when ``nonauto verify``'s scan-free checks start.
+iterate built for one check go with it. A probe walks its cover once and
+holds no scan past its region's turn, and ``hyperspace_probe`` builds each
+Hausdorff ball only when the probe reaches it, so ball scans go one region
+at a time. ``drop_scans(seq)`` frees one sequence's scans, as
+weak-strong-agreement does for each registry system it is done with, and
+``drop_scans()`` frees the rest when ``nonauto verify``'s scan-free checks
+start.
 """
 
 from __future__ import annotations
@@ -316,9 +321,14 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _SCANS = WeakKeyDictionary()
 
 
-def drop_scans() -> None:
-    """Empty ``region_scan``'s cache; its hit and miss counts stay."""
-    _SCANS.clear()
+def drop_scans(seq: MapSequence = None) -> None:
+    """Empty ``region_scan``'s cache, or drop only ``seq``'s scans when it
+    is given; the hit and miss counts stay."""
+    if seq is None:
+        _SCANS.clear()
+        return
+    for by_seq in _SCANS.values():
+        by_seq.pop(seq, None)
 
 
 class _PrefixCache:
@@ -510,16 +520,18 @@ def _probe(mode, classify, seq, delta, fam, cover, horizon, resolution):
     """Classify each region's scan; the verdict fails at the first region
     ``classify(scan) -> (passed, times, witness)`` rejects."""
     _check_probe(delta, horizon)
-    cover = list(cover)
-    if not cover:
-        raise ValueError("cover must contain at least one region")
     records = []
+    # one pass, so a cover may build its regions on demand; holding no scan
+    # past its turn lets a region only the cover held take its scan along
     for idx, region in enumerate(cover):
         scan = region_scan(seq, region, horizon, resolution)
         passed, times, witness = classify(scan)
         records.append(RegionRecord(
             label=_region_label(region, idx), passed=passed, times=times,
             witness=witness, truncation_bound=scan.truncation_bound))
+        del scan
+    if not records:
+        raise ValueError("cover must contain at least one region")
     failing = next((r.label for r in records if not r.passed), None)
     return SensitivityReport(mode=mode, family=fam, delta=delta,
                              horizon=horizon, resolution=resolution,
@@ -594,8 +606,9 @@ def hyperspace_probe(seq: MapSequence, delta: float, fam: FamilySpec,
             raise ValueError(
                 f"center of cardinality {len(c.elements)} exceeds bound "
                 f"{HYPERSPACE_CARDINALITY_BOUND}")
-    cover = [hausdorff_ball(c, radius, label=f"hball-{i:02d}")
-             for i, c in enumerate(centers)]
+    # built on demand: each ball, its sample and its scan go once classified
+    cover = (hausdorff_ball(c, radius, label=f"hball-{i:02d}")
+             for i, c in enumerate(centers))
     return sensitivity_probe(seq, delta, fam, cover, horizon, resolution)
 
 

@@ -8,11 +8,13 @@ observed numbers in the assertion message.
 
 import ast
 import dataclasses
+import itertools
 import random
 import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -849,3 +851,56 @@ class TestScanRelease:
         before = sensitivity.region_scan.cache_info()
         check()
         assert sensitivity.region_scan.cache_info()[:2] == before[:2]
+
+    def test_weak_strong_agreement_is_the_last_scan_reader(self):
+        assert (CRITERION_KEYS.index("weak-strong-agreement") + 1
+                == CRITERION_KEYS.index(acceptance.SCAN_FREE_FROM))
+
+    def test_drop_scans_of_one_sequence(self):
+        cache = sensitivity.region_scan
+        gone = registry.build("example41_composition").sequence
+        kept = registry.build("example41_generated").sequence
+        regions = (metric_ball(INTERVAL, 0.3, 0.05),
+                   metric_ball(INTERVAL, 0.6, 0.05))
+        cache.cache_clear()
+        try:
+            # a scan and its prefix view under each region
+            dropped = [weakref.ref(cache(gone, r, h, 4))
+                       for r in regions for h in (10, 5)]
+            held = [cache(kept, r, 10, 4) for r in regions]
+            assert cache.cache_info() == (2, 4, None, 6)
+            sensitivity.drop_scans(gone)
+            assert [ref() for ref in dropped] == [None] * 4
+            assert cache.cache_info() == (2, 4, None, 2)
+            assert [cache(kept, r, 10, 4) for r in regions] == held
+            assert cache.cache_info() == (4, 4, None, 2)
+            sensitivity.drop_scans()
+            assert cache.cache_info() == (4, 4, None, 0)
+        finally:
+            cache.cache_clear()
+
+    def test_weak_strong_agreement_drops_each_system_when_done(
+            self, monkeypatch):
+        # each system's scans go before the next system's first lookup, and
+        # none of any registry system is left for the scan-free checks
+        events = []
+        real_scan, real_drop = acceptance.region_scan, acceptance.drop_scans
+
+        def scan(seq, *args):
+            events.append(("scan", id(seq)))
+            return real_scan(seq, *args)
+
+        def drop(seq=None):
+            events.append(("drop", id(seq)))
+            real_drop(seq)
+
+        monkeypatch.setattr(sensitivity, "region_scan", scan)
+        monkeypatch.setattr(acceptance, "drop_scans", drop)
+        ok, _ = acceptance._check_weak_strong_agreement()
+        assert ok
+        systems = [registry.build(n).sequence
+                   for n in registry.registry_names()]
+        assert [event for event, _ in itertools.groupby(events)] == [
+            (kind, id(seq)) for seq in systems for kind in ("scan", "drop")]
+        assert not any(seq in by_seq for by_seq in sensitivity._SCANS.values()
+                       for seq in systems)

@@ -2,8 +2,9 @@
 every module-level function, class and assigned name of the package is
 referenced, every parameter of a package function is read, only
 ``spaces`` builds a ``SymbolicPoint`` directly, every name the package
-exports exists, and the package reaches no BLAS routine of numpy: that is
-the premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``."""
+exports exists, the package reaches no BLAS routine of numpy (the
+premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``), and it
+reads no attribute of the ``region_scan`` cache object."""
 
 import ast
 import functools
@@ -287,6 +288,47 @@ def test_scan_flags_a_blas_call():
     assert blas_uses(tree) == [(2, "einsum"), (3, "linalg"), (4, "@"),
                                (5, "@"), (6, "dot"), (7, "linalg"),
                                (8, "inner")]
+
+
+def scan_cache_reads(tree: ast.Module) -> list:
+    """(line, attribute) of each attribute read from ``region_scan``, by
+    name or through a module, and of each ``getattr`` on it. perfbench's
+    tracer rebinds every package name bound to the cache object to a plain
+    wrapper with no attributes, so the package reaches the scan store only
+    through module functions such as ``drop_scans``."""
+    def is_cache(node):
+        return "region_scan" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_cache(node.value):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "getattr"
+              and node.args and is_cache(node.args[0])):
+            found.append((node.lineno, "getattr"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_reads_no_scan_cache_attribute(path):
+    assert scan_cache_reads(parsed(path)) == []
+
+
+def test_scan_flags_a_scan_cache_attribute():
+    tree = ast.parse("from . import sensitivity\n"
+                     "from .sensitivity import region_scan\n"
+                     "region_scan.cache_clear()\n"
+                     "n = sensitivity.region_scan.cache_info().misses\n"
+                     "build = region_scan.__wrapped__\n"
+                     "hits = getattr(region_scan, 'hits', 0)\n"
+                     "scan = region_scan(seq, region, 10, 8)\n"
+                     "f = sensitivity.region_scan\n"
+                     "print(scan.sample, sensitivity.drop_scans(), f)\n")
+    assert scan_cache_reads(tree) == [(3, "cache_clear"), (4, "cache_info"),
+                                      (5, "__wrapped__"), (6, "getattr")]
 
 
 def test_every_export_resolves():

@@ -895,6 +895,86 @@ class TestScanLifetime:
         assert region_scan.cache_info() == (1, 1, None, 1)
 
 
+class TestProbeOnIterable:
+    """``_probe`` walks its cover once, so a cover may be any iterable and a
+    region the cover alone holds takes its scan with it before the next
+    region's scan is built."""
+
+    @pytest.mark.parametrize("probe", [sensitivity_probe,
+                                       weak_sensitivity_probe])
+    def test_generator_cover_equals_list_cover(self, probe):
+        seq = registry.build("example41_composition").sequence
+        cover = registry.default_cover("interval-balls")[:5]
+        listed = probe(seq, 0.2, infinite_family(), list(cover), 60, 8)
+        generated = probe(seq, 0.2, infinite_family(),
+                          (r for r in cover), 60, 8)
+        assert generated == listed
+        assert len(generated.regions) == 5
+
+    # TestProbeVerdicts.test_empty_cover_rejected takes the empty list
+    @pytest.mark.parametrize("empty", [(), iter(()), (r for r in ())],
+                             ids=["tuple", "iterator", "generator"])
+    def test_empty_iterable_rejected_before_any_scan(self, monkeypatch,
+                                                     empty):
+        seq = registry.build("identity").sequence
+        calls = TestTracedCallPattern.install(monkeypatch, region_scan)
+        before = region_scan.cache_info()
+        with pytest.raises(ValueError,
+                           match="^cover must contain at least one region$"):
+            sensitivity_probe(seq, 0.1, nonempty(), empty, 10, 8)
+        assert calls == {}
+        assert region_scan.cache_info()[:2] == before[:2]
+
+    @staticmethod
+    def watch_lookups(monkeypatch):
+        """Rebind the probe's ``region_scan`` to record, at each lookup, the
+        cache size and how many earlier scans are still alive."""
+        seen, scans = [], []
+
+        def lookup(*args):
+            alive = sum(ref() is not None for ref in scans)
+            seen.append((region_scan.cache_info().currsize, alive))
+            scan = region_scan(*args)
+            scans.append(weakref.ref(scan))
+            return scan
+
+        monkeypatch.setattr(sensitivity, "region_scan", lookup)
+        return seen
+
+    def test_hyperspace_probe_holds_one_ball_scan(self, monkeypatch,
+                                                  empty_scan_cache):
+        seq = registry.build("example41_generated").sequence
+        centers = [finite_subset([c, 1.0 - c], INTERVAL)
+                   for c in (0.1, 0.2, 0.3, 0.4)]
+        seen = self.watch_lookups(monkeypatch)
+        rep = hyperspace_probe(seq, 0.2, nonempty(), centers, 1 / 32.0,
+                               20, 8)
+        assert len(rep.regions) == len(seen) == 4
+        # each earlier ball, its scan and its cache entry are gone
+        assert seen == [(0, 0)] * 4
+        assert region_scan.cache_info() == (0, 4, None, 0)
+
+    def test_held_cover_keeps_its_scans(self, monkeypatch, empty_scan_cache):
+        # the same watch on a cover the caller holds: every scan stays
+        seq = registry.build("example41_generated").sequence
+        cover = [hausdorff_ball(finite_subset([c], INTERVAL), 1 / 32.0)
+                 for c in (0.1, 0.2, 0.3)]
+        seen = self.watch_lookups(monkeypatch)
+        sensitivity_probe(seq, 0.2, nonempty(), cover, 20, 8)
+        assert seen == [(0, 0), (1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, float("inf")])
+    def test_bad_radius_raises_before_any_scan(self, monkeypatch, radius):
+        seq = registry.build("identity").sequence
+        calls = TestTracedCallPattern.install(monkeypatch, region_scan)
+        before = region_scan.cache_info()
+        with pytest.raises(ValueError, match="^ball radius must be positive"):
+            hyperspace_probe(seq, 0.1, nonempty(),
+                             [finite_subset([0.3], INTERVAL)], radius, 10, 8)
+        assert calls == {}
+        assert region_scan.cache_info()[:2] == before[:2]
+
+
 @st.composite
 def interval_orbits(draw):
     """A (samples, times) array of interval points from a few drawn floats,
