@@ -2,7 +2,10 @@
 
 ``nonauto run config.json`` executes the probes described by a JSON config
 and writes a versioned report plus per-region CSV and TSV series, all
-byte-identical across reruns. ``nonauto verify`` prints the pass/fail table
+byte-identical across reruns. Each file is streamed to a temporary beside
+it, a line or a JSON chunk at a time, and then renamed over its target, so
+a run holds its scans and report but no file's whole text, and a failed
+write leaves the old file. ``nonauto verify`` prints the pass/fail table
 of the built-in checks, and ``nonauto list`` enumerates the shipped
 systems.
 
@@ -22,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import families, spaces
 from .families import FamilySpec, cofinite_family, nonempty, syndetic_family
 from .registry import (
@@ -40,6 +45,8 @@ REPORT_SCHEMA = 1
 # Largest memory a run's scans may keep, as ``parse_config`` estimates it
 # before it builds any; the shipped and built-in configs need under 70 MB.
 MAX_RUN_BYTES = 2 ** 30
+# times of the scans' max series an output file reads at once
+OUTPUT_BLOCK_ROWS = 1024
 
 MODES = ("sensitive", "cofinite", "syndetic", "F-sensitive",
          "weakly-F-sensitive")
@@ -124,6 +131,8 @@ def _run_bytes(sequence: MapSequence, cover, horizon: int,
                resolution: int) -> int:
     """About the bytes the run's scans keep, from its parameters alone.
 
+    The scans are what a run holds: ``write_outputs`` streams every file
+    and reads the series a block of ``OUTPUT_BLOCK_ROWS`` times at once.
     A config region is a ball or a cylinder: a point region of at most
     resolution + 1 points (a ball's grid and its centre; a cylinder's from
     resolution 12 up).
@@ -259,9 +268,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "deltas": list(cfg.deltas), "reports": reports}
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _write_atomic(path: Path):
+    """Yield a text file open on a temporary beside ``path``, which then
+    replaces ``path``; on any exception the temporary is removed and
+    ``path`` keeps its old bytes."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    try:
+        with open(tmp, "w") as f:
+            yield f
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -270,13 +288,16 @@ def _hits_name(label: str) -> str:
 
 
 def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
+    """Write the run's files line by line, so a run holds its scans and
+    report but never a whole file's text."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     report_path = out / "report.json"
-    _write_atomic(report_path,
-                  json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with _write_atomic(report_path) as f:
+        json.dump(report, f, sort_keys=True, indent=2)
+        f.write("\n")
     written.append(report_path)
 
     # hit series use the first delta; the scan itself is delta-independent
@@ -284,20 +305,27 @@ def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
     scans = [region_scan(cfg.sequence, r, cfg.horizon, cfg.resolution)
              for r in cfg.cover]
     for region, scan in zip(cfg.cover, scans):
-        lines = ["n,max_separation,witness"]
-        for n in scan.times(delta).indices:
-            i, j, sep = scan.witness(n)
-            lines.append(f"{n},{sep!r},{i}-{j}")
         path = out / _hits_name(region.label)
-        _write_atomic(path, "\n".join(lines) + "\n")
+        with _write_atomic(path) as f:
+            f.write("n,max_separation,witness\n")
+            # the times of scan.times(delta), a block of times at once
+            for start in range(1, cfg.horizon + 1, OUTPUT_BLOCK_ROWS):
+                part = scan.max_series[start:start + OUTPUT_BLOCK_ROWS]
+                for n in (np.flatnonzero(part > delta) + start).tolist():
+                    i, j, sep = scan.witness(n)
+                    f.write(f"{n},{sep!r},{i}-{j}\n")
         written.append(path)
 
-    rows = ["n\t" + "\t".join(r.label for r in cfg.cover)]
-    for n in range(cfg.horizon + 1):
-        cells = [repr(float(scan.max_series[n])) for scan in scans]
-        rows.append(f"{n}\t" + "\t".join(cells))
     plot_path = out / "plotdata.tsv"
-    _write_atomic(plot_path, "\n".join(rows) + "\n")
+    with _write_atomic(plot_path) as f:
+        f.write("n\t" + "\t".join(r.label for r in cfg.cover) + "\n")
+        for start in range(0, cfg.horizon + 1, OUTPUT_BLOCK_ROWS):
+            stop = start + OUTPUT_BLOCK_ROWS
+            block = np.stack([s.max_series[start:stop] for s in scans],
+                             axis=1)
+            for n, row in enumerate(block, start):
+                f.write(f"{n}\t" + "\t".join(map(repr, row.tolist()))
+                        + "\n")
     written.append(plot_path)
     return written
 

@@ -28,20 +28,20 @@ serves it as a prefix view of a longer scan of the same region and
 resolution, and counts only the scans it builds as misses. It refuses a
 region of another space than the sequence's. Its cache holds sequences and
 regions weakly: a scan lives as long as both do, so the scans of a k-th
-iterate built for one check go with it. A probe walks its cover once and
-holds no scan past its region's turn, and ``hyperspace_probe`` builds each
-Hausdorff ball only when the probe reaches it, so ball scans go one region
-at a time. ``drop_scans(seq)`` frees one sequence's scans, as
-weak-strong-agreement does for each registry system it is done with, and
-``drop_scans()`` frees the rest when ``nonauto verify``'s scan-free checks
-start.
+iterate built for one check go with it. A probe walks its cover once,
+holds no scan past its region's turn and classifies regions equal but for
+their label once, and ``hyperspace_probe`` builds each Hausdorff ball only
+when the probe reaches it, so ball scans go one region at a time.
+``drop_scans(seq)`` frees one sequence's scans, as weak-strong-agreement
+does for each registry system it is done with, and ``drop_scans()`` frees
+the rest when ``nonauto verify``'s scan-free checks start.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, update_wrapper
 from weakref import WeakKeyDictionary
 
@@ -518,18 +518,22 @@ def _region_label(region: Region, index: int) -> str:
 
 def _probe(mode, classify, seq, delta, fam, cover, horizon, resolution):
     """Classify each region's scan; the verdict fails at the first region
-    ``classify(scan) -> (passed, times, witness)`` rejects."""
+    ``classify(scan) -> (passed, times, witness)`` rejects. Regions equal
+    but for their label share one scan lookup and one classification."""
     _check_probe(delta, horizon)
-    records = []
+    records, classified = [], {}
     # one pass, so a cover may build its regions on demand; holding no scan
     # past its turn lets a region only the cover held take its scan along
     for idx, region in enumerate(cover):
-        scan = region_scan(seq, region, horizon, resolution)
-        passed, times, witness = classify(scan)
+        key = replace(region, label="")
+        if key not in classified:
+            scan = region_scan(seq, region, horizon, resolution)
+            classified[key] = (*classify(scan), scan.truncation_bound)
+            del scan
+        passed, times, witness, bound = classified[key]
         records.append(RegionRecord(
             label=_region_label(region, idx), passed=passed, times=times,
-            witness=witness, truncation_bound=scan.truncation_bound))
-        del scan
+            witness=witness, truncation_bound=bound))
     if not records:
         raise ValueError("cover must contain at least one region")
     failing = next((r.label for r in records if not r.passed), None)

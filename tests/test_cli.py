@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -602,6 +603,97 @@ def test_run_reads_only_the_scans_parse_built(tmp_path, name):
     assert region_scan.cache_info().misses == len(cfg.cover)
     write_outputs(cfg, run_experiment(cfg))
     assert region_scan.cache_info().misses == len(cfg.cover)
+
+
+# a symbolic system whose net shift cycles 0, 2, 1, so its horizon may
+# run past one output block; its cylinders name one file with a space
+CYLINDER_CONFIG = {
+    "system": {"rule": "cyclic", "space": "symbolic",
+               "maps": [{"kind": "shift", "power": 2},
+                        {"kind": "shift", "power": -1},
+                        {"kind": "shift", "power": -1}]},
+    "label": "two-back-two", "modes": ["sensitive", "syndetic"],
+    "deltas": [0.6, 0.3], "horizon": 1500, "resolution": 16,
+    "cover": [{"kind": "cylinder", "constraints": {"0": 1, "1": 0},
+               "label": "pinned pair"},
+              {"kind": "cylinder", "constraints": {"-1": 1}}],
+}
+
+
+def whole_text_outputs(cfg, report) -> dict:
+    """File name -> the text ``write_outputs`` writes, each file built
+    whole and its series read cell by cell: the oracle for the streamed
+    writer."""
+    delta = cfg.deltas[0]
+    scans = [region_scan(cfg.sequence, r, cfg.horizon, cfg.resolution)
+             for r in cfg.cover]
+    texts = {"report.json": json.dumps(report, sort_keys=True, indent=2)
+             + "\n"}
+    for region, scan in zip(cfg.cover, scans):
+        lines = ["n,max_separation,witness"]
+        for n in scan.times(delta).indices:
+            i, j, sep = scan.witness(n)
+            lines.append(f"{n},{sep!r},{i}-{j}")
+        texts[cli._hits_name(region.label)] = "\n".join(lines) + "\n"
+    rows = ["n\t" + "\t".join(r.label for r in cfg.cover)]
+    for n in range(cfg.horizon + 1):
+        cells = [repr(float(scan.max_series[n])) for scan in scans]
+        rows.append(f"{n}\t" + "\t".join(cells))
+    texts["plotdata.tsv"] = "\n".join(rows) + "\n"
+    return texts
+
+
+class TestStreamedOutputs:
+    @pytest.mark.parametrize("raw", shipped_configs() + [CYLINDER_CONFIG],
+                             ids=[p.stem for p in sorted(
+                                 CONFIGS.glob("*.json"))] + ["cylinders"])
+    def test_files_equal_whole_text_oracle(self, tmp_path, raw):
+        cfg = parse_config(raw, out_override=str(tmp_path))
+        report = run_experiment(cfg)
+        written = write_outputs(cfg, report)
+        texts = whole_text_outputs(cfg, report)
+        assert [p.name for p in written] == list(texts)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
+        for path in written:
+            assert path.read_bytes() == texts[path.name].encode()
+
+    def test_write_holds_a_fraction_of_the_series_file(self, tmp_path):
+        # a long horizon at resolution 2: the series file and the hit
+        # files, a line per time, are large beside each scan's orbits
+        cfg = parse_config({
+            "system": "rotations_harmonic", "modes": ["sensitive"],
+            "delta": 0.1, "horizon": 16000, "resolution": 2,
+            "cover": [{"center": 0.3, "radius": 0.1},
+                      {"center": 0.7, "radius": 0.1}],
+        }, out_override=str(tmp_path))
+        report = run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            write_outputs(cfg, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "plotdata.tsv").stat().st_size
+        assert size > 500_000
+        assert peak < size / 4
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary(
+            self, tmp_path, monkeypatch):
+        cfg = parse_config({"system": "identity", "modes": ["sensitive"],
+                            "delta": 0.1, "horizon": 10},
+                           out_override=str(tmp_path))
+        report = run_experiment(cfg)
+        write_outputs(cfg, report)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def dump_part_way(obj, f, **kwargs):
+            f.write("{")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", dump_part_way)
+        with pytest.raises(OSError, match="^no space left on device$"):
+            write_outputs(cfg, {**report, "system": "changed"})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # values a mutation writes, and keys it may add to any object

@@ -3,8 +3,9 @@ every module-level function, class and assigned name of the package is
 referenced, every parameter of a package function is read, only
 ``spaces`` builds a ``SymbolicPoint`` directly, every name the package
 exports exists, the package reaches no BLAS routine of numpy (the
-premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``), and it
-reads no attribute of the ``region_scan`` cache object."""
+premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``), it
+reads no attribute of the ``region_scan`` cache object, and it writes no
+file from one whole string."""
 
 import ast
 import functools
@@ -329,6 +330,40 @@ def test_scan_flags_a_scan_cache_attribute():
                      "print(scan.sample, sensitivity.drop_scans(), f)\n")
     assert scan_cache_reads(tree) == [(3, "cache_clear"), (4, "cache_info"),
                                       (5, "__wrapped__"), (6, "getattr")]
+
+
+# names of calls that build a file's whole text or write it in one piece:
+# ``nonauto run`` streams its outputs, so a run never holds a file's text
+WHOLE_TEXT_WRITES = {"dumps", "write_text", "write_bytes"}
+
+
+def whole_text_writes(tree: ast.Module) -> list:
+    """(line, name) of each mention of a name in ``WHOLE_TEXT_WRITES``, as
+    a name or an attribute, called or not: ``json.dumps``, a ``dumps``
+    imported by name, ``Path.write_text`` and ``Path.write_bytes``."""
+    return sorted({(line, name) for line, name in mentions(tree)
+                   if name in WHOLE_TEXT_WRITES})
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_writes_no_whole_text(path):
+    assert whole_text_writes(parsed(path)) == []
+
+
+def test_scan_flags_a_whole_text_write():
+    tree = ast.parse("import json\n"
+                     "from json import dumps\n"
+                     "text = json.dumps(report) + '\\n'\n"
+                     "path.write_text(text)\n"
+                     "path.write_bytes(dumps(report).encode())\n"
+                     "save = path.write_text\n"
+                     "json.dump(report, f)\n"
+                     "f.write(line)\n"
+                     "raw = json.loads(path.read_text())\n")
+    assert whole_text_writes(tree) == [(3, "dumps"), (4, "write_text"),
+                                       (5, "dumps"), (5, "write_bytes"),
+                                       (6, "write_text")]
 
 
 def test_every_export_resolves():

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -953,6 +954,26 @@ class TestProbeOnIterable:
         # each earlier ball, its scan and its cache entry are gone
         assert seen == [(0, 0)] * 4
         assert region_scan.cache_info() == (0, 4, None, 0)
+
+    @pytest.mark.parametrize("probe", [sensitivity_probe,
+                                       weak_sensitivity_probe])
+    def test_regions_equal_but_for_label_share_one_scan(
+            self, monkeypatch, empty_scan_cache, probe):
+        seq = registry.build("example41_generated").sequence
+        cover = [metric_ball(INTERVAL, c, 1 / 32.0, label=name)
+                 for c, name in ((0.3, "first"), (0.6, "other"),
+                                 (0.3, "second"))]
+        seen = self.watch_lookups(monkeypatch)
+        rep = probe(seq, 0.2, nonempty(), cover, 40, 8)
+        assert len(seen) == 2
+        assert region_scan.cache_info()[:2] == (0, 2)
+        first, _, second = rep.regions
+        assert [r.label for r in rep.regions] == ["first", "other", "second"]
+        assert replace(second, label="first") == first
+        # each record is the one a cover of its region alone gives
+        for region, record in zip(cover, rep.regions):
+            alone = probe(seq, 0.2, nonempty(), [region], 40, 8)
+            assert alone.regions == (record,)
 
     def test_held_cover_keeps_its_scans(self, monkeypatch, empty_scan_cache):
         # the same watch on a cover the caller holds: every scan stays
