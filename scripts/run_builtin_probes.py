@@ -32,8 +32,8 @@ def main(argv=None) -> int:
                        "tail_fraction": 0.25},
         }
         cfg = parse_config(raw, out_override=f"{args.out}/{name}")
-        report = run_experiment(cfg)
-        write_outputs(cfg, report)
+        report, series = run_experiment(cfg)
+        write_outputs(cfg, report, series)
         for entry in report["reports"]:
             print(f"{name}: {entry['requested_mode']} "
                   f"delta={entry['delta']} -> {entry['verdict']}")

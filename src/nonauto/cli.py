@@ -2,11 +2,14 @@
 
 ``nonauto run config.json`` executes the probes described by a JSON config
 and writes a versioned report plus per-region CSV and TSV series, all
-byte-identical across reruns. Each file is streamed to a temporary beside
-it, a line or a JSON chunk at a time, and then renamed over its target, so
-a run holds its scans and report but no file's whole text, and a failed
-write leaves the old file. ``nonauto verify`` prints the pass/fail table
-of the built-in checks, and ``nonauto list`` enumerates the shipped
+byte-identical across reruns. The run walks the cover once: it builds a
+region's scan, classifies it under every mode and delta, keeps its max
+series and argmax pair and frees it before the next region. Each file is
+then streamed to a temporary beside it, a line or a JSON chunk at a time,
+and renamed over its target. So a run holds one region's scan, three rows
+of horizon + 1 per region and the report, but no file's whole text, and a
+failed write leaves the old file. ``nonauto verify`` prints the pass/fail
+table of the built-in checks, and ``nonauto list`` enumerates the shipped
 systems.
 
 Exit codes: 0 run complete or all checks pass, 1 check failure, 2 config
@@ -22,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +39,24 @@ from .registry import (
     default_cover,
     registry_names,
 )
-from .sensitivity import region_scan, sensitivity_probe, weak_sensitivity_probe
+from .sensitivity import (
+    cover_report,
+    drop_scans,
+    region_label,
+    region_scan,
+    sensitivity_probe,
+    weak_sensitivity_probe,
+)
 from .spaces import SYMBOLIC, WINDOW_RADIUS, cylinder_region, metric_ball
 from .systems import MapSequence, sequence_from_dict
 
 REPORT_SCHEMA = 1
 
 # Largest memory a run's scans may keep, as ``parse_config`` estimates it
-# before it builds any; the shipped and built-in configs need under 70 MB.
+# before the run builds any; the shipped and built-in configs need under
+# 70 MB.
 MAX_RUN_BYTES = 2 ** 30
-# times of the scans' max series an output file reads at once
+# times of the kept max series an output file reads at once
 OUTPUT_BLOCK_ROWS = 1024
 
 MODES = ("sensitive", "cofinite", "syndetic", "F-sensitive",
@@ -131,11 +142,12 @@ def _run_bytes(sequence: MapSequence, cover, horizon: int,
                resolution: int) -> int:
     """About the bytes the run's scans keep, from its parameters alone.
 
-    The scans are what a run holds: ``write_outputs`` streams every file
-    and reads the series a block of ``OUTPUT_BLOCK_ROWS`` times at once.
-    A config region is a ball or a cylinder: a point region of at most
-    resolution + 1 points (a ball's grid and its centre; a cylinder's from
-    resolution 12 up).
+    It still counts every region's scan, though ``run_experiment`` holds
+    one at a time: an upper bound, which ROADMAP item 4 recounts.
+    ``write_outputs`` streams every file and reads the kept rows a block
+    of ``OUTPUT_BLOCK_ROWS`` times at once. A config region is a ball or a
+    cylinder: a point region of at most resolution + 1 points (a ball's
+    grid and its centre; a cylinder's from resolution 12 up).
     """
     n = resolution + 1
     pairs = n * (n - 1) // 2
@@ -157,8 +169,8 @@ def _run_bytes(sequence: MapSequence, cover, horizon: int,
 
 
 def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig:
-    """Check a raw config by building every scan its run reads: the probes
-    and ``write_outputs`` then find them cached."""
+    """Check a raw config and estimate its scans' bytes, building none:
+    ``run_experiment`` builds each region's scan in its turn."""
     _require(isinstance(raw, dict), "config root must be an object")
     _require("system" in raw, "config needs a 'system' entry")
     _require(all(isinstance(raw.get(k, ""), str) for k in ("label", "out")),
@@ -232,9 +244,6 @@ def parse_config(raw: dict, out_override: str | None = None) -> ExperimentConfig
              f"the run's scans need about {mb:.4g} MB, over the limit of "
              f"{MAX_RUN_BYTES / 2 ** 20:.4g} MB; lower the horizon, the "
              f"resolution or the cover")
-    with _refused(errors=ValueError):
-        for region in cover:
-            region_scan(sequence, region, horizon, resolution)
 
     return ExperimentConfig(label=label, sequence=sequence, family=family,
                             deltas=deltas, horizon=horizon,
@@ -252,20 +261,47 @@ def _mode_family(mode: str, cfg: ExperimentConfig) -> FamilySpec:
     return cfg.family
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    reports = []
-    for mode in cfg.modes:
-        for delta in cfg.deltas:
-            probe = (weak_sensitivity_probe if mode == "weakly-F-sensitive"
-                     else sensitivity_probe)
-            rep = probe(cfg.sequence, delta, _mode_family(mode, cfg),
-                        cfg.cover, cfg.horizon, cfg.resolution)
-            entry = rep.to_dict()
-            entry["requested_mode"] = mode
-            reports.append(entry)
-    return {"schema": REPORT_SCHEMA, "system": cfg.label,
-            "horizon": cfg.horizon, "resolution": cfg.resolution,
-            "deltas": list(cfg.deltas), "reports": reports}
+def run_experiment(cfg: ExperimentConfig) -> tuple:
+    """Run every (mode, delta) probe, one region at a time: build the
+    region's scan, classify it under every probe, keep its max series and
+    argmax pair, and free it before the next region. So the run holds one
+    region's scan, three rows of horizon + 1 per region and the report.
+
+    Returns the report and, in cover order, each region's rows
+    ``(max_series, argmax_i, argmax_j)`` for ``write_outputs``. A scan
+    that cannot be built (a region of another space, a shift that drains
+    the sampled window) is a ConfigError; a probe's own error is not.
+    """
+    probes = [(mode, delta, _mode_family(mode, cfg),
+               weak_sensitivity_probe if mode == "weakly-F-sensitive"
+               else sensitivity_probe)
+              for mode in cfg.modes for delta in cfg.deltas]
+    regional = [[] for _ in probes]  # each probe's one-region reports
+    series = []
+    for region in cfg.cover:
+        with _refused(errors=ValueError):
+            scan = region_scan(cfg.sequence, region, cfg.horizon,
+                               cfg.resolution)
+        series.append((scan.max_series, scan.argmax_i, scan.argmax_j))
+        del scan
+        for (_, delta, fam, probe), reports in zip(probes, regional):
+            reports.append(probe(cfg.sequence, delta, fam, (region,),
+                                 cfg.horizon, cfg.resolution))
+        # frees this region's scan: the run holds no other of its sequence
+        drop_scans(cfg.sequence)
+    entries = []
+    for (mode, delta, fam, _), reports in zip(probes, regional):
+        records = [replace(rep.regions[0], label=region_label(region, idx))
+                   for idx, (region, rep) in enumerate(zip(cfg.cover,
+                                                           reports))]
+        entry = cover_report(reports[0].mode, fam, delta, cfg.horizon,
+                             cfg.resolution, records).to_dict()
+        entry["requested_mode"] = mode
+        entries.append(entry)
+    report = {"schema": REPORT_SCHEMA, "system": cfg.label,
+              "horizon": cfg.horizon, "resolution": cfg.resolution,
+              "deltas": list(cfg.deltas), "reports": entries}
+    return report, series
 
 
 @contextlib.contextmanager
@@ -287,9 +323,11 @@ def _hits_name(label: str) -> str:
     return "hits_" + re.sub(r"[^A-Za-z0-9_-]", "_", label) + ".csv"
 
 
-def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
-    """Write the run's files line by line, so a run holds its scans and
-    report but never a whole file's text."""
+def write_outputs(cfg: ExperimentConfig, report: dict, series) -> list:
+    """Write the run's files line by line from ``run_experiment``'s report
+    and kept rows, looking up no scan: writing adds no scan and never a
+    whole file's text to the three rows of horizon + 1 per region and the
+    report that the run holds. Returns the paths written."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -300,19 +338,19 @@ def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
         f.write("\n")
     written.append(report_path)
 
-    # hit series use the first delta; the scan itself is delta-independent
+    # hit series use the first delta; the rows are delta-independent
     delta = cfg.deltas[0]
-    scans = [region_scan(cfg.sequence, r, cfg.horizon, cfg.resolution)
-             for r in cfg.cover]
-    for region, scan in zip(cfg.cover, scans):
+    for region, (top, best_i, best_j) in zip(cfg.cover, series):
         path = out / _hits_name(region.label)
         with _write_atomic(path) as f:
             f.write("n,max_separation,witness\n")
-            # the times of scan.times(delta), a block of times at once
+            # the times of the scan's times(delta), a block of times at once
             for start in range(1, cfg.horizon + 1, OUTPUT_BLOCK_ROWS):
-                part = scan.max_series[start:start + OUTPUT_BLOCK_ROWS]
-                for n in (np.flatnonzero(part > delta) + start).tolist():
-                    i, j, sep = scan.witness(n)
+                part = top[start:start + OUTPUT_BLOCK_ROWS]
+                hit = np.flatnonzero(part > delta) + start
+                for n, sep, i, j in zip(hit.tolist(), top[hit].tolist(),
+                                        best_i[hit].tolist(),
+                                        best_j[hit].tolist()):
                     f.write(f"{n},{sep!r},{i}-{j}\n")
         written.append(path)
 
@@ -321,7 +359,7 @@ def write_outputs(cfg: ExperimentConfig, report: dict) -> list:
         f.write("n\t" + "\t".join(r.label for r in cfg.cover) + "\n")
         for start in range(0, cfg.horizon + 1, OUTPUT_BLOCK_ROWS):
             stop = start + OUTPUT_BLOCK_ROWS
-            block = np.stack([s.max_series[start:stop] for s in scans],
+            block = np.stack([top[start:stop] for top, _, _ in series],
                              axis=1)
             for n, row in enumerate(block, start):
                 f.write(f"{n}\t" + "\t".join(map(repr, row.tolist()))
@@ -340,14 +378,14 @@ def _cmd_run(args) -> int:
         return 2
     try:
         cfg = parse_config(raw, out_override=args.out)
+        report, series = run_experiment(cfg)
     except UnknownSystemError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(cfg)
-    written = write_outputs(cfg, report)
+    written = write_outputs(cfg, report, series)
     verdicts = {r["requested_mode"]: r["verdict"] for r in report["reports"]}
     for mode, verdict in verdicts.items():
         print(f"{cfg.label}: {mode} -> {verdict}")

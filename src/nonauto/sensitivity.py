@@ -32,9 +32,12 @@ iterate built for one check go with it. A probe walks its cover once,
 holds no scan past its region's turn and classifies regions equal but for
 their label once, and ``hyperspace_probe`` builds each Hausdorff ball only
 when the probe reaches it, so ball scans go one region at a time.
-``drop_scans(seq)`` frees one sequence's scans, as weak-strong-agreement
-does for each registry system it is done with, and ``drop_scans()`` frees
-the rest when ``nonauto verify``'s scan-free checks start.
+``cover_report`` holds the verdict rule that merges region records: the
+cover holds unless some region fails, and the first that fails is named.
+``drop_scans(seq)`` frees one sequence's scans, as ``nonauto run`` does
+after each region of its cover and weak-strong-agreement does for each
+registry system it is done with, and ``drop_scans()`` frees the rest when
+``nonauto verify``'s scan-free checks start.
 """
 
 from __future__ import annotations
@@ -512,7 +515,7 @@ _STRONG_MODES = {"nonempty": "sensitive", "cofinite": "cofinite",
                  "syndetic": "syndetic"}
 
 
-def _region_label(region: Region, index: int) -> str:
+def region_label(region: Region, index: int) -> str:
     return region.label or f"region-{index:02d}"
 
 
@@ -532,8 +535,16 @@ def _probe(mode, classify, seq, delta, fam, cover, horizon, resolution):
             del scan
         passed, times, witness, bound = classified[key]
         records.append(RegionRecord(
-            label=_region_label(region, idx), passed=passed, times=times,
+            label=region_label(region, idx), passed=passed, times=times,
             witness=witness, truncation_bound=bound))
+    return cover_report(mode, fam, delta, horizon, resolution, records)
+
+
+def cover_report(mode, fam, delta, horizon, resolution,
+                 records) -> SensitivityReport:
+    """The report of a cover's region records, in cover order: the verdict
+    holds unless some region fails, and ``failing_region`` is the first
+    that does."""
     if not records:
         raise ValueError("cover must contain at least one region")
     failing = next((r.label for r in records if not r.passed), None)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonauto import cli
+from nonauto import cli, sensitivity
 from nonauto.cli import (
     ConfigError,
     main,
@@ -594,15 +594,79 @@ def empty_scan_cache():
     region_scan.cache_clear()
 
 
+def scanned_regions(seq) -> list:
+    """The regions under which the scan store holds scans of ``seq``."""
+    return [region for region, by_seq in sensitivity._SCANS.items()
+            if by_seq.get(seq)]
+
+
 @pytest.mark.usefixtures("empty_scan_cache")
 @pytest.mark.parametrize("name", ["example31", "example41_composition",
                                   "inline_two_balls"])
-def test_run_reads_only_the_scans_parse_built(tmp_path, name):
+def test_each_region_scan_is_built_once_per_run(tmp_path, monkeypatch,
+                                                name):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg = parse_config(raw, out_override=str(tmp_path / "out"))
+    assert region_scan.cache_info().misses == 0
+    held = []
+
+    def watched(probe):
+        def wrapper(seq, delta, fam, cover, *rest):
+            held.append((scanned_regions(cfg.sequence), list(cover)))
+            return probe(seq, delta, fam, cover, *rest)
+        return wrapper
+
+    for probe in ("sensitivity_probe", "weak_sensitivity_probe"):
+        monkeypatch.setattr(cli, probe, watched(getattr(cli, probe)))
+    write_outputs(cfg, *run_experiment(cfg))
     assert region_scan.cache_info().misses == len(cfg.cover)
-    write_outputs(cfg, run_experiment(cfg))
-    assert region_scan.cache_info().misses == len(cfg.cover)
+    # each probe sees only its own region's scan in the store
+    assert len(held) == len(cfg.cover) * len(cfg.modes) * len(cfg.deltas)
+    assert all(regions == cover and len(cover) == 1
+               for regions, cover in held)
+    assert scanned_regions(cfg.sequence) == []
+
+
+def test_run_holds_one_region_scan(tmp_path):
+    # at the parent, whose run held every region's orbits to the end,
+    # parse + run + write peaked at 4.39 MB
+    raw = {"system": "example41_generated",
+           "modes": ["F-sensitive", "weakly-F-sensitive"],
+           "family": COUNT_AND_TAIL}
+    tracemalloc.start()
+    try:
+        cfg = parse_config(raw, out_override=str(tmp_path))
+        write_outputs(cfg, *run_experiment(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cfg.cover) == 16
+    assert peak < 2 * 2 ** 20
+
+
+def test_config_error_at_a_later_region(tmp_path, capsys, monkeypatch):
+    # an interval system with a symbolic cylinder after an interval ball:
+    # the cylinder's scan is refused only once the ball is classified
+    probed = []
+
+    def probe(seq, delta, fam, cover, *rest):
+        probed.extend(r.label for r in cover)
+        return sensitivity.sensitivity_probe(seq, delta, fam, cover, *rest)
+
+    monkeypatch.setattr(cli, "sensitivity_probe", probe)
+    cfg = write_config(tmp_path / "c.json", {
+        "system": "identity", "modes": ["sensitive"], "delta": 0.1,
+        "horizon": 20,
+        "cover": [{"kind": "ball", "center": 0.5, "radius": 0.1,
+                   "label": "ball"},
+                  {"kind": "cylinder", "constraints": {"0": 1},
+                   "label": "cyl"}]})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: region cyl lies in the symbolic space, not the "
+        "sequence's interval space\n")
+    assert probed == ["ball"]
+    assert not (tmp_path / "out").exists()
 
 
 # a symbolic system whose net shift cycles 0, 2, 1, so its horizon may
@@ -649,8 +713,8 @@ class TestStreamedOutputs:
                                  CONFIGS.glob("*.json"))] + ["cylinders"])
     def test_files_equal_whole_text_oracle(self, tmp_path, raw):
         cfg = parse_config(raw, out_override=str(tmp_path))
-        report = run_experiment(cfg)
-        written = write_outputs(cfg, report)
+        report, series = run_experiment(cfg)
+        written = write_outputs(cfg, report, series)
         texts = whole_text_outputs(cfg, report)
         assert [p.name for p in written] == list(texts)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
@@ -666,10 +730,10 @@ class TestStreamedOutputs:
             "cover": [{"center": 0.3, "radius": 0.1},
                       {"center": 0.7, "radius": 0.1}],
         }, out_override=str(tmp_path))
-        report = run_experiment(cfg)
+        report, series = run_experiment(cfg)
         tracemalloc.start()
         try:
-            write_outputs(cfg, report)
+            write_outputs(cfg, report, series)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -682,8 +746,8 @@ class TestStreamedOutputs:
         cfg = parse_config({"system": "identity", "modes": ["sensitive"],
                             "delta": 0.1, "horizon": 10},
                            out_override=str(tmp_path))
-        report = run_experiment(cfg)
-        write_outputs(cfg, report)
+        report, series = run_experiment(cfg)
+        write_outputs(cfg, report, series)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def dump_part_way(obj, f, **kwargs):
@@ -692,7 +756,7 @@ class TestStreamedOutputs:
 
         monkeypatch.setattr(cli.json, "dump", dump_part_way)
         with pytest.raises(OSError, match="^no space left on device$"):
-            write_outputs(cfg, {**report, "system": "changed"})
+            write_outputs(cfg, {**report, "system": "changed"}, series)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

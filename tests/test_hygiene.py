@@ -4,8 +4,9 @@ referenced, every parameter of a package function is read, only
 ``spaces`` builds a ``SymbolicPoint`` directly, every name the package
 exports exists, the package reaches no BLAS routine of numpy (the
 premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``), it
-reads no attribute of the ``region_scan`` cache object, and it writes no
-file from one whole string."""
+reads no attribute of the ``region_scan`` cache object, ``nonauto run``
+looks up scans only in ``run_experiment``, and the package writes no file
+from one whole string."""
 
 import ast
 import functools
@@ -330,6 +331,44 @@ def test_scan_flags_a_scan_cache_attribute():
                      "print(scan.sample, sensitivity.drop_scans(), f)\n")
     assert scan_cache_reads(tree) == [(3, "cache_clear"), (4, "cache_info"),
                                       (5, "__wrapped__"), (6, "getattr")]
+
+
+# ``nonauto run``'s stages that look up no scan: ``run_experiment`` builds
+# each region's scan in its turn and frees it, so checking a config cannot
+# build one early and writing outputs cannot build one again or pin it
+SCAN_FREE_STAGES = {"parse_config", "write_outputs"}
+
+
+def stage_scan_lookups(tree: ast.Module) -> list:
+    """(line, function) of each mention of ``region_scan``, by name or
+    through a module, called or not, inside a function named in
+    ``SCAN_FREE_STAGES``."""
+    return sorted((node.lineno, fn.name) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name in SCAN_FREE_STAGES
+                  for node in ast.walk(fn)
+                  if "region_scan" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None)))
+
+
+def test_run_stages_look_up_no_scan():
+    tree = parsed(ROOT / "src" / "nonauto" / "cli.py")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert SCAN_FREE_STAGES <= defined
+    assert stage_scan_lookups(tree) == []
+
+
+def test_scan_flags_a_stage_scan_lookup():
+    tree = ast.parse("def parse_config(raw):\n"
+                     "    return region_scan(raw, 1, 2, 3)\n\n\n"
+                     "def write_outputs(cfg, report, series):\n"
+                     "    build = sensitivity.region_scan\n"
+                     "    return build(cfg, 1, 2, 3)\n\n\n"
+                     "def run_experiment(cfg):\n"
+                     "    return region_scan(cfg, 1, 2, 3)\n")
+    assert stage_scan_lookups(tree) == [(2, "parse_config"),
+                                        (6, "write_outputs")]
 
 
 # names of calls that build a file's whole text or write it in one piece:
