@@ -15,7 +15,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .families import (
     cofinite_family,
-    complement,
     dual,
     family_from_dict,
     family_to_dict,
@@ -33,11 +32,7 @@ from .registry import (
     verify_continuity,
 )
 from .sensitivity import (
-    asym_pair_test,
-    attaching_estimate,
-    hit_times,
     hyperspace_probe,
-    pair_separation_times,
     sensitivity_probe,
     weak_implication_ok,
     weak_sensitivity_probe,
@@ -85,12 +80,9 @@ __all__ = [
     "INTERVAL",
     "SYMBOLIC",
     "apply",
-    "asym_pair_test",
-    "attaching_estimate",
     "block_sequence",
     "build",
     "cofinite_family",
-    "complement",
     "composition",
     "cyclic_sequence",
     "cylinder_region",
@@ -105,7 +97,6 @@ __all__ = [
     "generated_system",
     "hausdorff",
     "hausdorff_ball",
-    "hit_times",
     "hyperspace_probe",
     "identity",
     "infinite_family",
@@ -115,7 +106,6 @@ __all__ = [
     "metric_ball",
     "nonempty",
     "orbit",
-    "pair_separation_times",
     "partition_witness",
     "piecewise_linear",
     "prefix_compose",

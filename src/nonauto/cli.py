@@ -13,7 +13,7 @@ table of the built-in checks, and ``nonauto list`` enumerates the shipped
 systems.
 
 Exit codes: 0 run complete or all checks pass, 1 check failure, 2 config
-error, 3 unknown system.
+error, 3 unknown system, 4 output error.
 """
 
 from __future__ import annotations
@@ -313,10 +313,10 @@ def _write_atomic(path: Path):
     try:
         with open(tmp, "w") as f:
             yield f
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _hits_name(label: str) -> str:
@@ -385,7 +385,11 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    written = write_outputs(cfg, report, series)
+    try:
+        written = write_outputs(cfg, report, series)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
     verdicts = {r["requested_mode"]: r["verdict"] for r in report["reports"]}
     for mode, verdict in verdicts.items():
         print(f"{cfg.label}: {mode} -> {verdict}")

@@ -38,9 +38,6 @@ class WindowedIndexSet:
     horizon: int
     indices: tuple
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def windowed(indices, horizon: int) -> WindowedIndexSet:
     if horizon < 1:
@@ -61,10 +58,6 @@ def mask_of(s: WindowedIndexSet) -> np.ndarray:
 def from_mask(mask: np.ndarray) -> WindowedIndexSet:
     return WindowedIndexSet(horizon=len(mask),
                             indices=tuple((np.flatnonzero(mask) + 1).tolist()))
-
-
-def complement(s: WindowedIndexSet) -> WindowedIndexSet:
-    return from_mask(~mask_of(s))
 
 
 @dataclass(frozen=True)

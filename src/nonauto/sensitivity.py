@@ -1,4 +1,4 @@
-"""Hit times, separation sets, and horizon-relative sensitivity verdicts.
+"""Region scans and horizon-relative sensitivity verdicts.
 
 A probe asks, for each region of a cover, at which times some sampled pair
 of starting points has drifted more than delta apart. The classifier from
@@ -50,7 +50,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from . import families, spaces
+from . import families
 from .families import FamilySpec, WindowedIndexSet, member, windowed
 from .spaces import (
     INTERVAL,
@@ -58,13 +58,11 @@ from .spaces import (
     SYMBOLIC,
     FiniteSubset,
     Region,
-    check_point,
     dist_interval,
     dist_symbolic,
     distance,
     hausdorff_array,
     hausdorff_ball,
-    region_contains,
     sample_region,
     symbolic_truncation_bound,
 )
@@ -404,55 +402,6 @@ def _check_probe(delta, horizon) -> None:
 
 
 @dataclass(frozen=True)
-class HitTimeSet:
-    times: WindowedIndexSet
-    witnesses: dict
-
-
-def hit_times(seq: MapSequence, region: Region, delta: float, horizon: int,
-              resolution: int) -> HitTimeSet:
-    """Times at which some sampled pair of the region separates past delta."""
-    _check_probe(delta, horizon)
-    scan = region_scan(seq, region, horizon, resolution)
-    times = scan.times(delta)
-    witnesses = {}
-    for n in times.indices:
-        i, j, sep = scan.witness(n)
-        witnesses[n] = (scan.sample[i], scan.sample[j], sep)
-    return HitTimeSet(times=times, witnesses=witnesses)
-
-
-def pair_separation_times(seq: MapSequence, x, y, delta: float,
-                          horizon: int) -> WindowedIndexSet:
-    """{n <= horizon : d(prefix_n(x), prefix_n(y)) > delta}."""
-    _check_probe(delta, horizon)
-    check_point(seq.space, x)
-    check_point(seq.space, y)
-    # a two-point sample's max series is its one pair's distance
-    return _scan(seq, (x, y), horizon).times(delta)
-
-
-@dataclass(frozen=True)
-class AsymptoticVerdict:
-    is_asymptotic: bool
-    stay_close: WindowedIndexSet
-    separation: WindowedIndexSet
-
-
-def asym_pair_test(seq: MapSequence, x, y, delta: float, fam: FamilySpec,
-                   horizon: int = 500) -> AsymptoticVerdict:
-    """Whether the pair's stay-close set belongs to the dual family.
-
-    The stay-close and separation sets partition [1, horizon].
-    """
-    separation = pair_separation_times(seq, x, y, delta, horizon)
-    stay_close = families.complement(separation)
-    verdict = member(families.dual(fam), stay_close)
-    return AsymptoticVerdict(is_asymptotic=verdict, stay_close=stay_close,
-                             separation=separation)
-
-
-@dataclass(frozen=True)
 class RegionRecord:
     label: str
     passed: bool
@@ -626,22 +575,3 @@ def hyperspace_probe(seq: MapSequence, delta: float, fam: FamilySpec,
              for i, c in enumerate(centers))
     return sensitivity_probe(seq, delta, fam, cover, horizon, resolution)
 
-
-def attaching_estimate(seq: MapSequence, region: Region, fam: FamilySpec,
-                       probe_points: FiniteSubset,
-                       horizon: int) -> FiniteSubset:
-    """Probe points whose visit-time set to the region the family accepts.
-
-    Region membership uses the region predicate, not sampling. The result
-    may be empty; empty subsets are data here, never metric operands.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    visits = np.array([[region_contains(region, p)
-                        for p in orbit(seq, x, horizon)[1:]]
-                       for x in probe_points.elements], dtype=bool)
-    accepted = families.member_rows(fam, visits.reshape(-1, horizon))
-    attached = [x for x, ok in zip(probe_points.elements, accepted) if ok]
-    if not attached:
-        return FiniteSubset(elements=(), space=probe_points.space)
-    return spaces.finite_subset(attached, probe_points.space)

@@ -3,10 +3,12 @@
 Four kinds of points move through the rest of the package: floats on the
 unit interval, floats on the unit circle, two-sided binary sequences with a
 finite sampled window, and finite subsets of the interval or the circle.
-Every consumer goes through ``distance`` (``hausdorff`` for subsets) so the
-choice of metric lives here and nowhere else. A sequence point carries its
-window as two integer bit codes, so the sequence metric is exact integer
-arithmetic rounded once, and keeps no cache of its own.
+Every consumer goes through ``distance`` for points and ``hausdorff_array``
+for finite subsets, as scans of Hausdorff balls do; ``hausdorff`` is its
+scalar form for two subsets. So the choice of metric lives here and nowhere
+else. A sequence point carries its window as two integer bit codes, so the
+sequence metric is exact integer arithmetic rounded once, and keeps no
+cache of its own.
 """
 
 from __future__ import annotations
@@ -153,9 +155,6 @@ class FiniteSubset:
 
     elements: tuple
     space: object
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def element_sort_key(space, p):
@@ -307,16 +306,6 @@ def hausdorff_ball(center: FiniteSubset, radius: float, label: str = "") -> Regi
         metric_ball(center.space, e, radius)
     return Region(kind="hausdorff-ball", space=center.space,
                   center=center, radius=radius, label=label)
-
-
-def region_contains(region: Region, point) -> bool:
-    if region.kind == "ball":
-        return distance(region.space, region.center, point) < region.radius
-    if region.kind == "cylinder":
-        return all(point.coord(j) == v for j, v in region.constraints)
-    if region.kind == "hausdorff-ball":
-        return hausdorff(region.center, point) < region.radius
-    raise ValueError(f"unknown region kind: {region.kind!r}")
 
 
 def grid_points(lo: float, hi: float, count: int) -> list:

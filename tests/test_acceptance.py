@@ -513,7 +513,8 @@ class TestMetricSuiteArrays:
                                rng.integers(1, 5)).tolist()
             subsets.append(finite_subset(elems, INTERVAL))
         width = acceptance.SUBSET_WIDTH
-        rows = np.array([s.elements + s.elements[:1] * (width - len(s))
+        rows = np.array([s.elements
+                         + s.elements[:1] * (width - len(s.elements))
                          for s in subsets])
         return subsets, rows
 

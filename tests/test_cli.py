@@ -158,6 +158,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("blocker", ["outfile", "out/report.json"],
+                             ids=["file-as-directory", "directory-as-file"])
+    def test_unwritable_output_is_an_output_error(self, tmp_path, capsys,
+                                                  blocker):
+        # a regular file where the output directory goes, or a directory
+        # where the report goes
+        if blocker == "outfile":
+            (tmp_path / blocker).write_text("")
+            out = tmp_path / "outfile" / "sub"
+        else:
+            (tmp_path / blocker).mkdir(parents=True)
+            out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", {
+            "system": "identity", "modes": ["sensitive"], "out": str(out)})
+        assert main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"output error: [^\n]+\n", err)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_unknown_system(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "system": "volcano", "modes": ["sensitive"], "delta": 0.1,

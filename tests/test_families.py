@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nonauto import acceptance, registry
 from nonauto.families import (
     cofinite_family,
-    complement,
     dual,
     family_from_dict,
     family_to_dict,
@@ -347,11 +346,6 @@ class TestPartitionWitness:
 
 
 class TestWindowPlumbing:
-    def test_complement_partition(self):
-        s = windowed([2, 5], 6)
-        c = complement(s)
-        assert sorted(s.indices + c.indices) == list(range(1, 7))
-
     def test_out_of_window_rejected(self):
         with pytest.raises(ValueError):
             windowed([0], 5)

@@ -1,6 +1,8 @@
 """Source hygiene: every imported name is used by the module importing it,
 every module-level function, class and assigned name of the package is
-referenced, every parameter of a package function is read, only
+referenced, and, but for two awaiting callers, referenced outside the
+tests and the package's re-exports (by the package, ``scripts`` or
+``perfbench``), every parameter of a package function is read, only
 ``spaces`` builds a ``SymbolicPoint`` directly, every name the package
 exports exists, the package reaches no BLAS routine of numpy (the
 premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``), it
@@ -22,6 +24,9 @@ SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 # everywhere a definition of the package may be used
 USERS = [p for d in ("src", "tests", "scripts", "perfbench")
          for p in sorted((ROOT / d).rglob("*.py"))]
+# where a product path may use one: all but the tests and the re-exports
+PRODUCT_USERS = [p for p in USERS if p.relative_to(ROOT).parts[0] != "tests"
+                 and p != ROOT / "src" / "nonauto" / "__init__.py"]
 
 
 @functools.cache
@@ -118,6 +123,35 @@ def test_scan_flags_a_dead_definition():
                      "\n\nclass C:\n    pass\n\n\ng()\n")
     other = ast.parse("import m\nm.C\n")
     assert dead_definitions(tree, [other]) == [(1, "f")]
+
+
+# Public definitions that only tests reach yet, each kept for the ROADMAP
+# item that gives it a caller
+AWAITING_CALLERS = {
+    "feeble_open_probe",  # item 8: certified region diameters
+    "sequence_to_dict",  # item 9: verdicts that explain themselves
+}
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_definition_has_a_product_user(path):
+    others = [parsed(p) for p in PRODUCT_USERS if p != path]
+    assert [(line, name) for line, name
+            in dead_definitions(parsed(path), others)
+            if name not in AWAITING_CALLERS] == []
+
+
+def test_scan_flags_a_definition_only_tests_reach():
+    tree = ast.parse("def probe():\n    pass\n\n\ndef step():\n    pass\n"
+                     "\n\ndef main():\n    return step()\n")
+    script = ast.parse("import m\nm.main()\n")
+    test = ast.parse("from m import probe\nprobe()\n")
+    assert dead_definitions(tree, [script, test]) == []
+    assert dead_definitions(tree, [script]) == [(1, "probe")]
+    homes = {p.relative_to(ROOT).parts[0] for p in PRODUCT_USERS}
+    assert homes == {"src", "scripts", "perfbench"}
+    assert ROOT / "src" / "nonauto" / "__init__.py" not in PRODUCT_USERS
 
 
 def test_scan_flags_a_dead_assignment():

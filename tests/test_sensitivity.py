@@ -1,4 +1,4 @@
-"""Hit-time and probe tests, checked against naive recomputation oracles.
+"""Scan and probe tests, checked against naive recomputation oracles.
 
 The oracles here recompose prefixes step by step for every time index
 (quadratic on purpose) and sum symbolic distances over explicit coordinate
@@ -34,11 +34,7 @@ from nonauto.sensitivity import (
     FAILS,
     HOLDS,
     RegionScan,
-    asym_pair_test,
-    attaching_estimate,
-    hit_times,
     hyperspace_probe,
-    pair_separation_times,
     region_scan,
     sensitivity_probe,
     weak_implication_ok,
@@ -105,8 +101,8 @@ class TestHitTimesAgainstOracle:
         region = metric_ball(INTERVAL, 0.5, 1 / 32.0)
         sample = sample_region(region, 6)
         expected = naive_hit_times(seq, sample, 0.2, 25, INTERVAL)
-        got = hit_times(seq, region, 0.2, 25, resolution=6)
-        assert got.times.indices == expected
+        got = region_scan(seq, region, 25, 6).times(0.2)
+        assert got.indices == expected
         assert expected  # the oracle run must actually exercise hits
 
     def test_circle_rotation_cycle(self):
@@ -114,8 +110,8 @@ class TestHitTimesAgainstOracle:
         region = metric_ball(CIRCLE, 0.1, 0.05)
         sample = sample_region(region, 5)
         expected = naive_hit_times(seq, sample, 0.04, 20, CIRCLE)
-        got = hit_times(seq, region, 0.04, 20, resolution=5)
-        assert got.times.indices == expected
+        got = region_scan(seq, region, 20, 5).times(0.04)
+        assert got.indices == expected
 
 
 PAIR_SYSTEMS = {
@@ -137,7 +133,7 @@ class TestPairTimesAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_hit_times(self, system, x, y, delta, horizon):
         seq, space = PAIR_SYSTEMS[system]
-        got = pair_separation_times(seq, x, y, delta, horizon)
+        got = sensitivity._scan(seq, (x, y), horizon).times(delta)
         assert got.horizon == horizon
         assert got.indices == naive_hit_times(seq, (x, y), delta, horizon,
                                               space)
@@ -151,23 +147,23 @@ class TestPairTimesAgainstOracle:
     def test_points_off_the_space_refused(self, system, x, y, message):
         seq = registry.build(system).sequence
         with pytest.raises(ValueError, match=message):
-            pair_separation_times(seq, x, y, 0.1, 3)
+            for p in (x, y):
+                spaces.check_point(seq.space, p)
 
     def test_drained_sequence_point_refused(self):
-        # the point's own window is spent, whatever the horizon: the message
-        # names the point, not the horizon
-        seq = cyclic_sequence([shift(1)])
+        # the point's own window is spent, whatever the horizon, so the
+        # message names the point
         drained = make_symbolic({}, radius=3).shifted(5)
         with pytest.raises(ValueError, match=(
                 r"^point SymbolicPoint\(fwd=0, origin=8, size=7\) has "
                 r"drained its window: radius -2 is below 1$")):
-            pair_separation_times(seq, drained, make_symbolic({}, radius=3),
-                                  0.1, 4)
+            spaces.check_point(SYMBOLIC, drained)
 
     def test_untagged_block_sequence_uses_its_own_metric(self):
         # 0.05 and 0.95 lie 0.1 apart on the circle but 0.9 on the interval
         seq = systems.block_sequence("rot-harmonic")
-        assert pair_separation_times(seq, 0.05, 0.95, 0.2, 5).indices == ()
+        scan = sensitivity._scan(seq, (0.05, 0.95), 5)
+        assert scan.times(0.2).indices == ()
 
 
 def naive_symbolic_distance(dx, dy, window):
@@ -206,7 +202,7 @@ class TestSymbolicScanAgainstOracle:
             # shared window after a net shift of s is 64 - |s|
             if naive_symbolic_distance(dx, dy, 64 - abs(net)) > delta:
                 expected.append(n)
-        got = pair_separation_times(seq, x, y, delta, 50)
+        got = sensitivity._scan(seq, (x, y), 50).times(delta)
         assert got.indices == tuple(expected)
         assert expected
 
@@ -379,34 +375,34 @@ class TestTrivialCases:
     def test_small_region_under_identity_never_hits(self):
         seq = cyclic_sequence([identity()], space=INTERVAL)
         region = metric_ball(INTERVAL, 0.5, 0.02)
-        got = hit_times(seq, region, 0.1, 50, resolution=8)
-        assert got.times.indices == ()
+        got = region_scan(seq, region, 50, 8).times(0.1)
+        assert got.indices == ()
 
     def test_far_pair_under_identity_always_separated(self):
         seq = cyclic_sequence([identity()], space=INTERVAL)
-        times = pair_separation_times(seq, 0.1, 0.9, 0.3, 40)
+        times = sensitivity._scan(seq, (0.1, 0.9), 40).times(0.3)
         assert times.indices == tuple(range(1, 41))
 
     def test_identical_points_never_separate(self):
         seq = cyclic_sequence([F1, F2])
-        times = pair_separation_times(seq, 0.625, 0.625, 0.01, 40)
+        times = sensitivity._scan(seq, (0.625, 0.625), 40).times(0.01)
         assert times.indices == ()
 
     def test_separation_is_strict(self):
         seq = cyclic_sequence([identity()], space=INTERVAL)
         # |0.25 - 0.5| == 0.25 exactly: not a hit at delta 0.25
-        assert pair_separation_times(seq, 0.25, 0.5, 0.25, 10).indices == ()
-        assert pair_separation_times(
-            seq, 0.25, 0.5, 0.249, 10).indices == tuple(range(1, 11))
+        scan = sensitivity._scan(seq, (0.25, 0.5), 10)
+        assert scan.times(0.25).indices == ()
+        assert scan.times(0.249).indices == tuple(range(1, 11))
 
 
 class TestFrozenHitSets:
     def test_two_step_composition_ball(self):
         named = registry.build("example41_composition")
         region = metric_ball(INTERVAL, 17 / 32.0, 1 / 32.0)
-        got = hit_times(named.sequence, region, 0.2, 200, resolution=64)
-        assert got.times.indices[:6] == (2, 3, 4, 5, 6, 7)
-        assert len(got.times.indices) == 199
+        got = region_scan(named.sequence, region, 200, 64).times(0.2)
+        assert got.indices[:6] == (2, 3, 4, 5, 6, 7)
+        assert len(got.indices) == 199
 
     def test_doubling_blocks_cylinder(self):
         # spike times from the block structure: sum of (2^s + 2) for s < r,
@@ -416,15 +412,15 @@ class TestFrozenHitSets:
 
         named = registry.build("example31")
         region = cylinder_region({j: 0 for j in range(-2, 3)})
-        got = hit_times(named.sequence, region, 0.5, 2000, resolution=64)
-        assert got.times.indices == tuple(spike(r) for r in range(2, 10))
+        got = region_scan(named.sequence, region, 2000, 64).times(0.5)
+        assert got.indices == tuple(spike(r) for r in range(2, 10))
 
     def test_doubling_blocks_witness_separation(self):
         named = registry.build("example31")
         region = cylinder_region({j: 0 for j in range(-2, 3)})
-        got = hit_times(named.sequence, region, 0.5, 2000, resolution=64)
-        first = got.times.indices[0]
-        x, y, sep = got.witnesses[first]
+        scan = region_scan(named.sequence, region, 2000, 64)
+        first = scan.times(0.5).indices[0]
+        _, _, sep = scan.witness(first)
         assert sep > 0.5
         assert sep <= 3.0  # metric diameter
 
@@ -433,18 +429,18 @@ class TestDeltaAndResolutionMonotonicity:
     def test_larger_delta_hits_subset(self):
         seq = cyclic_sequence([F1, F2])
         region = metric_ball(INTERVAL, 0.5, 1 / 32.0)
-        small = hit_times(seq, region, 0.1, 100, resolution=16)
-        large = hit_times(seq, region, 0.3, 100, resolution=16)
-        assert set(large.times.indices) <= set(small.times.indices)
+        small = region_scan(seq, region, 100, 16).times(0.1)
+        large = region_scan(seq, region, 100, 16).times(0.3)
+        assert set(large.indices) <= set(small.indices)
 
     def test_supersampled_hits_superset(self):
         # grids nest bitwise at resolutions R and 2R-1, so every coarse hit
         # survives refinement
         seq = cyclic_sequence([F1, F2])
         region = metric_ball(INTERVAL, 0.5, 1 / 32.0)
-        coarse = hit_times(seq, region, 0.2, 100, resolution=8)
-        fine = hit_times(seq, region, 0.2, 100, resolution=15)
-        assert set(coarse.times.indices) <= set(fine.times.indices)
+        coarse = region_scan(seq, region, 100, 8).times(0.2)
+        fine = region_scan(seq, region, 100, 15).times(0.2)
+        assert set(coarse.indices) <= set(fine.indices)
 
     @given(delta=st.floats(min_value=0.01, max_value=0.9))
     @settings(max_examples=30, deadline=None)
@@ -665,70 +661,6 @@ class TestHyperspaceProbe:
         with pytest.raises(ValueError):
             hyperspace_probe(named.sequence, 0.1, nonempty(), [big],
                              0.05, 10, 8)
-
-
-class TestAsymptoticPairs:
-    def test_rotations_preserve_close_pairs(self):
-        seq = registry.build("rotations_summable").sequence
-        v = asym_pair_test(seq, 0.1, 0.3, 0.25, infinite_family(),
-                           horizon=200)
-        assert v.is_asymptotic
-        assert v.separation.indices == ()
-
-    def test_rotations_preserve_far_pairs(self):
-        seq = registry.build("rotations_summable").sequence
-        v = asym_pair_test(seq, 0.1, 0.55, 0.25, infinite_family(),
-                           horizon=200)
-        assert not v.is_asymptotic
-        assert v.stay_close.indices == ()
-
-    @given(x=st.floats(min_value=0.0, max_value=1.0),
-           y=st.floats(min_value=0.0, max_value=1.0),
-           delta=st.floats(min_value=0.05, max_value=0.8))
-    @settings(max_examples=30, deadline=None)
-    def test_partition_of_window(self, x, y, delta):
-        seq = cyclic_sequence([F1, F2])
-        v = asym_pair_test(seq, x, y, delta, cofinite_family(), horizon=60)
-        stay = set(v.stay_close.indices)
-        sep = set(v.separation.indices)
-        assert stay | sep == set(range(1, 61))
-        assert not (stay & sep)
-
-
-class TestAttaching:
-    def test_identity_attaches_points_inside_region(self):
-        seq = registry.build("identity").sequence
-        ball = metric_ball(INTERVAL, 0.5, 0.1)
-        probe = finite_subset([0.5, 0.55, 0.9], INTERVAL)
-        got = attaching_estimate(seq, ball, cofinite_family(), probe, 100)
-        assert got.elements == (0.5, 0.55)
-
-    def test_attached_set_may_be_empty(self):
-        seq = registry.build("identity").sequence
-        ball = metric_ball(INTERVAL, 0.5, 0.1)
-        probe = finite_subset([0.9], INTERVAL)
-        got = attaching_estimate(seq, ball, cofinite_family(), probe, 100)
-        assert got.elements == ()
-        assert got.space == INTERVAL
-
-    def test_period_two_returns_are_syndetic_not_cofinite(self):
-        seq = cyclic_sequence([rotation(0.5)], space=CIRCLE)
-        ball = metric_ball(CIRCLE, 0.25, 0.1)
-        probe = finite_subset([0.25], CIRCLE)
-        syn = attaching_estimate(seq, ball, syndetic_family(2), probe, 100)
-        cof = attaching_estimate(seq, ball, cofinite_family(), probe, 100)
-        assert syn.elements == (0.25,)
-        assert cof.elements == ()
-
-    @pytest.mark.parametrize("horizon", [0, -3])
-    def test_horizon_below_one_refused(self, horizon):
-        # numpy's reshape failed on both before the check, with messages
-        # that named no argument
-        seq = registry.build("identity").sequence
-        probe = finite_subset([0.5], INTERVAL)
-        with pytest.raises(ValueError, match="^horizon must be positive$"):
-            attaching_estimate(seq, metric_ball(INTERVAL, 0.5, 0.1),
-                               cofinite_family(), probe, horizon)
 
 
 @pytest.fixture
@@ -1329,7 +1261,7 @@ class TestScanMachinery:
         seq = registry.build(name).sequence
         center = finite_subset(elements, space)
         scan = region_scan(seq, hausdorff_ball(center, 0.05), 30, 9)
-        assert max(len(s) for s in scan.sample) == len(elements)
+        assert max(len(s.elements) for s in scan.sample) == len(elements)
         moved = [list(zip(*(orbit(seq, x, 30) for x in s.elements)))
                  for s in scan.sample]
         pairs = [(moved[i][n], moved[j][n])
@@ -1356,15 +1288,16 @@ class TestScanMachinery:
                 else "rotations_harmonic")
         seq = registry.build(name).sequence
         center = finite_subset(elements, space)
-        region = (metric_ball(space, elements[0], 0.05) if len(center) == 1
+        size = len(center.elements)
+        region = (metric_ball(space, elements[0], 0.05) if size == 1
                   else hausdorff_ball(center, 0.05))
         scan = region_scan(seq, region, 40, 9)
         # the time-major layout: orbits[element, time, sample], and each
         # pair row is a column of the transposed table
-        elements = [s.elements if len(center) > 1 else (s,)
+        elements = [s.elements if size > 1 else (s,)
                     for s in scan.sample]
         width = max(len(e) for e in elements)
-        assert width == len(center)
+        assert width == size
         orbits = np.empty((width, 41, len(elements)))
         for c, elems in enumerate(elements):
             elems = elems + (elems[0],) * (width - len(elems))
@@ -1435,7 +1368,7 @@ class TestScanMachinery:
         seq = cyclic_sequence([shift(1)])
         assert [dist_symbolic(x.shifted(s), y.shifted(s))
                 for s in range(5)] == [1.0, 0.5, 0.25, 0.125, 0.0]
-        got = pair_separation_times(seq, x, y, 0.1, 5)
+        got = sensitivity._scan(seq, (x, y), 5).times(0.1)
         assert got.indices == (1, 2, 3)
         # 2 ** (1 - w) for the narrowest window w of either point
         scan = sensitivity._scan(seq, (x, y), 5)
@@ -1445,23 +1378,19 @@ class TestScanMachinery:
         with pytest.raises(ValueError, match=(
                 "^net shift 6 at time 6 drains the sampled window of "
                 "radius 6; use a horizon below 6$")):
-            pair_separation_times(seq, x, y, 0.1, 6)
+            sensitivity._scan(seq, (x, y), 6)
         # backwards y's left side drains first; at shift -3 one
         # coordinate is left there, and x's flip lies outside it
         back = cyclic_sequence([shift(-1)])
-        assert pair_separation_times(back, x, y, 0.1, 3).indices == (1, 2)
+        assert sensitivity._scan(back, (x, y), 3).times(0.1).indices == (1, 2)
         with pytest.raises(ValueError, match=(
                 "^net shift -4 at time 4 drains the sampled window of "
                 "radius 4; use a horizon below 4$")):
-            pair_separation_times(back, x, y, 0.1, 4)
+            sensitivity._scan(back, (x, y), 4)
 
     def test_invalid_probe_parameters(self):
         named = registry.build("identity")
         region = metric_ball(INTERVAL, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            hit_times(named.sequence, region, 0.0, 10, resolution=8)
-        with pytest.raises(ValueError):
-            hit_times(named.sequence, region, 0.1, 0, resolution=8)
         for probe in (sensitivity_probe, weak_sensitivity_probe):
             for fam in (nonempty(), syndetic_family()):
                 for delta, horizon, message in [
@@ -1471,7 +1400,3 @@ class TestScanMachinery:
                                                          f"be positive$"):
                         probe(named.sequence, delta, fam, [region], horizon,
                               8)
-        for delta, horizon in [(0.0, 8), (-1.0, 8), (0.1, 0)]:
-            with pytest.raises(ValueError, match="must be positive$"):
-                pair_separation_times(named.sequence, 0.2, 0.7, delta,
-                                      horizon)
