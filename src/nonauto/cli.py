@@ -2,15 +2,15 @@
 
 ``nonauto run config.json`` executes the probes described by a JSON config
 and writes a versioned report plus per-region CSV and TSV series, all
-byte-identical across reruns. The run walks the cover once: it builds a
-region's scan, classifies it under every mode and delta, keeps its max
-series and argmax pair and frees it before the next region. Each file is
-then streamed to a temporary beside it, a line or a JSON chunk at a time,
-and renamed over its target. So a run holds one region's scan, three rows
-of horizon + 1 per region and the report, but no file's whole text, and a
-failed write leaves the old file. ``nonauto verify`` prints the pass/fail
-table of the built-in checks, and ``nonauto list`` enumerates the shipped
-systems.
+byte-identical across reruns. The run is one ``probe_cover`` walk of the
+cover for every mode and delta: a region's scan is built as the walk
+reaches it, its max series and argmax pair are kept, and it is freed once
+the walk is done with it. Each file is then streamed to a temporary
+beside it, a line or a JSON chunk at a time, and renamed over its target.
+So a run holds one region's scan, three rows of horizon + 1 per region
+and the report, but no file's whole text, and a failed write leaves the
+old file. ``nonauto verify`` prints the pass/fail table of the built-in
+checks, and ``nonauto list`` enumerates the shipped systems.
 
 Exit codes: 0 run complete or all checks pass, 1 check failure, 2 config
 error, 3 unknown system, 4 output error.
@@ -25,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,7 @@ from .registry import (
     default_cover,
     registry_names,
 )
-from .sensitivity import (
-    cover_report,
-    drop_scans,
-    region_label,
-    region_scan,
-    sensitivity_probe,
-    weak_sensitivity_probe,
-)
+from .sensitivity import drop_scans, probe_cover, region_scan
 from .spaces import SYMBOLIC, WINDOW_RADIUS, cylinder_region, metric_ball
 from .systems import MapSequence, sequence_from_dict
 
@@ -262,42 +255,35 @@ def _mode_family(mode: str, cfg: ExperimentConfig) -> FamilySpec:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple:
-    """Run every (mode, delta) probe, one region at a time: build the
-    region's scan, classify it under every probe, keep its max series and
-    argmax pair, and free it before the next region. So the run holds one
-    region's scan, three rows of horizon + 1 per region and the report.
+    """Run every (mode, delta) probe in one ``probe_cover`` walk, which
+    asks for a region when it is done with the last: build the region's
+    scan (once for regions equal but for their label), keep its rows and
+    free it after the walk's turn. Returns the report and, in cover order,
+    each region's rows ``(max_series, argmax_i, argmax_j)``. A scan that
+    cannot be built (a region of another space, a shift that drains the
+    sampled window) is a ConfigError; a probe's own error is not."""
+    series, kept = [], {}
 
-    Returns the report and, in cover order, each region's rows
-    ``(max_series, argmax_i, argmax_j)`` for ``write_outputs``. A scan
-    that cannot be built (a region of another space, a shift that drains
-    the sampled window) is a ConfigError; a probe's own error is not.
-    """
-    probes = [(mode, delta, _mode_family(mode, cfg),
-               weak_sensitivity_probe if mode == "weakly-F-sensitive"
-               else sensitivity_probe)
-              for mode in cfg.modes for delta in cfg.deltas]
-    regional = [[] for _ in probes]  # each probe's one-region reports
-    series = []
-    for region in cfg.cover:
-        with _refused(errors=ValueError):
-            scan = region_scan(cfg.sequence, region, cfg.horizon,
-                               cfg.resolution)
-        series.append((scan.max_series, scan.argmax_i, scan.argmax_j))
-        del scan
-        for (_, delta, fam, probe), reports in zip(probes, regional):
-            reports.append(probe(cfg.sequence, delta, fam, (region,),
-                                 cfg.horizon, cfg.resolution))
-        # frees this region's scan: the run holds no other of its sequence
-        drop_scans(cfg.sequence)
-    entries = []
-    for (mode, delta, fam, _), reports in zip(probes, regional):
-        records = [replace(rep.regions[0], label=region_label(region, idx))
-                   for idx, (region, rep) in enumerate(zip(cfg.cover,
-                                                           reports))]
-        entry = cover_report(reports[0].mode, fam, delta, cfg.horizon,
-                             cfg.resolution, records).to_dict()
-        entry["requested_mode"] = mode
-        entries.append(entry)
+    def regions():
+        for region in cfg.cover:
+            key = region.unlabelled()
+            if key not in kept:
+                with _refused(errors=ValueError):
+                    scan = region_scan(cfg.sequence, region, cfg.horizon,
+                                       cfg.resolution)
+                kept[key] = scan.max_series, scan.argmax_i, scan.argmax_j
+                del scan
+            series.append(kept[key])
+            yield region
+            # the walk is done with it: this frees the region's scan
+            drop_scans(cfg.sequence)
+
+    requested = [(mode, delta) for mode in cfg.modes for delta in cfg.deltas]
+    reports = probe_cover(cfg.sequence, [
+        (mode == "weakly-F-sensitive", delta, _mode_family(mode, cfg))
+        for mode, delta in requested], regions(), cfg.horizon, cfg.resolution)
+    entries = [{**rep.to_dict(), "requested_mode": mode}
+               for (mode, _), rep in zip(requested, reports)]
     report = {"schema": REPORT_SCHEMA, "system": cfg.label,
               "horizon": cfg.horizon, "resolution": cfg.resolution,
               "deltas": list(cfg.deltas), "reports": entries}

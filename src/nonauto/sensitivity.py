@@ -15,9 +15,10 @@ element-major, (width, samples, horizon + 1), so a block of pair rows
 gathers contiguous orbits from each element's plane. A scan's summary is
 each time's largest pair distance and its first pair in (i, j) order: a
 width-1 interval scan takes it in O(samples) per time from running maxima
-and minima of its orbits, every other scan walks its pair rows in blocks
-whose operands fit in ``BLOCK_BYTES``. A symbolic scan shifts every sample
-point once per distinct shift and fills that shift's table column with one
+and minima of its orbits, a block of times at once, and every other scan
+walks its pair rows in blocks; each block's operands fit in
+``BLOCK_BYTES``. A symbolic scan shifts every sample point once per
+distinct shift and fills that shift's table column with one
 ``dist_symbolic`` per pair; its summary is taken per column and then read
 out at each time through the time -> column map. Before the fill it
 refuses shifts that drain a sampled window: a distance needs
@@ -28,23 +29,23 @@ serves it as a prefix view of a longer scan of the same region and
 resolution, and counts only the scans it builds as misses. It refuses a
 region of another space than the sequence's. Its cache holds sequences and
 regions weakly: a scan lives as long as both do, so the scans of a k-th
-iterate built for one check go with it. A probe walks its cover once,
-holds no scan past its region's turn and classifies regions equal but for
-their label once, and ``hyperspace_probe`` builds each Hausdorff ball only
-when the probe reaches it, so ball scans go one region at a time.
-``cover_report`` holds the verdict rule that merges region records: the
-cover holds unless some region fails, and the first that fails is named.
-``drop_scans(seq)`` frees one sequence's scans, as ``nonauto run`` does
-after each region of its cover and weak-strong-agreement does for each
-registry system it is done with, and ``drop_scans()`` frees the rest when
-``nonauto verify``'s scan-free checks start.
+iterate built for one check go with it. ``probe_cover`` is the one cover
+walk: it looks up each distinct region's scan once (regions equal but for
+their label share it), classifies it under every (strong or weak, delta,
+family) probe with one hit set per delta, and holds no scan past the
+region's turn. ``sensitivity_probe``, ``weak_sensitivity_probe`` and
+``nonauto run`` call it, and ``hyperspace_probe`` builds each Hausdorff
+ball only when the walk reaches it. ``drop_scans(seq)`` frees one
+sequence's scans, as ``nonauto run`` does after each region and
+weak-strong-agreement after each registry system, and ``drop_scans()``
+frees the rest when ``nonauto verify``'s scan-free checks start.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
 from weakref import WeakKeyDictionary
 
@@ -134,19 +135,27 @@ def _interval_summary(points):
     that is row i's best pair distance, bit for bit. The witness is the
     first row whose best is the column's maximum, with its first later
     row at exactly that distance: the first tying pair in (i, j) order.
+    Columns are independent, so they are taken a block at a time, as many
+    as keep one (samples, block) float64 temporary within ``BLOCK_BYTES``.
     """
-    later = points[:0:-1]
-    highest = np.maximum.accumulate(later, axis=0)[::-1]
-    lowest = np.minimum.accumulate(later, axis=0)[::-1]
-    head = points[:-1]
-    best = np.maximum(dist_interval(head, highest),
-                      dist_interval(head, lowest))
-    first = np.argmax(best, axis=0)
-    times = np.arange(points.shape[1])
-    top = best[first, times]
-    after = np.arange(len(points))[:, None] > first
-    at_top = dist_interval(points[first, times], points) == top
-    return top, first, np.argmax(at_top & after, axis=0)
+    count, width = points.shape
+    top = np.empty(width)
+    best_i, best_j = np.empty((2, width), np.min_scalar_type(count - 1))
+    rows = np.arange(count)[:, None]
+    step = _block_rows(count)
+    for a in range(0, width, step):
+        part = points[:, a:a + step]
+        later, head = part[:0:-1], part[:-1]
+        best = dist_interval(head, np.maximum.accumulate(later, axis=0)[::-1])
+        np.maximum(best, dist_interval(
+            head, np.minimum.accumulate(later, axis=0)[::-1]), out=best)
+        first = np.argmax(best, axis=0)
+        peak = best.max(axis=0)
+        del best
+        tie = dist_interval(part[first, np.arange(first.size)], part) == peak
+        top[a:a + step], best_i[a:a + step] = peak, first
+        best_j[a:a + step] = np.argmax(tie & (rows > first), axis=0)
+    return top, best_i, best_j
 
 
 class RegionScan:
@@ -190,8 +199,8 @@ class RegionScan:
         top, best_i, best_j = summary
         index = np.min_scalar_type(int(pj.max()))
         self.max_series = self._at_times(top)
-        self.argmax_i = self._at_times(best_i.astype(index))
-        self.argmax_j = self._at_times(best_j.astype(index))
+        self.argmax_i = self._at_times(best_i.astype(index, copy=False))
+        self.argmax_j = self._at_times(best_j.astype(index, copy=False))
         self.truncation_bound = self._truncation_bound()
 
     def _truncation_bound(self):
@@ -394,13 +403,6 @@ def region_scan(seq: MapSequence, region: Region, horizon: int,
 # Public operations
 
 
-def _check_probe(delta, horizon) -> None:
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-
-
 @dataclass(frozen=True)
 class RegionRecord:
     label: str
@@ -464,60 +466,84 @@ _STRONG_MODES = {"nonempty": "sensitive", "cofinite": "cofinite",
                  "syndetic": "syndetic"}
 
 
-def region_label(region: Region, index: int) -> str:
-    return region.label or f"region-{index:02d}"
-
-
-def _probe(mode, classify, seq, delta, fam, cover, horizon, resolution):
-    """Classify each region's scan; the verdict fails at the first region
-    ``classify(scan) -> (passed, times, witness)`` rejects. Regions equal
-    but for their label share one scan lookup and one classification."""
-    _check_probe(delta, horizon)
-    records, classified = [], {}
-    # one pass, so a cover may build its regions on demand; holding no scan
-    # past its turn lets a region only the cover held take its scan along
-    for idx, region in enumerate(cover):
-        key = replace(region, label="")
-        if key not in classified:
-            scan = region_scan(seq, region, horizon, resolution)
-            classified[key] = (*classify(scan), scan.truncation_bound)
-            del scan
-        passed, times, witness, bound = classified[key]
-        records.append(RegionRecord(
-            label=region_label(region, idx), passed=passed, times=times,
-            witness=witness, truncation_bound=bound))
-    return cover_report(mode, fam, delta, horizon, resolution, records)
-
-
-def cover_report(mode, fam, delta, horizon, resolution,
-                 records) -> SensitivityReport:
-    """The report of a cover's region records, in cover order: the verdict
-    holds unless some region fails, and ``failing_region`` is the first
-    that does."""
-    if not records:
-        raise ValueError("cover must contain at least one region")
-    failing = next((r.label for r in records if not r.passed), None)
-    return SensitivityReport(mode=mode, family=fam, delta=delta,
-                             horizon=horizon, resolution=resolution,
-                             verdict=HOLDS if failing is None else FAILS,
-                             regions=tuple(records), failing_region=failing)
-
-
-def sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec, cover,
-                      horizon: int, resolution: int) -> SensitivityReport:
-    """Verdict holds exactly when every region's hit-time set is accepted
-    by the family."""
-    def classify(scan):
-        times = scan.times(delta)
+def _classify(scan, weak, delta, fam, times):
+    """A region's (passed, times, witness) under one probe, ``times`` its
+    hit set at ``delta``. A strong probe holds when ``fam`` accepts it, the
+    first hit's largest pair its witness; a weak one when ``fam`` accepts a
+    sampled pair's own hit set, the first such pair in (i, j) order."""
+    if not weak:
         witness = {}
         if times.indices:
             first = times.indices[0]
             i, j, sep = scan.witness(first)
             witness = {"time": first, "pair": [i, j], "separation": sep}
         return member(fam, times), times, witness
+    # every family rule is hereditary upwards, and each pair's hit set lies
+    # inside ``times``: the pair rows are walked only where the strong
+    # probe's own test accepts, so weak => strong by construction
+    if member(fam, times):
+        rows = scan.block_rows
+        for a in range(0, len(scan.pi), rows):
+            hits = scan.hits(delta, a, a + rows)
+            accepted = np.flatnonzero(families.member_rows(fam, hits))
+            if accepted.size:
+                r = int(accepted[0])
+                own = families.from_mask(hits[r])
+                return True, own, {"pair": [int(scan.pi[a + r]),
+                                            int(scan.pj[a + r])],
+                                   "separation_count": len(own.indices)}
+    return False, windowed([], scan.horizon), {}
 
-    return _probe(_STRONG_MODES.get(fam.kind, "F-sensitive"), classify, seq,
-                  delta, fam, cover, horizon, resolution)
+
+def probe_cover(seq: MapSequence, probes, cover, horizon: int,
+                resolution: int) -> list:
+    """One walk of ``cover`` for every ``(weak, delta, fam)`` probe in the
+    sequence ``probes``; one report per probe. Each distinct region's scan
+    is looked up once (regions equal but for their label share it and
+    their records), every probe at one delta reads one hit set, and no
+    scan is held past its region's turn, so a cover may build regions on
+    demand. A report holds unless some region fails, and names the first."""
+    if not all(delta > 0 for _, delta, _ in probes):
+        raise ValueError("delta must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    records = [[] for _ in probes]
+    classified = {}
+    for idx, region in enumerate(cover):
+        key = region.unlabelled()
+        if key not in classified:
+            scan = region_scan(seq, region, horizon, resolution)
+            hit_sets = {delta: scan.times(delta)
+                        for delta in dict.fromkeys(d for _, d, _ in probes)}
+            classified[key] = scan.truncation_bound, [
+                _classify(scan, weak, delta, fam, hit_sets[delta])
+                for weak, delta, fam in probes]
+            del scan
+        bound, verdicts = classified[key]
+        label = region.label or f"region-{idx:02d}"
+        for recs, (passed, times, witness) in zip(records, verdicts):
+            recs.append(RegionRecord(label=label, passed=passed, times=times,
+                                     witness=witness, truncation_bound=bound))
+    if not classified:
+        raise ValueError("cover must contain at least one region")
+    reports = []
+    for (weak, delta, fam), recs in zip(probes, records):
+        failing = next((r.label for r in recs if not r.passed), None)
+        reports.append(SensitivityReport(
+            mode="weakly-F-sensitive" if weak
+            else _STRONG_MODES.get(fam.kind, "F-sensitive"),
+            family=fam, delta=delta, horizon=horizon, resolution=resolution,
+            verdict=HOLDS if failing is None else FAILS,
+            regions=tuple(recs), failing_region=failing))
+    return reports
+
+
+def sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec, cover,
+                      horizon: int, resolution: int) -> SensitivityReport:
+    """Verdict holds exactly when every region's hit-time set is accepted
+    by the family."""
+    return probe_cover(seq, [(False, delta, fam)], cover, horizon,
+                       resolution)[0]
 
 
 def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
@@ -525,26 +551,8 @@ def weak_sensitivity_probe(seq: MapSequence, delta: float, fam: FamilySpec,
                            resolution: int) -> SensitivityReport:
     """Verdict holds exactly when every region contains one sampled pair
     whose own separation-time set is accepted by the family."""
-    def classify(scan):
-        # every family rule is hereditary upwards, and each pair's hit set
-        # lies inside the region's: the pair rows are walked only where the
-        # strong probe's own test accepts, so weak => strong by construction
-        if member(fam, scan.times(delta)):
-            # the first accepted row in pair order is the witness
-            rows = scan.block_rows
-            for a in range(0, len(scan.pi), rows):
-                hits = scan.hits(delta, a, a + rows)
-                accepted = np.flatnonzero(families.member_rows(fam, hits))
-                if accepted.size:
-                    r = int(accepted[0])
-                    times = families.from_mask(hits[r])
-                    pair = [int(scan.pi[a + r]), int(scan.pj[a + r])]
-                    return True, times, {
-                        "pair": pair, "separation_count": len(times.indices)}
-        return False, windowed([], horizon), {}
-
-    return _probe("weakly-F-sensitive", classify, seq, delta, fam, cover,
-                  horizon, resolution)
+    return probe_cover(seq, [(True, delta, fam)], cover, horizon,
+                       resolution)[0]
 
 
 def weak_implication_ok(strong: SensitivityReport,

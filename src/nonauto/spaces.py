@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -269,6 +269,10 @@ class Region:
     radius: float = 0.0
     constraints: tuple = ()
     label: str = ""
+
+    def unlabelled(self) -> Region:
+        """This region without its label, which no scan reads."""
+        return replace(self, label="")
 
 
 def metric_ball(space, center, radius: float, label: str = "") -> Region:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonauto import cli, sensitivity
+from nonauto import cli, families, sensitivity
 from nonauto.cli import (
     ConfigError,
     main,
@@ -619,6 +620,34 @@ def scanned_regions(seq) -> list:
             if by_seq.get(seq)]
 
 
+def watch_run(monkeypatch, seq):
+    """Watch a run of ``seq``: at each scan the run builds
+    (``cli.region_scan``), how many scans it built before are alive; each
+    region the walk (``sensitivity.probe_cover``) looks up; and at each
+    classification (each probe's ``member`` call), the regions under which
+    the store holds scans of ``seq``."""
+    alive, lookups, classified, built = [], [], [], []
+
+    def build(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        scan = region_scan(*args)
+        built.append(weakref.ref(scan))
+        return scan
+
+    def lookup(seq, region, *rest):
+        lookups.append(region)
+        return region_scan(seq, region, *rest)
+
+    def member(fam, times):
+        classified.append(scanned_regions(seq))
+        return families.member(fam, times)
+
+    monkeypatch.setattr(cli, "region_scan", build)
+    monkeypatch.setattr(sensitivity, "region_scan", lookup)
+    monkeypatch.setattr(sensitivity, "member", member)
+    return alive, lookups, classified
+
+
 @pytest.mark.usefixtures("empty_scan_cache")
 @pytest.mark.parametrize("name", ["example31", "example41_composition",
                                   "inline_two_balls"])
@@ -627,23 +656,89 @@ def test_each_region_scan_is_built_once_per_run(tmp_path, monkeypatch,
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg = parse_config(raw, out_override=str(tmp_path / "out"))
     assert region_scan.cache_info().misses == 0
-    held = []
-
-    def watched(probe):
-        def wrapper(seq, delta, fam, cover, *rest):
-            held.append((scanned_regions(cfg.sequence), list(cover)))
-            return probe(seq, delta, fam, cover, *rest)
-        return wrapper
-
-    for probe in ("sensitivity_probe", "weak_sensitivity_probe"):
-        monkeypatch.setattr(cli, probe, watched(getattr(cli, probe)))
+    alive, lookups, classified = watch_run(monkeypatch, cfg.sequence)
     write_outputs(cfg, *run_experiment(cfg))
     assert region_scan.cache_info().misses == len(cfg.cover)
-    # each probe sees only its own region's scan in the store
-    assert len(held) == len(cfg.cover) * len(cfg.modes) * len(cfg.deltas)
-    assert all(regions == cover and len(cover) == 1
-               for regions, cover in held)
+    # no earlier scan is alive when the run builds the next; the walk
+    # looks up each region once, in cover order, and every probe
+    # classifies it while the store holds only that region's scan
+    assert alive == [0] * len(cfg.cover)
+    assert lookups == list(cfg.cover)
+    probes = len(cfg.modes) * len(cfg.deltas)
+    assert classified == [[region] for region in cfg.cover
+                          for _ in range(probes)]
     assert scanned_regions(cfg.sequence) == []
+
+
+@pytest.mark.usefixtures("empty_scan_cache")
+def test_regions_equal_but_for_label_are_built_once(tmp_path, monkeypatch):
+    cfg = parse_config({
+        "system": "example41_composition",
+        "modes": ["sensitive", "weakly-F-sensitive"],
+        "family": COUNT_AND_TAIL, "delta": 0.2, "horizon": 60,
+        "resolution": 16,
+        "cover": [{"center": 0.3, "radius": 0.05, "label": "first"},
+                  {"center": 0.6, "radius": 0.05, "label": "other"},
+                  {"center": 0.3, "radius": 0.05, "label": "again"}],
+    }, out_override=str(tmp_path))
+    alive, lookups, classified = watch_run(monkeypatch, cfg.sequence)
+    report, series = run_experiment(cfg)
+    write_outputs(cfg, report, series)
+    # the repeated ball is built once, and looked up and classified once
+    assert alive == [0, 0]
+    assert [r.label for r in lookups] == ["first", "other"]
+    assert region_scan.cache_info()[:2] == (2, 2)
+    assert len(classified) == 2 * 2
+    first = (tmp_path / "hits_first.csv").read_bytes()
+    assert first.count(b"\n") > 1
+    assert (tmp_path / "hits_again.csv").read_bytes() == first
+    plot = [line.split("\t") for line in
+            (tmp_path / "plotdata.tsv").read_text().splitlines()]
+    assert plot[0] == ["n", "first", "other", "again"]
+    assert all(row[1] == row[3] for row in plot[1:])
+    for entry in report["reports"]:
+        one, _, again = entry["regions"]
+        assert again["region"] == "again"
+        assert {**again, "region": "first"} == one
+
+
+def test_strong_modes_at_one_delta_share_one_hit_set(tmp_path,
+                                                     monkeypatch):
+    cfg = parse_config({
+        "system": "example41_composition",
+        "modes": ["sensitive", "cofinite", "syndetic", "F-sensitive",
+                  "weakly-F-sensitive"],
+        "family": COUNT_AND_TAIL, "deltas": [0.2, 0.3], "horizon": 60,
+        "resolution": 16,
+        "cover": [{"center": 0.3, "radius": 0.05},
+                  {"center": 0.6, "radius": 0.05}],
+    }, out_override=str(tmp_path))
+    walks, times_calls = [], []
+
+    def walk(*args):
+        walks.append(sensitivity.probe_cover(*args))
+        return walks[-1]
+
+    def times(scan, delta):
+        times_calls.append(delta)
+        return hit_sets(scan, delta)
+
+    hit_sets = sensitivity.RegionScan.times
+    monkeypatch.setattr(cli, "probe_cover", walk)
+    monkeypatch.setattr(sensitivity.RegionScan, "times", times)
+    run_experiment(cfg)
+    [reports] = walks
+    # each region's scan gives one hit set per delta, the weak probe's
+    # test included
+    assert times_calls == [0.2, 0.3] * 2
+    strong = [r for r in reports if r.mode != "weakly-F-sensitive"]
+    assert len(strong) == 4 * 2
+    for k in range(2):
+        shared = {}
+        for rep in strong:
+            shared.setdefault(rep.delta, set()).add(id(rep.regions[k].times))
+        assert [len(ids) for ids in shared.values()] == [1, 1]
+        assert len(set.union(*shared.values())) == 2
 
 
 def test_run_holds_one_region_scan(tmp_path):
@@ -663,16 +758,12 @@ def test_run_holds_one_region_scan(tmp_path):
     assert peak < 2 * 2 ** 20
 
 
+@pytest.mark.usefixtures("empty_scan_cache")
 def test_config_error_at_a_later_region(tmp_path, capsys, monkeypatch):
     # an interval system with a symbolic cylinder after an interval ball:
     # the cylinder's scan is refused only once the ball is classified
-    probed = []
-
-    def probe(seq, delta, fam, cover, *rest):
-        probed.extend(r.label for r in cover)
-        return sensitivity.sensitivity_probe(seq, delta, fam, cover, *rest)
-
-    monkeypatch.setattr(cli, "sensitivity_probe", probe)
+    alive, lookups, classified = watch_run(monkeypatch,
+                                           build("identity").sequence)
     cfg = write_config(tmp_path / "c.json", {
         "system": "identity", "modes": ["sensitive"], "delta": 0.1,
         "horizon": 20,
@@ -684,7 +775,9 @@ def test_config_error_at_a_later_region(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "config error: region cyl lies in the symbolic space, not the "
         "sequence's interval space\n")
-    assert probed == ["ball"]
+    assert alive == [0, 0]
+    assert [r.label for r in lookups] == ["ball"]
+    assert [[r.label for r in held] for held in classified] == [["ball"]]
     assert not (tmp_path / "out").exists()
 
 

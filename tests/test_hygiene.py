@@ -1,8 +1,10 @@
 """Source hygiene: every imported name is used by the module importing it,
 every module-level function, class and assigned name of the package is
-referenced, and, but for two awaiting callers, referenced outside the
-tests and the package's re-exports (by the package, ``scripts`` or
-``perfbench``), every parameter of a package function is read, only
+referenced, and, but for two awaiting callers and one scalar oracle,
+referenced outside the tests and the package's re-exports (by the
+package, ``scripts`` or ``perfbench``; another file references a
+definition only through an attribute or an import, never through a local
+of the same name), every parameter of a package function is read, only
 ``spaces`` builds a ``SymbolicPoint`` directly, every name the package
 exports exists, the package reaches no BLAS routine of numpy (the
 premise of the one-thread OpenBLAS cap in ``nonauto/__init__.py``), it
@@ -98,10 +100,24 @@ def defined_names(node: ast.stmt) -> list:
             and not (n.id.startswith("__") and n.id.endswith("__"))]
 
 
+@functools.cache
+def reads(tree: ast.Module) -> frozenset:
+    """Names by which the tree reads another module's definitions: every
+    attribute name (``x.name``) and every name it imports (``from m import
+    name``), so a load of an imported name counts through its import. A
+    plain name it binds itself, such as a local, reads no other module."""
+    return frozenset(
+        [node.attr for node in ast.walk(tree)
+         if isinstance(node, ast.Attribute)]
+        + [alias.name for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom) for alias in node.names])
+
+
 def dead_definitions(tree: ast.Module, others) -> list:
     """Module-level definitions and assignments that nothing references
-    outside their own statement, in ``tree`` or in any of the ``others``."""
-    used = set().union(*(referenced(t) for t in others))
+    outside their own statement: in ``tree`` by any mention of the name,
+    in the ``others`` only by a read of the definition (``reads``)."""
+    used = set().union(*(reads(t) for t in others))
     dead = []
     for node in tree.body:
         body = range(node.lineno, node.end_lineno + 1)
@@ -131,6 +147,11 @@ AWAITING_CALLERS = {
     "feeble_open_probe",  # item 8: certified region diameters
     "sequence_to_dict",  # item 9: verdicts that explain themselves
 }
+# Scalar oracles that only tests reach, kept in the package on purpose:
+# moving a reference implementation into the tests is no reduction
+ORACLES = {
+    "hausdorff",  # the per-pair metric the Hausdorff scan rows must equal
+}
 
 
 @pytest.mark.parametrize("path", PACKAGE,
@@ -139,7 +160,24 @@ def test_every_definition_has_a_product_user(path):
     others = [parsed(p) for p in PRODUCT_USERS if p != path]
     assert [(line, name) for line, name
             in dead_definitions(parsed(path), others)
-            if name not in AWAITING_CALLERS] == []
+            if name not in AWAITING_CALLERS | ORACLES] == []
+
+
+def test_scan_counts_only_reads_of_a_definition():
+    # another file's local of the same name reads nothing; an attribute,
+    # an import and a load through an import each read the definition
+    tree = ast.parse("def hausdorff():\n    pass\n\n\ndef probe():\n"
+                     "    pass\n\n\ndef step():\n    pass\n\n\n"
+                     "def walk():\n    pass\n")
+    local = ast.parse("def f(pair):\n    hausdorff = pair\n"
+                      "    return hausdorff, probe, step\n")
+    attribute = ast.parse("import m\nm.probe()\n")
+    imported = ast.parse("from m import step\n")
+    loaded = ast.parse("from m import walk as w\nw()\n")
+    assert dead_definitions(tree, [local]) == [(1, "hausdorff"), (5, "probe"),
+                                               (9, "step"), (13, "walk")]
+    assert dead_definitions(tree, [local, attribute, imported, loaded]) == [
+        (1, "hausdorff")]
 
 
 def test_scan_flags_a_definition_only_tests_reach():

@@ -1184,7 +1184,9 @@ class TestScanMachinery:
          hausdorff_ball(finite_subset([0.25, 0.75], INTERVAL), 1 / 32),
          64, 200),
         ("rotations_harmonic", metric_ball(CIRCLE, 0.5, 1 / 32), 8, 2000),
-    ], ids=["hausdorff-2", "circle"])
+        ("example41_generated", metric_ball(INTERVAL, 0.5, 1 / 32), 64,
+         2000),
+    ], ids=["hausdorff-2", "circle", "interval"])
     def test_scan_build_peak_above_what_it_keeps(self, name, region,
                                                  resolution, horizon):
         # a build's transients are a few blocks of pair rows, whatever the
@@ -1230,13 +1232,18 @@ class TestScanMachinery:
         assert scan.witness(7) == (521, 1121, 1.0)
         assert all(type(k) is int for k in scan.witness(39)[:2])
 
-    @given(interval_orbits())
+    @given(interval_orbits(), st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
-    def test_interval_summary_equals_full_argmax(self, points):
-        # a width-1 interval scan takes its summary in O(samples) per time
-        scan = sensitivity._planes_scan(INTERVAL, None, points[None])
-        assert scan.horizon == points.shape[1] - 1
-        self.assert_summary_is_full_argmax(scan)
+    def test_interval_summary_equals_full_argmax(self, points, block):
+        # a width-1 interval scan takes its summary in O(samples) per time,
+        # a block of times at once: under today's budget, and under one
+        # that holds ``block`` times, so most shapes span several blocks
+        for budget in (BLOCK_BYTES, 8 * len(points) * block):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sensitivity, "BLOCK_BYTES", budget)
+                scan = sensitivity._planes_scan(INTERVAL, None, points[None])
+            assert scan.horizon == points.shape[1] - 1
+            self.assert_summary_is_full_argmax(scan)
 
     def test_interval_summary_keeps_the_first_tying_pair(self):
         # each column's maximum 1.0 is tied by pairs (1, 2), (1, 5),
